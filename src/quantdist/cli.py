@@ -13,7 +13,7 @@ phrase threshold, so sharded builds cannot silently mix configurations.
 from __future__ import annotations
 
 import argparse
-import functools
+import math
 import os
 import sys
 
@@ -189,6 +189,8 @@ def _read_record_stream(path):
                 dim = Dimension[dim_s]
                 value = float(value_s)
                 gap = int(gap_s)
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite value {value_s!r}")
             except (KeyError, ValueError) as exc:
                 raise RecordFormatError(
                     f"bad record field: {exc}", line_number=lineno, path=str(path)
@@ -267,9 +269,8 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    tables = [read_table(path) for path in args.tables]
-    merged = functools.reduce(lambda a, b: a.merge(b), tables)
-    merged.write(args.output)
+    first, *rest = [read_table(path) for path in args.tables]
+    first.merge(*rest).write(args.output)
     return 0
 
 

@@ -4,12 +4,15 @@ A Distribution accumulates observed standard-unit values. It always
 maintains the bucketed histogram; alongside it, raw samples are kept
 until ``exact_cap`` is exceeded, after which they are dropped and stats
 fall back to histogram estimates. Merging is commutative and associative,
-and every derived artifact (sum partials, histogram, sorted samples) is
+and every derived artifact (sum expansion, histogram, sorted samples) is
 a pure function of the observed multiset, so shards can be combined in
 any order and still serialize byte-identically.
 
-Sums use Shewchuk-style error-free accumulation: ``_partials`` represents
-the exact sum of all observed values, independent of insertion order.
+The sum is one exact integer: every finite double is a whole multiple of
+2**-1074, the smallest subnormal, so ``_sum`` counts those units and a
+Python int adds them without rounding, in any order (a long accumulator
+in the sense of Kulisch). ``sum()`` is that integer correctly rounded to
+a float, and ``sum_partials()`` its greedy round-to-nearest expansion.
 """
 
 from __future__ import annotations
@@ -17,55 +20,33 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
-
 from . import kernels
 
 DEFAULT_EXACT_CAP = 4096
 
+_ONE = 1 << 1074  # 1.0 in units of 2**-1074
+# halfway from the largest double to 2**1024, in units: exact sums this
+# large round (ties to even) to an infinite float
+_OVERFLOW = (1 << 2098) - (1 << 2044)
 
-def add_partial(partials: list[float], x: float) -> None:
-    """Fold one float into an error-free partial-sum list, in place."""
-    if x == 0.0:
-        return
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    if not math.isfinite(x):
+
+def exact_units(x: float) -> int:
+    """A finite float as an exact integer count of 2**-1074."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def checked_sum(total: int) -> int:
+    """``total`` itself, unless it would round to an infinite float."""
+    if abs(total) >= _OVERFLOW:
         raise OverflowError("running sum overflowed float range")
-    partials[i:] = [x] if x else []
-
-
-def canonical_partials(partials: list[float]) -> list[float]:
-    """Reduce partials to the greedy round-to-nearest expansion of the sum.
-
-    The result depends only on the exact value represented, not on the
-    order values were folded in, which makes serialized sums reproducible
-    across merge orders.
-    """
-    parts = list(partials)
-    out: list[float] = []
-    while parts:
-        hi = math.fsum(parts)
-        if hi == 0.0:
-            break
-        out.append(hi)
-        add_partial(parts, -hi)
-        parts = [p for p in parts if p != 0.0]
-    return out
+    return total
 
 
 class Distribution:
     """Streaming multiset summary: count, extrema, exact sum, histogram."""
 
-    __slots__ = ("count", "minimum", "maximum", "_partials", "buckets", "exact", "exact_cap")
+    __slots__ = ("count", "minimum", "maximum", "_sum", "buckets", "exact", "exact_cap")
 
     def __init__(self, exact_cap: int = DEFAULT_EXACT_CAP):
         if exact_cap < 0:
@@ -73,7 +54,7 @@ class Distribution:
         self.count = 0
         self.minimum: float | None = None
         self.maximum: float | None = None
-        self._partials: list[float] = []
+        self._sum = 0
         self.buckets: Counter[int] = Counter()
         self.exact: list[float] | None = []
         self.exact_cap = exact_cap
@@ -85,42 +66,17 @@ class Distribution:
         if not math.isfinite(value):
             raise ValueError(f"cannot observe non-finite value {value!r}")
         value = value + 0.0  # fold -0.0
+        self._sum = checked_sum(self._sum + exact_units(value))
         self.count += 1
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
             self.maximum = value
-        add_partial(self._partials, value)
         self.buckets[kernels.bucket_index(value)] += 1
         if self.exact is not None:
             self.exact.append(value)
             if len(self.exact) > self.exact_cap:
                 self.exact = None  # spill: histogram already has everything
-
-    def observe_many(self, values) -> None:
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        if values.size == 0:
-            return
-        if not np.all(np.isfinite(values)):
-            raise ValueError("cannot observe non-finite values")
-        values = values + 0.0
-        self.count += int(values.size)
-        lo = float(values.min())
-        hi = float(values.max())
-        if self.minimum is None or lo < self.minimum:
-            self.minimum = lo
-        if self.maximum is None or hi > self.maximum:
-            self.maximum = hi
-        for v in values:
-            add_partial(self._partials, float(v))
-        ids, counts = kernels.accumulate(values)
-        for bid, c in zip(ids, counts):
-            self.buckets[int(bid)] += int(c)
-        if self.exact is not None:
-            if len(self.exact) + values.size > self.exact_cap:
-                self.exact = None
-            else:
-                self.exact.extend(float(v) for v in values)
 
     # ------------------------------------------------------------------
     # monoid structure
@@ -130,34 +86,36 @@ class Distribution:
         out.count = self.count
         out.minimum = self.minimum
         out.maximum = self.maximum
-        out._partials = list(self._partials)
+        out._sum = self._sum
         out.buckets = Counter(self.buckets)
         out.exact = None if self.exact is None else list(self.exact)
         return out
 
-    def merge(self, other: "Distribution") -> "Distribution":
-        """Combine two summaries; neither input is mutated."""
+    def update(self, other: "Distribution") -> None:
+        """Fold another summary into this one in place; ``other`` is not mutated."""
         if self.exact_cap != other.exact_cap:
             raise ValueError(
                 f"exact_cap mismatch: {self.exact_cap} vs {other.exact_cap}"
             )
+        self._sum = checked_sum(self._sum + other._sum)
+        if other.count:
+            if self.count:
+                self.minimum = min(self.minimum, other.minimum)
+                self.maximum = max(self.maximum, other.maximum)
+            else:
+                self.minimum, self.maximum = other.minimum, other.maximum
+        self.count += other.count
+        self.buckets.update(other.buckets)
+        if self.exact is not None:
+            if other.exact is None or len(self.exact) + len(other.exact) > self.exact_cap:
+                self.exact = None
+            else:
+                self.exact.extend(other.exact)
+
+    def merge(self, other: "Distribution") -> "Distribution":
+        """Combine two summaries; neither input is mutated."""
         out = self.copy()
-        out.count += other.count
-        for bound in (other.minimum, other.maximum):
-            if bound is not None:
-                if out.minimum is None or bound < out.minimum:
-                    out.minimum = bound
-                if out.maximum is None or bound > out.maximum:
-                    out.maximum = bound
-        for p in other._partials:
-            add_partial(out._partials, p)
-        out.buckets.update(other.buckets)
-        if out.exact is None or other.exact is None:
-            out.exact = None
-        else:
-            out.exact = out.exact + other.exact
-            if len(out.exact) > self.exact_cap:
-                out.exact = None
+        out.update(other)
         return out
 
     def __eq__(self, other) -> bool:
@@ -169,7 +127,7 @@ class Distribution:
             self.count == other.count
             and self.minimum == other.minimum
             and self.maximum == other.maximum
-            and canonical_partials(self._partials) == canonical_partials(other._partials)
+            and self._sum == other._sum
             and +self.buckets == +other.buckets
             and mine == theirs
             and self.exact_cap == other.exact_cap
@@ -187,10 +145,22 @@ class Distribution:
         return self.exact is not None
 
     def sum_partials(self) -> list[float]:
-        return canonical_partials(self._partials)
+        """Greedy round-to-nearest expansion of the exact sum.
+
+        Each part is the remaining exact sum rounded to a float, so the
+        parts are non-overlapping, largest first, and add up exactly to
+        the sum; an all-zero sum gives ``[]``.
+        """
+        out = []
+        rest = self._sum
+        while rest:
+            hi = rest / _ONE
+            out.append(hi)
+            rest -= exact_units(hi)
+        return out
 
     def sum(self) -> float:
-        return math.fsum(self._partials)
+        return self._sum / _ONE
 
     def mean(self) -> float:
         if self.count == 0:

@@ -13,8 +13,8 @@ class DimensionMismatchError(QuantdistError):
     """Raised when an operation mixes quantities of different dimensions."""
 
 
-class AnnotationFormatError(QuantdistError):
-    """Raised on malformed annotated-corpus input; carries the line number."""
+class LocatedInputError(QuantdistError):
+    """Malformed input at a known place; the message leads with ``path:line: ``."""
 
     def __init__(self, message, line_number=None, path=None):
         self.line_number = line_number
@@ -25,42 +25,26 @@ class AnnotationFormatError(QuantdistError):
         if line_number is not None:
             where += f"{line_number}: "
         super().__init__(where + message)
+
+
+class AnnotationFormatError(LocatedInputError):
+    """Raised on malformed annotated-corpus input; carries the line number."""
 
 
 class TableFormatError(QuantdistError):
     """Raised when a serialized distribution table cannot be read back."""
 
 
-class RecordFormatError(QuantdistError):
+class RecordFormatError(LocatedInputError):
     """Raised on malformed extraction-record streams; carries the line number."""
-
-    def __init__(self, message, line_number=None, path=None):
-        self.line_number = line_number
-        self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line_number is not None:
-            where += f"{line_number}: "
-        super().__init__(where + message)
 
 
 class ConfigMismatchError(QuantdistError):
     """Raised when tables built under incompatible configurations are merged."""
 
 
-class DatasetFormatError(QuantdistError):
+class DatasetFormatError(LocatedInputError):
     """Raised on malformed comparison-dataset rows; carries the line number."""
-
-    def __init__(self, message, line_number=None, path=None):
-        self.line_number = line_number
-        self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line_number is not None:
-            where += f"{line_number}: "
-        super().__init__(where + message)
 
 
 class SplitInfeasibleError(QuantdistError):

@@ -1,22 +1,21 @@
-"""Sign-aware geometric bucketing kernels for value histograms.
+"""Sign-aware geometric bucketing for value histograms.
 
 Magnitudes are split into 10 buckets per decade across [1e-12, 1e12), with
 bucket 0 reserved for exact zero and negative values mirrored to negative
 ids, so ascending signed id is ascending value. Values outside the covered
 magnitude range land in the nearest edge bucket.
 
-The batch kernel has two implementations: a numba-compiled loop and a pure
-numpy fallback. QUANTDIST_NUMBA=0 (or "false"/"off"/"no") forces the numpy
-path; otherwise numba is used when importable. Both paths floor the same
-float64 expression, so bucket ids are bitwise identical either way.
+``bucket_index`` is the one bucketing implementation: ``Distribution``
+calls it once per observed value, through this module's attribute, so a
+tracer that replaces the attribute sees every call. ``accumulate`` is its
+batch form; no program path calls it, but the benchmark's tracer patches
+it by name.
 """
 
 from __future__ import annotations
 
 import math
-import os
-
-import numpy as np
+from collections import Counter
 
 BUCKETS_PER_DECADE = 10
 DECADES_BELOW = 12  # covered magnitudes start at 1e-12
@@ -26,14 +25,12 @@ N_POSITIVE_BUCKETS = BUCKETS_PER_DECADE * (DECADES_BELOW + DECADES_ABOVE)
 # worst-case ratio between a value and any other value in the same bucket
 BUCKET_WIDTH_RATIO = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
 
-
-def _env_allows_numba() -> bool:
-    flag = os.environ.get("QUANTDIST_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+# there is no compiled bucketing path; benchmark reports still record this
+USE_NUMBA = False
 
 
 def bucket_index(value: float) -> int:
-    """Scalar reference implementation; value must be finite."""
+    """Signed bucket id of one value; value must be finite."""
     if value == 0.0:
         return 0
     p = int(math.floor(BUCKETS_PER_DECADE * (math.log10(abs(value)) + DECADES_BELOW)))
@@ -44,61 +41,11 @@ def bucket_index(value: float) -> int:
     return p + 1 if value > 0.0 else -p - 1
 
 
-def _bucket_indices_numpy(values: np.ndarray) -> np.ndarray:
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    out = np.zeros(values.shape[0], dtype=np.int64)
-    nonzero = values != 0.0
-    mags = np.abs(values[nonzero])
-    p = np.floor(
-        BUCKETS_PER_DECADE * (np.log10(mags) + DECADES_BELOW)
-    ).astype(np.int64)
-    np.clip(p, 0, N_POSITIVE_BUCKETS - 1, out=p)
-    out[nonzero] = np.where(values[nonzero] > 0.0, p + 1, -p - 1)
-    return out
-
-
-USE_NUMBA = False
-if _env_allows_numba():
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _bucket_indices_numba(values):
-            out = np.empty(values.shape[0], dtype=np.int64)
-            for i in range(values.shape[0]):
-                v = values[i]
-                if v == 0.0:
-                    out[i] = 0
-                    continue
-                p = int(
-                    math.floor(
-                        BUCKETS_PER_DECADE * (math.log10(abs(v)) + DECADES_BELOW)
-                    )
-                )
-                if p < 0:
-                    p = 0
-                elif p > N_POSITIVE_BUCKETS - 1:
-                    p = N_POSITIVE_BUCKETS - 1
-                out[i] = p + 1 if v > 0.0 else -p - 1
-            return out
-
-        USE_NUMBA = True
-    except ImportError:
-        pass
-
-
-def bucket_indices(values) -> np.ndarray:
-    """Signed bucket ids for a batch of finite values."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if USE_NUMBA:
-        return _bucket_indices_numba(values)
-    return _bucket_indices_numpy(values)
-
-
-def accumulate(values) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket a batch and return (unique signed ids, counts), ids ascending."""
-    ids = bucket_indices(values)
-    return np.unique(ids, return_counts=True)
+def accumulate(values) -> tuple[list[int], list[int]]:
+    """Bucket a batch and return (signed ids, counts), ids ascending."""
+    counts = Counter(bucket_index(v) for v in values)
+    ids = sorted(counts)
+    return ids, [counts[i] for i in ids]
 
 
 def bucket_bounds(signed_id: int) -> tuple[float, float]:

@@ -9,11 +9,12 @@ identical bytes regardless of build or merge order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
-from .distribution import DEFAULT_EXACT_CAP, Distribution
+from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, TableFormatError
-from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW, bucket_bounds
+from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW, N_POSITIVE_BUCKETS, bucket_bounds
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos
 from .units import Dimension
 
@@ -91,28 +92,37 @@ class QuantTable:
     # ------------------------------------------------------------------
     # combination
 
-    def merge(self, other: "QuantTable") -> "QuantTable":
-        """Keywise combination of two tables built under one configuration.
+    def merge(self, *others: "QuantTable") -> "QuantTable":
+        """Keywise combination of tables built under one configuration.
 
-        Merging finalized tables re-applies the larger of the two count
-        thresholds so the result is again a valid finalized table.
+        Takes any number of tables in one pass; no input is mutated and
+        each entry is copied once. Merging finalized tables re-applies the
+        largest of the count thresholds so the result is again a valid
+        finalized table.
         """
-        if self.config.mergeable_fields() != other.config.mergeable_fields():
-            raise ConfigMismatchError(
-                f"incompatible table configs: {self.config} vs {other.config}"
-            )
+        for other in others:
+            if self.config.mergeable_fields() != other.config.mergeable_fields():
+                raise ConfigMismatchError(
+                    f"incompatible table configs: {self.config} vs {other.config}"
+                )
+        tables = (self, *others)
         merged = QuantTable(
-            replace(
-                self.config,
-                min_count=max(self.config.min_count, other.config.min_count),
-            )
+            replace(self.config, min_count=max(t.config.min_count for t in tables))
         )
-        merged.entries = {k: d.copy() for k, d in self.entries.items()}
-        for key, dist in other.entries.items():
-            mine = merged.entries.get(key)
-            merged.entries[key] = dist.copy() if mine is None else mine.merge(dist)
+        entries = merged.entries
+        for table in tables:
+            for key, dist in table.entries.items():
+                mine = entries.get(key)
+                if mine is None:
+                    entries[key] = dist.copy()
+                else:
+                    mine.update(dist)
         if merged.config.finalized:
-            return merged.finalize(merged.config.min_count)
+            merged.entries = {
+                key: dist
+                for key, dist in entries.items()
+                if merged._keeps(key, dist, merged.config.min_count)
+            }
         return merged
 
     def finalize(self, min_count: int) -> "QuantTable":
@@ -126,12 +136,18 @@ class QuantTable:
             raise ValueError("min_count must be >= 1")
         effective = max(min_count, self.config.min_count if self.config.finalized else 1)
         out = QuantTable(replace(self.config, min_count=effective, finalized=True))
-        phrase_floor = max(effective, self.config.min_phrase_count)
-        for (key, dimension), dist in self.entries.items():
-            floor = phrase_floor if " " in key.surface else effective
-            if dist.count >= floor:
-                out.entries[(key, dimension)] = dist.copy()
+        out.entries = {
+            key: dist.copy()
+            for key, dist in self.entries.items()
+            if self._keeps(key, dist, effective)
+        }
         return out
+
+    def _keeps(self, key: tuple[ObjectKey, Dimension], dist: Distribution, min_count: int) -> bool:
+        """Whether an entry meets the count threshold of a finalized table."""
+        if " " in key[0].surface:
+            min_count = max(min_count, self.config.min_phrase_count)
+        return dist.count >= min_count
 
     # ------------------------------------------------------------------
     # lookup
@@ -231,6 +247,13 @@ class QuantTable:
             fh.write(self.serialize())
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 def _parse_entry(line: str, lineno: int, path: str, exact_cap: int):
     parts = line.split("\t")
     if len(parts) != 10:
@@ -247,19 +270,22 @@ def _parse_entry(line: str, lineno: int, path: str, exact_cap: int):
             raise ValueError("entry count must be >= 1")
         dist = Distribution(exact_cap=exact_cap)
         dist.count = count
-        dist.minimum = float(min_s)
-        dist.maximum = float(max_s)
-        dist._partials = [float(p) for p in sum_s.split(" ") if float(p) != 0.0]
+        dist.minimum = _finite(min_s)
+        dist.maximum = _finite(max_s)
+        dist._sum = checked_sum(sum(exact_units(_finite(p)) for p in sum_s.split(" ")))
         for pair in buckets_s.split(" "):
             if not pair:
                 continue
             bid_s, n_s = pair.split(":")
-            dist.buckets[int(bid_s)] = int(n_s)
+            bid = int(bid_s)
+            if not -N_POSITIVE_BUCKETS <= bid <= N_POSITIVE_BUCKETS:
+                raise ValueError(f"bucket id {bid} out of range")
+            dist.buckets[bid] = int(n_s)
         if exact_s == "-":
             dist.exact = None
         else:
-            dist.exact = [float(v) for v in exact_s.split(" ") if v]
-    except (ValueError, KeyError) as exc:
+            dist.exact = [_finite(v) for v in exact_s.split(" ") if v]
+    except (ValueError, KeyError, OverflowError) as exc:
         raise TableFormatError(f"{path}:{lineno}: bad entry ({exc})") from None
     if sum(dist.buckets.values()) != count:
         raise TableFormatError(f"{path}:{lineno}: bucket mass does not match count")

@@ -69,6 +69,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "error:" in err
+    header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
+    for value in ("nan", "inf", "-inf"):
+        bad.write_text(header + f"car\t\tNOUN\tMASS\t{value}\t0\n", encoding="utf-8")
+        assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: " in err and "non-finite" in err
 
 
 def test_missing_object_exits_2(tmp_path, corpus, capsys):

@@ -7,10 +7,13 @@ implementation.
 
 import math
 import random
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quantdist.distribution import Distribution, canonical_partials
+from quantdist.distribution import Distribution
 from quantdist.kernels import BUCKET_WIDTH_RATIO
 
 
@@ -200,28 +203,11 @@ def test_spill_via_merge():
     assert m.count == 4
 
 
-def test_observe_many_equals_sequential():
-    rng = random.Random(606)
-    for _ in range(20):
-        values = random_values(rng, rng.randint(0, 50))
-        one = build(values, cap=16)
-        many = Distribution(exact_cap=16)
-        many.observe_many(values)
-        assert one.count == many.count
-        assert +one.buckets == +many.buckets
-        assert one.sum_partials() == many.sum_partials()
-        assert (one.exact is None) == (many.exact is None)
-        if one.exact is not None:
-            assert sorted(one.exact) == sorted(many.exact)
-
-
 def test_rejects_non_finite():
     d = Distribution()
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             d.observe(bad)
-        with pytest.raises(ValueError):
-            d.observe_many([1.0, bad])
     assert d.count == 0
 
 
@@ -263,5 +249,73 @@ def test_stats_payload():
 
 
 def test_canonical_partials_zero_sum():
-    assert canonical_partials([1.0, -1.0]) == []
-    assert canonical_partials([]) == []
+    assert build([1.0, -1.0]).sum_partials() == []
+    assert Distribution().sum_partials() == []
+
+
+def oracle_expansion(total: Fraction) -> list[float]:
+    """Greedy round-to-nearest expansion; float(Fraction) rounds correctly."""
+    out = []
+    while total:
+        hi = float(total)
+        out.append(hi)
+        total -= Fraction(hi)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+def test_sum_expansion_matches_fraction_oracle(values):
+    d = Distribution(exact_cap=0)
+    total = Fraction(0)
+    for v in values:
+        total += Fraction(v)
+        try:
+            float(total)
+        except OverflowError:
+            # the running sum must round to a finite float at every step
+            before = d.copy()
+            with pytest.raises(OverflowError):
+                d.observe(v)
+            assert d == before
+            return
+        d.observe(v)
+    expected = oracle_expansion(total)
+    assert d.sum_partials() == expected
+    assert d.sum() == (expected[0] if expected else 0.0)
+
+
+def test_sum_overflow_raises_and_leaves_state():
+    d = build([1e308])
+    with pytest.raises(OverflowError):
+        d.observe(1e308)
+    assert d == build([1e308])
+    a, b = build([1e308]), build([1e308])
+    with pytest.raises(OverflowError):
+        a.merge(b)
+    with pytest.raises(OverflowError):
+        a.update(b)
+    assert a == b == build([1e308])
+
+
+def test_sum_overflow_threshold_is_round_to_nearest():
+    top = sys.float_info.max
+    half_ulp = 2.0**970  # top + half_ulp ties to even, which is 2**1024
+    assert build([top, half_ulp / 2]).sum() == top
+    with pytest.raises(OverflowError):
+        build([top, half_ulp])
+    assert build([-top, -half_ulp / 2]).sum() == -top
+    with pytest.raises(OverflowError):
+        build([-top, -half_ulp])
+
+
+def test_update_in_place_equals_merge():
+    rng = random.Random(707)
+    for _ in range(20):
+        a = build(random_values(rng, rng.randint(0, 20)), cap=16)
+        b = build(random_values(rng, rng.randint(0, 20)), cap=16)
+        merged = a.merge(b)
+        before_b = b.copy()
+        a.update(b)
+        assert a == merged
+        assert b == before_b

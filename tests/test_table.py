@@ -1,9 +1,14 @@
 """Table tests: dual keys, monoid laws, thresholds, canonical bytes."""
 
+import functools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quantdist.cli import main
 from quantdist.distribution import Distribution
 from quantdist.errors import ConfigMismatchError, TableFormatError
 from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
@@ -224,15 +229,35 @@ def test_bad_header_rejected(tmp_path):
         read_table(p)
 
 
-def test_corrupt_entry_rejected(tmp_path):
+def test_corrupt_entry_rejected(tmp_path, capsys):
     t = build([record("car", Dimension.SPEED, 5.0)])
     path = tmp_path / "table.tsv"
     t.write(path)
     header, entry = path.read_text(encoding="utf-8").splitlines()
-    bad = entry.rsplit("\t", 1)[0]  # drop a column
-    (tmp_path / "bad.tsv").write_text(header + "\n" + bad + "\n", encoding="utf-8")
-    with pytest.raises(TableFormatError):
-        read_table(tmp_path / "bad.tsv")
+    cols = entry.split("\t")
+
+    def with_column(i, text):
+        return "\t".join(cols[:i] + [text] + cols[i + 1:])
+
+    bad_entries = [
+        entry.rsplit("\t", 1)[0],  # drop a column
+        with_column(7, "inf"),  # sum part
+        with_column(7, "1e308 1e308"),  # exact sum past the float range
+        with_column(5, "nan"),  # min
+        with_column(6, "-inf"),  # max
+        with_column(8, "999:1"),  # bucket id out of range
+        with_column(8, "-241:1"),
+        with_column(9, "nan"),  # sample
+    ]
+    bad = tmp_path / "bad.tsv"
+    for bad_entry in bad_entries:
+        bad.write_text(header + "\n" + bad_entry + "\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=f"{bad}:2: "):
+            read_table(bad)
+        for command in ("query", "plot-export"):
+            argv = [command, "--table", str(bad), "--object", "car", "--dim", "speed"]
+            assert main(argv) == 2, (command, bad_entry)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_heads_for():
@@ -266,3 +291,45 @@ def test_entry_distributions_are_real_distributions():
     d = t.get(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED)
     assert isinstance(d, Distribution)
     assert d.median() == 2.0
+
+
+_SUBJECTS = [
+    ("car", Pos.NOUN, None),
+    ("race car", Pos.NOUN, None),
+    ("fast", Pos.ADJ, "car"),
+    ("fast", Pos.ADJ, None),
+]
+_records = st.builds(
+    lambda subject, dim, value: record(subject[0], dim, value, pos=subject[1], head=subject[2]),
+    st.sampled_from(_SUBJECTS),
+    st.sampled_from([Dimension.MASS, Dimension.SPEED]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+N_SHARDS = 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_records, st.integers(0, N_SHARDS - 1)), max_size=40),
+    st.permutations(range(N_SHARDS)),
+)
+def test_any_sharding_serializes_like_one_pass(tagged, order):
+    whole = build([r for r, _ in tagged], exact_cap=3).serialize()
+    shards = [
+        build([r for r, shard in tagged if shard == i], exact_cap=3) for i in order
+    ]
+    snapshots = [shard.serialize() for shard in shards]
+    pairwise = functools.reduce(lambda a, b: a.merge(b), shards)
+    assert pairwise.serialize() == whole
+    assert shards[0].merge(*shards[1:]).serialize() == whole
+    assert [shard.serialize() for shard in shards] == snapshots  # inputs untouched
+    finals = [shard.finalize(2) for shard in shards]
+    pairwise = functools.reduce(lambda a, b: a.merge(b), finals)
+    assert finals[0].merge(*finals[1:]).serialize() == pairwise.serialize()
+    # and through the file format, which re-sums the written expansions
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"{i}.table") for i in range(N_SHARDS)]
+        for shard, path in zip(shards, paths):
+            shard.write(path)
+        first, *rest = [read_table(path) for path in paths]
+        assert first.merge(*rest).serialize() == whole
