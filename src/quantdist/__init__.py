@@ -37,7 +37,6 @@ from .pipeline import (
     ExtractionConfig,
     ObjectKey,
     Pos,
-    TokenAnnotation,
     extract_records,
     read_annotated,
     split_sentences,
@@ -72,7 +71,6 @@ __all__ = [
     "RecordFormatError",
     "SplitInfeasibleError",
     "TableFormatError",
-    "TokenAnnotation",
     "UnitDef",
     "UnitRegistry",
     "compare_adjectives",

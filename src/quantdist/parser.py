@@ -11,6 +11,7 @@ unit are dropped, not guessed at.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .units import Dimension, Quantity, UnitRegistry
@@ -92,14 +93,14 @@ class Mention:
         return self.quantity.dimension
 
 
-def scan_measurements(tokens: list[str], registry: UnitRegistry) -> list[Mention]:
-    """All measurement mentions in a token list, left to right."""
+def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Mention]:
+    """All measurement mentions in a token sequence, left to right."""
     scanner = _Scanner(tokens, registry)
     return scanner.run()
 
 
 class _Scanner:
-    def __init__(self, tokens: list[str], registry: UnitRegistry):
+    def __init__(self, tokens: Sequence[str], registry: UnitRegistry):
         self.tokens = tokens
         self.low = [t.lower() for t in tokens]
         self.registry = registry

@@ -44,22 +44,22 @@ class Pos(Enum):
 
 
 @dataclass(frozen=True)
-class TokenAnnotation:
-    surface: str
-    pos: Pos = Pos.UNKNOWN
-    head_index: int | None = None
-
-
-@dataclass(frozen=True)
 class AnnotatedSentence:
-    tokens: tuple[TokenAnnotation, ...]
+    """One sentence as three parallel token columns: surface, POS tag, head index."""
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+    surfaces: tuple[str, ...]
+    pos: tuple[Pos, ...]
+    heads: tuple[int | None, ...]
+
+    def __post_init__(self):
+        if not len(self.surfaces) == len(self.pos) == len(self.heads):
+            raise ValueError("surfaces, pos and heads must have one entry per token")
 
     @classmethod
     def from_plain(cls, sentence: str) -> "AnnotatedSentence":
-        return cls(tokens=tuple(TokenAnnotation(t) for t in tokenize(sentence)))
+        surfaces = tuple(tokenize(sentence))
+        n = len(surfaces)
+        return cls(surfaces, (Pos.UNKNOWN,) * n, (None,) * n)
 
 
 @dataclass(frozen=True)
@@ -153,33 +153,35 @@ def _span_gap(a_start, a_end, b_start, b_end) -> int | None:
     return None
 
 
+_TAGGED_OBJECTS = (Pos.NOUN, Pos.ADJ, Pos.VERB)
+
+
 def _candidate_objects(sentence: AnnotatedSentence, config: ExtractionConfig):
     """(ObjectKey, start, end) triples for tokens and noun phrases."""
-    tokens = sentence.tokens
+    tags = sentence.pos
+    low = [s.lower() for s in sentence.surfaces]
     stops = stopwords()
     candidates = []
-    for i, tok in enumerate(tokens):
-        low = tok.surface.lower()
-        if tok.pos is Pos.UNKNOWN:
-            if _WORD_RE.match(low) and low not in stops:
-                candidates.append((ObjectKey(low, Pos.UNKNOWN, None), i, i + 1))
-        elif tok.pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
-            head = None
-            if tok.head_index is not None:
-                head = tokens[tok.head_index].surface.lower()
-            candidates.append((ObjectKey(low, tok.pos, head), i, i + 1))
+    for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads)):
+        if pos is Pos.UNKNOWN:
+            if word not in stops and _WORD_RE.match(word):
+                candidates.append((ObjectKey(word, Pos.UNKNOWN, None), i, i + 1))
+        elif pos in _TAGGED_OBJECTS:
+            head_word = None if head is None else low[head]
+            candidates.append((ObjectKey(word, pos, head_word), i, i + 1))
+    if Pos.NOUN not in tags:
+        return candidates  # plain text never has a noun run
     # contiguous noun runs become phrases headed by their final noun
     run_start = None
-    for i in range(len(tokens) + 1):
-        is_noun = i < len(tokens) and tokens[i].pos is Pos.NOUN
+    for i in range(len(tags) + 1):
+        is_noun = i < len(tags) and tags[i] is Pos.NOUN
         if is_noun and run_start is None:
             run_start = i
         elif not is_noun and run_start is not None:
             for s in range(run_start, i):
                 for e in range(s + 2, min(i, s + config.max_phrase_len) + 1):
-                    surface = " ".join(t.surface.lower() for t in tokens[s:e])
-                    head = tokens[e - 1].surface.lower()
-                    candidates.append((ObjectKey(surface, Pos.NOUN, head), s, e))
+                    surface = " ".join(low[s:e])
+                    candidates.append((ObjectKey(surface, Pos.NOUN, low[e - 1]), s, e))
             run_start = None
     return candidates
 
@@ -193,10 +195,9 @@ def extract_records(
     Records whose token gap reaches max_distance are dropped, which makes
     the k=3 and k=10 record sets nest inside the whole-sentence set.
     """
-    surfaces = sentence.surfaces()
-    if contains_negation(surfaces, config.negation_words):
+    if contains_negation(sentence.surfaces, config.negation_words):
         return []
-    mentions = scan_measurements(surfaces, registry)
+    mentions = scan_measurements(sentence.surfaces, registry)
     if not mentions:
         return []
     records = []
@@ -224,25 +225,27 @@ def read_annotated(path):
     blank line between sentences; head_index is `-` for none. Malformed
     lines raise AnnotationFormatError with their line number.
     """
-    pending: list[tuple[int, str, Pos, int | None]] = []
+    surfaces: list[str] = []
+    tags: list[Pos] = []
+    heads: list[int | None] = []
     pending_line = 0
 
     def flush():
-        nonlocal pending
-        if not pending:
+        if not surfaces:
             return None
-        tokens = []
-        n = len(pending)
-        for idx, surface, pos, head in pending:
+        n = len(surfaces)
+        for idx, head in enumerate(heads):
             if head is not None and (not 0 <= head < n or head == idx):
                 raise AnnotationFormatError(
                     f"head index {head} invalid for a {n}-token sentence",
                     line_number=pending_line,
                     path=str(path),
                 )
-            tokens.append(TokenAnnotation(surface, pos, head))
-        pending = []
-        return AnnotatedSentence(tokens=tuple(tokens))
+        sentence = AnnotatedSentence(tuple(surfaces), tuple(tags), tuple(heads))
+        surfaces.clear()
+        tags.clear()
+        heads.clear()
+        return sentence
 
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -266,9 +269,9 @@ def read_annotated(path):
                 raise AnnotationFormatError(
                     f"bad token index {idx_s!r}", line_number=lineno, path=str(path)
                 ) from None
-            if idx != len(pending):
+            if idx != len(surfaces):
                 raise AnnotationFormatError(
-                    f"token index {idx} out of order (expected {len(pending)})",
+                    f"token index {idx} out of order (expected {len(surfaces)})",
                     line_number=lineno,
                     path=str(path),
                 )
@@ -290,7 +293,9 @@ def read_annotated(path):
                     raise AnnotationFormatError(
                         f"bad head index {head_s!r}", line_number=lineno, path=str(path)
                     ) from None
-            pending.append((idx, surface, pos, head))
+            surfaces.append(surface)
+            tags.append(pos)
+            heads.append(head)
             pending_line = lineno
         sent = flush()
         if sent:

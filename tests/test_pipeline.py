@@ -11,7 +11,6 @@ from quantdist.pipeline import (
     ExtractionConfig,
     ObjectKey,
     Pos,
-    TokenAnnotation,
     contains_negation,
     extract_records,
     read_annotated,
@@ -24,6 +23,12 @@ from quantdist.units import Dimension, load_registry
 @pytest.fixture(scope="module")
 def registry():
     return load_registry()
+
+
+def annotated(toks):
+    """A sentence from (surface, pos, head) triples."""
+    surfaces, pos, heads = zip(*toks)
+    return AnnotatedSentence(surfaces, pos, heads)
 
 
 def plain_records(text, registry, **cfg):
@@ -157,9 +162,7 @@ def annotated_example():
         ("per", Pos.OTHER, None),
         ("hour", Pos.OTHER, None),
     ]
-    return AnnotatedSentence(
-        tokens=tuple(TokenAnnotation(s, p, h) for s, p, h in toks)
-    )
+    return annotated(toks)
 
 
 def test_annotated_candidates_with_heads(registry):
@@ -182,7 +185,7 @@ def test_noun_phrases_from_noun_runs(registry):
         ("155", Pos.OTHER, None),
         ("mph", Pos.OTHER, None),
     ]
-    sent = AnnotatedSentence(tokens=tuple(TokenAnnotation(*t) for t in toks))
+    sent = annotated(toks)
     records = extract_records(sent, ExtractionConfig(), registry)
     phrases = {r.object.surface: r.object for r in records if " " in r.object.surface}
     assert set(phrases) == {"race car"}
@@ -193,7 +196,7 @@ def test_noun_phrases_from_noun_runs(registry):
 def test_phrase_length_cap(registry):
     toks = [(w, Pos.NOUN, None) for w in ["steel", "race", "car", "frame"]]
     toks += [("weighs", Pos.VERB, None), ("90", Pos.OTHER, None), ("kg", Pos.OTHER, None)]
-    sent = AnnotatedSentence(tokens=tuple(TokenAnnotation(*t) for t in toks))
+    sent = annotated(toks)
     records = extract_records(sent, ExtractionConfig(max_phrase_len=2), registry)
     phrases = {r.object.surface for r in records if " " in r.object.surface}
     assert phrases == {"steel race", "race car", "car frame"}
@@ -207,6 +210,18 @@ def test_annotated_noun_subset_of_plain(registry):
     }
     plain_surfaces = {r.object.surface for r in plain}
     assert noun_surfaces <= plain_surfaces
+
+
+def test_plain_sentence_columns():
+    sent = AnnotatedSentence.from_plain("The crate weighs 40 kg.")
+    assert sent.surfaces == ("The", "crate", "weighs", "40", "kg", ".")
+    assert sent.pos == (Pos.UNKNOWN,) * 6
+    assert sent.heads == (None,) * 6
+
+
+def test_sentence_columns_must_align():
+    with pytest.raises(ValueError):
+        AnnotatedSentence(("car", "weighs"), (Pos.NOUN,), (None, None))
 
 
 def test_config_validation():
@@ -246,10 +261,10 @@ def test_read_annotated_blocks(tmp_path):
     sents = list(read_annotated(path))
     assert len(sents) == 2
     first = sents[0]
-    assert first.surfaces() == ["The", "fast", "car", "was", "driving", "50", "mph"]
-    assert first.tokens[1].pos is Pos.ADJ
-    assert first.tokens[1].head_index == 2
-    assert first.tokens[4].head_index is None
+    assert first.surfaces == ("The", "fast", "car", "was", "driving", "50", "mph")
+    assert first.pos[1] is Pos.ADJ
+    assert first.heads == (None, 2, 4, None, None, None, None)
+    assert sents[1] == AnnotatedSentence(("It", "stopped"), (Pos.OTHER, Pos.VERB), (None, None))
 
 
 def test_read_annotated_empty_file(tmp_path):
