@@ -144,15 +144,6 @@ def contains_negation(tokens, negation_words=NEGATION_WORDS) -> bool:
     return any(t.lower() in negation_words for t in tokens)
 
 
-def _span_gap(a_start, a_end, b_start, b_end) -> int | None:
-    """Token gap between two end-exclusive spans; None when they overlap."""
-    if a_end <= b_start:
-        return b_start - a_end
-    if b_end <= a_start:
-        return a_start - b_end
-    return None
-
-
 _TAGGED_OBJECTS = (Pos.NOUN, Pos.ADJ, Pos.VERB)
 
 
@@ -192,21 +183,27 @@ def extract_records(
     """Pair every mention with every candidate object within range.
 
     A sentence containing any negation word yields no records at all.
-    Records whose token gap reaches max_distance are dropped, which makes
-    the k=3 and k=10 record sets nest inside the whole-sentence set.
+    A candidate that overlaps any mention's span (a unit word, a range
+    endpoint) is no object at all. Records whose token gap reaches
+    max_distance are dropped, which makes the k=3 and k=10 record sets
+    nest inside the whole-sentence set.
     """
     if contains_negation(sentence.surfaces, config.negation_words):
         return []
     mentions = scan_measurements(sentence.surfaces, registry)
     if not mentions:
         return []
+    spans = [(m.start, m.end) for m in mentions]
+    candidates = [
+        (key, start, end)
+        for key, start, end in _candidate_objects(sentence, config)
+        if not any(start < m_end and m_start < end for m_start, m_end in spans)
+    ]
     records = []
-    candidates = _candidate_objects(sentence, config)
     for mention in mentions:
         for key, start, end in candidates:
-            gap = _span_gap(start, end, mention.start, mention.end)
-            if gap is None:
-                continue  # object inside the measurement span
+            # end-exclusive spans that do not overlap: the token gap between them
+            gap = mention.start - end if end <= mention.start else start - mention.end
             if config.max_distance is not None and gap >= config.max_distance:
                 continue
             records.append(

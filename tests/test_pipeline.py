@@ -5,12 +5,14 @@ import random
 import pytest
 
 from quantdist.errors import AnnotationFormatError
+from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
     AnnotatedSentence,
     CooccurrenceRecord,
     ExtractionConfig,
     ObjectKey,
     Pos,
+    _candidate_objects,
     contains_negation,
     extract_records,
     read_annotated,
@@ -135,6 +137,29 @@ def test_objects_never_overlap_mention(registry):
     records = plain_records("the crate weighs 40 kg", registry)
     assert {r.object.surface for r in records} == {"crate", "weighs"}
     # "kg" and "40" sit inside the mention span and must not be objects
+
+
+def test_unit_words_of_other_mentions_are_not_objects(registry):
+    records = plain_records("The truck weighs 1500 kg and is 20 meters long.", registry)
+    pairs = {(r.object.surface, r.quantity.dimension) for r in records}
+    assert pairs == {
+        (word, dim)
+        for word in ("truck", "weighs", "long")
+        for dim in (Dimension.MASS, Dimension.LENGTH)
+    }
+
+
+def test_clock_range_endpoints_are_not_objects(registry):
+    records = plain_records("The shop is open 7 - 9 pm daily.", registry)
+    assert {r.object.surface for r in records} == {"shop", "open", "daily"}
+    assert all(r.quantity.dimension is Dimension.TIME for r in records)
+
+
+def test_unmatched_meridiem_is_a_stopword(registry):
+    # "12.5 pm" is no clock reading, so "pm" stays outside every mention
+    records = plain_records("The 12.5 pm train weighs 40 tonnes.", registry)
+    assert {r.object.surface for r in records} == {"train", "weighs"}
+    assert {"am", "pm"} <= stopwords()
 
 
 def test_stopwords_filtered(registry):
@@ -303,3 +328,65 @@ def test_records_are_hashable_value_objects(registry):
     records = plain_records("the crate weighs 40 kg", registry)
     assert isinstance(records[0], CooccurrenceRecord)
     assert len(set(records)) == len(records)
+
+
+# ----------------------------------------------------------------------
+# candidates inside other mentions, on a generated corpus
+
+_OBJECTS = ("truck", "whale", "lecture", "bicycle", "dinner", "race car")
+_MENTIONS = (
+    ["1500", "kg"], ["3.2", "thousand", "tonnes"], ["20", "meters"], ["700", "to", "1,100", "kg"],
+    ["5", "-", "9", "feet"], ["40", "mph"], ["$", "12"], ["€", "3.5", "million"], ["7:30", "pm"],
+    ["6", "to", "8", "am"], ["7", "-", "9", "pm"], ["12.5", "pm"], ["21:00"], ["3", "days"],
+)
+_FILLER = ("the", "of", "and", "about", "nearly", "yesterday", "again", "downtown", "bimo", "kelasa")
+
+
+def _generated_sentences(rng, count):
+    """Plain and annotated sentences of one to three mentions each.
+
+    Alphabetic mention tokens are tagged NOUN, as a tagger tags unit words,
+    so unit words and magnitude words are candidates in both modes.
+    """
+    for _ in range(count):
+        words = ["the"] + rng.choice(_OBJECTS).split() + [rng.choice(("weighs", "measures", "costs"))]
+        for k in range(rng.choice((1, 1, 2, 3))):
+            if k:
+                words += [",", rng.choice(("or", "about", "and"))]
+            words += rng.choice(_MENTIONS)
+        words += [rng.choice(_FILLER) for _ in range(rng.randint(0, 5))] + ["."]
+        yield AnnotatedSentence.from_plain(" ".join(words))
+        tags = tuple(
+            Pos.NOUN if w[0].isalpha() and w not in _FILLER else rng.choice((Pos.OTHER, Pos.VERB, Pos.ADJ))
+            for w in words
+        )
+        yield AnnotatedSentence(tuple(words), tags, (None,) + (1,) * (len(words) - 1))
+
+
+def _pairs_with_spans(sentence, config, registry):
+    """Every (mention, candidate) pairing outside the mention's own span, in order."""
+    mentions = scan_measurements(list(sentence.surfaces), registry)
+    out = []
+    for mention in mentions:
+        for key, start, end in _candidate_objects(sentence, config):
+            if end <= mention.start:
+                gap = mention.start - end
+            elif mention.end <= start:
+                gap = start - mention.end
+            else:
+                continue
+            if config.max_distance is None or gap < config.max_distance:
+                inside = any(start < m.end and m.start < end for m in mentions)
+                out.append((CooccurrenceRecord(key, mention.quantity, gap), inside))
+    return out
+
+
+@pytest.mark.parametrize("distance", [None, 3])
+def test_records_are_pairs_minus_objects_inside_any_mention(registry, distance):
+    config = ExtractionConfig(max_distance=distance)
+    dropped = 0
+    for sentence in _generated_sentences(random.Random(7), 400):
+        pairs = _pairs_with_spans(sentence, config, registry)
+        assert extract_records(sentence, config, registry) == [r for r, inside in pairs if not inside]
+        dropped += sum(inside for _, inside in pairs)
+    assert dropped > 100  # the corpus does exercise the rule
