@@ -78,6 +78,41 @@ class Distribution:
             if len(self.exact) > self.exact_cap:
                 self.exact = None  # spill: histogram already has everything
 
+    def validate(self) -> None:
+        """Raise ValueError unless the fields describe one multiset of values.
+
+        Bucket counts must be positive and add up to ``count``; kept samples
+        must number ``count``, fit under ``exact_cap`` and run from min to
+        max; min and max must fall in the lowest and highest buckets, and
+        the sum between ``count * min`` and ``count * max``. Each check is a
+        C-level pass over the buckets or samples at most: nothing is
+        re-bucketed or re-summed.
+        """
+        buckets = self.buckets
+        if buckets and min(buckets.values()) < 1:
+            raise ValueError("bucket counts must be positive")
+        if sum(buckets.values()) != self.count:
+            raise ValueError("bucket mass does not match count")
+        exact = self.exact
+        if exact is not None:
+            if len(exact) != self.count:
+                raise ValueError("sample list does not match count")
+            if len(exact) > self.exact_cap:
+                raise ValueError(f"{len(exact)} samples kept past exact_cap {self.exact_cap}")
+        if not self.count:
+            if self.minimum is not None or self.maximum is not None or self._sum:
+                raise ValueError("an empty distribution has no extrema and a zero sum")
+            return
+        lo, hi = self.minimum, self.maximum
+        if not lo <= hi:
+            raise ValueError(f"min {lo!r} exceeds max {hi!r}")
+        if kernels.bucket_index(lo) != min(buckets) or kernels.bucket_index(hi) != max(buckets):
+            raise ValueError("min and max do not fall in the lowest and highest buckets")
+        if exact and (min(exact) != lo or max(exact) != hi):
+            raise ValueError("kept samples do not run from min to max")
+        if not self.count * exact_units(lo) <= self._sum <= self.count * exact_units(hi):
+            raise ValueError("sum lies outside count * [min, max]")
+
     # ------------------------------------------------------------------
     # monoid structure
 

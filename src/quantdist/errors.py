@@ -5,33 +5,33 @@ class QuantdistError(Exception):
     """Base class for all package errors."""
 
 
-class LexiconError(QuantdistError):
-    """Raised when a unit lexicon or currency rate file is malformed."""
-
-
 class DimensionMismatchError(QuantdistError):
     """Raised when an operation mixes quantities of different dimensions."""
 
 
 class LocatedInputError(QuantdistError):
-    """Malformed input at a known place; the message leads with ``path:line: ``."""
+    """Malformed input at a known place; the message leads with ``path:line: ``.
+
+    Either part may be missing: ``path: `` names a whole file, and no
+    prefix at all means input with no file behind it.
+    """
 
     def __init__(self, message, line_number=None, path=None):
         self.line_number = line_number
         self.path = path
-        where = ""
-        if path is not None:
-            where += f"{path}:"
-        if line_number is not None:
-            where += f"{line_number}: "
-        super().__init__(where + message)
+        where = ":".join(str(part) for part in (path, line_number) if part is not None)
+        super().__init__(f"{where}: {message}" if where else message)
+
+
+class LexiconError(LocatedInputError):
+    """Raised when a unit lexicon or currency rate file is malformed."""
 
 
 class AnnotationFormatError(LocatedInputError):
     """Raised on malformed annotated-corpus input; carries the line number."""
 
 
-class TableFormatError(QuantdistError):
+class TableFormatError(LocatedInputError):
     """Raised when a serialized distribution table cannot be read back."""
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, TableFormatError
-from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW, N_POSITIVE_BUCKETS, bucket_bounds
+from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW, bucket_bounds
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos
 from .units import Dimension
 
@@ -254,44 +254,37 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _parse_entry(line: str, lineno: int, path: str, exact_cap: int):
+def _parse_entry(line: str, exact_cap: int):
+    """One entry line as ``((key, dimension), Distribution)``; ValueError if malformed."""
     parts = line.split("\t")
     if len(parts) != 10:
-        raise TableFormatError(f"{path}:{lineno}: expected 10 columns, got {len(parts)}")
+        raise ValueError(f"expected 10 columns, got {len(parts)}")
     surface, head, pos_s, dim_s, count_s, min_s, max_s, sum_s, buckets_s, exact_s = parts
     try:
-        pos = Pos[pos_s]
+        key = ObjectKey(surface, Pos[pos_s], head or None)
         dimension = Dimension[dim_s]
     except KeyError as exc:
-        raise TableFormatError(f"{path}:{lineno}: unknown tag {exc}") from None
-    try:
-        count = int(count_s)
-        if count < 1:
-            raise ValueError("entry count must be >= 1")
-        dist = Distribution(exact_cap=exact_cap)
-        dist.count = count
-        dist.minimum = _finite(min_s)
-        dist.maximum = _finite(max_s)
-        dist._sum = checked_sum(sum(exact_units(_finite(p)) for p in sum_s.split(" ")))
-        for pair in buckets_s.split(" "):
-            if not pair:
-                continue
+        raise ValueError(f"unknown tag {exc}") from None
+    dist = Distribution(exact_cap=exact_cap)
+    dist.count = int(count_s)
+    if dist.count < 1:
+        raise ValueError("entry count must be >= 1")
+    dist.minimum = _finite(min_s)
+    dist.maximum = _finite(max_s)
+    dist._sum = checked_sum(sum(exact_units(_finite(p)) for p in sum_s.split(" ")))
+    buckets = dist.buckets
+    for pair in buckets_s.split(" "):
+        if pair:
             bid_s, n_s = pair.split(":")
             bid = int(bid_s)
-            if not -N_POSITIVE_BUCKETS <= bid <= N_POSITIVE_BUCKETS:
-                raise ValueError(f"bucket id {bid} out of range")
-            dist.buckets[bid] = int(n_s)
-        if exact_s == "-":
-            dist.exact = None
-        else:
-            dist.exact = [_finite(v) for v in exact_s.split(" ") if v]
-    except (ValueError, KeyError, OverflowError) as exc:
-        raise TableFormatError(f"{path}:{lineno}: bad entry ({exc})") from None
-    if sum(dist.buckets.values()) != count:
-        raise TableFormatError(f"{path}:{lineno}: bucket mass does not match count")
-    if dist.exact is not None and len(dist.exact) != count:
-        raise TableFormatError(f"{path}:{lineno}: sample list does not match count")
-    key = ObjectKey(surface, pos, head or None)
+            if bid in buckets:
+                raise ValueError(f"bucket id {bid} repeated")
+            buckets[bid] = int(n_s)
+    if exact_s == "-":
+        dist.exact = None
+    else:
+        dist.exact = [_finite(v) for v in exact_s.split(" ") if v]
+    dist.validate()
     return (key, dimension), dist
 
 
@@ -300,14 +293,14 @@ def read_table(path) -> QuantTable:
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line.strip():
-            raise TableFormatError(f"{path}: missing header")
+            raise TableFormatError("missing header", path=str(path))
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
-            raise TableFormatError(f"{path}: bad header ({exc})") from None
+            raise TableFormatError(f"bad header ({exc})", path=str(path)) from None
         if header.get("format") != FORMAT_NAME:
             raise TableFormatError(
-                f"{path}: unsupported format {header.get('format')!r}"
+                f"unsupported format {header.get('format')!r}", path=str(path)
             )
         try:
             config = BuildConfig(
@@ -322,19 +315,25 @@ def read_table(path) -> QuantTable:
             )
             expected_entries = int(header["entries"])
         except (KeyError, TypeError) as exc:
-            raise TableFormatError(f"{path}: incomplete header ({exc})") from None
+            raise TableFormatError(f"incomplete header ({exc})", path=str(path)) from None
         table = QuantTable(config)
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            key, dist = _parse_entry(line, lineno, str(path), config.exact_cap)
+            try:
+                key, dist = _parse_entry(line, config.exact_cap)
+            except (ValueError, OverflowError) as exc:
+                raise TableFormatError(
+                    f"bad entry ({exc})", line_number=lineno, path=str(path)
+                ) from None
             if key in table.entries:
-                raise TableFormatError(f"{path}:{lineno}: duplicate entry")
+                raise TableFormatError("duplicate entry", line_number=lineno, path=str(path))
             table.entries[key] = dist
     if len(table.entries) != expected_entries:
         raise TableFormatError(
-            f"{path}: header promises {expected_entries} entries, "
-            f"found {len(table.entries)} (truncated?)"
+            f"header promises {expected_entries} entries, "
+            f"found {len(table.entries)} (truncated?)",
+            path=str(path),
         )
     return table

@@ -167,14 +167,16 @@ def _parse_rates(text: str, path: str = "<rates>") -> dict[str, float]:
             continue
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 2:
-            raise LexiconError(f"{path}:{lineno}: expected 'code<TAB>rate', got {raw!r}")
+            raise LexiconError(
+                f"expected 'code<TAB>rate', got {raw!r}", line_number=lineno, path=path
+            )
         code = parts[0].upper()
         try:
             rate = float(parts[1])
         except ValueError as exc:
-            raise LexiconError(f"{path}:{lineno}: bad rate {parts[1]!r}") from exc
+            raise LexiconError(f"bad rate {parts[1]!r}", line_number=lineno, path=path) from exc
         if rate <= 0:
-            raise LexiconError(f"{path}:{lineno}: rate must be positive")
+            raise LexiconError("rate must be positive", line_number=lineno, path=path)
         rates[code] = rate
     return rates
 
@@ -188,31 +190,41 @@ def _parse_lexicon(text: str, rates: dict[str, float], path: str = "<lexicon>") 
         parts = [p.strip() for p in line.split("\t")]
         if len(parts) != 5:
             raise LexiconError(
-                f"{path}:{lineno}: expected 5 tab-separated columns, got {len(parts)}"
+                f"expected 5 tab-separated columns, got {len(parts)}",
+                line_number=lineno,
+                path=path,
             )
         alias_field, dim_field, scale_field, offset_field, marker_field = parts
         aliases = tuple(a.strip().lower() for a in alias_field.split(",") if a.strip())
         try:
             dimension = Dimension[dim_field.upper()]
         except KeyError as exc:
-            raise LexiconError(f"{path}:{lineno}: unknown dimension {dim_field!r}") from exc
+            raise LexiconError(
+                f"unknown dimension {dim_field!r}", line_number=lineno, path=path
+            ) from exc
         try:
             scale = float(scale_field)
         except ValueError:
             if dimension is not Dimension.CURRENCY:
                 raise LexiconError(
-                    f"{path}:{lineno}: non-numeric scale {scale_field!r} outside CURRENCY"
+                    f"non-numeric scale {scale_field!r} outside CURRENCY",
+                    line_number=lineno,
+                    path=path,
                 ) from None
             code = scale_field.upper()
             if code not in rates:
-                raise LexiconError(f"{path}:{lineno}: no rate for currency {code!r}")
+                raise LexiconError(
+                    f"no rate for currency {code!r}", line_number=lineno, path=path
+                )
             scale = rates[code]
         try:
             offset = float(offset_field)
         except ValueError as exc:
-            raise LexiconError(f"{path}:{lineno}: bad offset {offset_field!r}") from exc
+            raise LexiconError(
+                f"bad offset {offset_field!r}", line_number=lineno, path=path
+            ) from exc
         if marker_field not in ("0", "1"):
-            raise LexiconError(f"{path}:{lineno}: requires_marker must be 0 or 1")
+            raise LexiconError("requires_marker must be 0 or 1", line_number=lineno, path=path)
         try:
             units.append(
                 UnitDef(
@@ -224,7 +236,7 @@ def _parse_lexicon(text: str, rates: dict[str, float], path: str = "<lexicon>") 
                 )
             )
         except LexiconError as exc:
-            raise LexiconError(f"{path}:{lineno}: {exc}") from None
+            raise LexiconError(str(exc), line_number=lineno, path=path) from None
     return units
 
 

@@ -8,6 +8,7 @@ implementation.
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -319,3 +320,43 @@ def test_update_in_place_equals_merge():
         a.update(b)
         assert a == merged
         assert b == before_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12),
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12),
+)
+def test_observed_and_merged_summaries_validate(a, b):
+    left, right = Distribution(exact_cap=8), Distribution(exact_cap=8)
+    for v in a:
+        left.observe(v)
+    for v in b:
+        right.observe(v)
+    for dist in (left, right, left.merge(right)):
+        dist.validate()
+
+
+def test_validate_rejects_inconsistent_fields():
+    def broken(**fields):
+        d = Distribution(exact_cap=4)
+        for v in (2.0, 3.0, 30.0):
+            d.observe(v)
+        for name, value in fields.items():
+            setattr(d, name, value)
+        return d
+
+    broken().validate()
+    cases = {
+        "exceeds max": broken(minimum=40.0, maximum=30.0),
+        "kept samples": broken(exact=[2.0, 3.0, 40.0]),
+        "positive": broken(buckets=Counter({**broken().buckets, 50: 0})),
+        "exact_cap": broken(exact_cap=2),
+        "lowest and highest": broken(minimum=1.0, exact=[1.0, 3.0, 30.0]),
+        "sum": broken(_sum=0),
+        "bucket mass": broken(count=4),
+        "empty": broken(count=0, buckets=Counter(), exact=[]),
+    }
+    for message, dist in cases.items():
+        with pytest.raises(ValueError, match=message):
+            dist.validate()

@@ -211,9 +211,11 @@ def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "table.tsv"
     t.write(path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    (tmp_path / "cut.tsv").write_text("".join(lines[:-1]), encoding="utf-8")
-    with pytest.raises(TableFormatError):
-        read_table(tmp_path / "cut.tsv")
+    cut = tmp_path / "cut.tsv"
+    cut.write_text("".join(lines[:-1]), encoding="utf-8")
+    with pytest.raises(TableFormatError, match=f"^{cut}: header promises \\d+ entries") as err:
+        read_table(cut)
+    assert (err.value.path, err.value.line_number) == (str(cut), None)
 
 
 def test_bad_header_rejected(tmp_path):
@@ -230,30 +232,42 @@ def test_bad_header_rejected(tmp_path):
 
 
 def test_corrupt_entry_rejected(tmp_path, capsys):
-    t = build([record("car", Dimension.SPEED, 5.0)])
+    t = build([record("car", Dimension.SPEED, 5.0), record("car", Dimension.SPEED, 7.0)])
     path = tmp_path / "table.tsv"
     t.write(path)
     header, entry = path.read_text(encoding="utf-8").splitlines()
     cols = entry.split("\t")
+    low, high = (int(pair.split(":")[0]) for pair in cols[8].split(" "))
 
     def with_column(i, text):
         return "\t".join(cols[:i] + [text] + cols[i + 1:])
 
     bad_entries = [
-        entry.rsplit("\t", 1)[0],  # drop a column
-        with_column(7, "inf"),  # sum part
-        with_column(7, "1e308 1e308"),  # exact sum past the float range
-        with_column(5, "nan"),  # min
-        with_column(6, "-inf"),  # max
-        with_column(8, "999:1"),  # bucket id out of range
-        with_column(8, "-241:1"),
-        with_column(9, "nan"),  # sample
+        (header, entry.rsplit("\t", 1)[0]),  # drop a column
+        (header, with_column(0, "")),  # empty surface
+        (header, with_column(7, "inf")),  # sum part
+        (header, with_column(7, "1e308 1e308")),  # exact sum past the float range
+        (header, with_column(7, "20.0")),  # sum above count * max
+        (header, with_column(5, "nan")),  # min
+        (header, with_column(6, "-inf")),  # max
+        (header, with_column(8, f"{low}:1 999:1")),  # bucket id out of range
+        (header, with_column(8, f"-241:1 {high}:1")),
+        (header, with_column(5, "7.5")),  # min above max
+        (header, with_column(9, "5.0 8.0")),  # kept sample outside [min, max]
+        (header, with_column(9, "6.0 7.0")),  # no kept sample at min
+        (header, with_column(8, f"{low}:1 {low + 1}:0 {high}:1")),  # zero bucket count
+        (header, with_column(8, f"{low}:2 {low + 1}:-1 {high}:1")),  # negative bucket count
+        (header, with_column(8, f"{low}:1 {low}:1")),  # repeated bucket id
+        (header, with_column(8, f"{low + 1}:1 {high}:1")),  # min outside the lowest bucket
+        (header.replace('"exact_cap": 4096', '"exact_cap": 1'), entry),  # samples past the cap
+        (header, with_column(9, "nan")),  # sample
     ]
     bad = tmp_path / "bad.tsv"
-    for bad_entry in bad_entries:
-        bad.write_text(header + "\n" + bad_entry + "\n", encoding="utf-8")
-        with pytest.raises(TableFormatError, match=f"{bad}:2: "):
+    for bad_header, bad_entry in bad_entries:
+        bad.write_text(bad_header + "\n" + bad_entry + "\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=f"{bad}:2: ") as err:
             read_table(bad)
+        assert (err.value.path, err.value.line_number) == (str(bad), 2)
         for command in ("query", "plot-export"):
             argv = [command, "--table", str(bad), "--object", "car", "--dim", "speed"]
             assert main(argv) == 2, (command, bad_entry)

@@ -242,12 +242,23 @@ def test_nonpositive_scale_rejected():
 def test_malformed_lexicon_file_rejected(tmp_path):
     bad = tmp_path / "units.tsv"
     bad.write_text("meter\tLENGTH\t1.0\n", encoding="utf-8")  # missing columns
-    with pytest.raises(LexiconError):
+    with pytest.raises(LexiconError, match=f"^{bad}:1: expected 5") as err:
         load_registry(units_path=bad)
+    assert (err.value.path, err.value.line_number) == (str(bad), 1)
+    # a unit that fails its own checks is reported at its line too
+    bad.write_text("# header\nweird\tLENGTH\t1.0\t5\t0\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"^{bad}:2: unit 'weird'") as err:
+        load_registry(units_path=bad)
+    assert err.value.line_number == 2
 
 
 def test_unknown_currency_code_rejected(tmp_path):
     bad = tmp_path / "units.tsv"
     bad.write_text("zorkmid\tCURRENCY\tZKM\t0\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError):
+    with pytest.raises(LexiconError) as err:
         load_registry(units_path=bad)
+    assert (err.value.path, err.value.line_number) == (str(bad), 1)
+    rates = tmp_path / "rates.tsv"
+    rates.write_text("USD\t0\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"^{rates}:1: rate must be positive"):
+        load_registry(rates_path=rates)
