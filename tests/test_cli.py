@@ -77,6 +77,24 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert f"{bad}:2: " in err and "non-finite" in err
 
 
+def test_sum_overflow_exits_2(tmp_path, capsys):
+    header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
+    stream = tmp_path / "huge.tsv"
+    stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n" * 2, encoding="utf-8")
+    assert main(["aggregate", str(stream), "-o", str(tmp_path / "t.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{stream}:3: " in err and "overflow" in err and "Traceback" not in err
+
+    tables = []
+    for name in ("a.tsv", "b.tsv"):
+        stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
+        tables.append(str(tmp_path / name))
+        assert main(["aggregate", str(stream), "-o", tables[-1]]) == 0
+    assert main(["merge", *tables, "-o", str(tmp_path / "m.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert all(t in err for t in tables) and "overflow" in err and "Traceback" not in err
+
+
 def test_missing_object_exits_2(tmp_path, corpus, capsys):
     table = build_table(tmp_path, corpus)
     code = main(["query", "--table", str(table), "--object", "unicorn", "--dim", "mass"])
