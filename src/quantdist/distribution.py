@@ -88,29 +88,32 @@ class Distribution:
         C-level pass over the buckets or samples at most: nothing is
         re-bucketed or re-summed.
         """
-        buckets = self.buckets
+        count, lo, hi, buckets, exact = (
+            self.count, self.minimum, self.maximum, self.buckets, self.exact
+        )
         if buckets and min(buckets.values()) < 1:
             raise ValueError("bucket counts must be positive")
-        if sum(buckets.values()) != self.count:
+        if sum(buckets.values()) != count:
             raise ValueError("bucket mass does not match count")
-        exact = self.exact
         if exact is not None:
-            if len(exact) != self.count:
+            if len(exact) != count:
                 raise ValueError("sample list does not match count")
-            if len(exact) > self.exact_cap:
-                raise ValueError(f"{len(exact)} samples kept past exact_cap {self.exact_cap}")
-        if not self.count:
-            if self.minimum is not None or self.maximum is not None or self._sum:
+            if count > self.exact_cap:
+                raise ValueError(f"{count} samples kept past exact_cap {self.exact_cap}")
+        if not count:
+            if lo is not None or hi is not None or self._sum:
                 raise ValueError("an empty distribution has no extrema and a zero sum")
             return
-        lo, hi = self.minimum, self.maximum
         if not lo <= hi:
             raise ValueError(f"min {lo!r} exceeds max {hi!r}")
-        if kernels.bucket_index(lo) != min(buckets) or kernels.bucket_index(hi) != max(buckets):
+        low_id = kernels.bucket_index(lo)
+        high_id = low_id if lo == hi else kernels.bucket_index(hi)
+        if low_id != min(buckets) or high_id != max(buckets):
             raise ValueError("min and max do not fall in the lowest and highest buckets")
         if exact and (min(exact) != lo or max(exact) != hi):
             raise ValueError("kept samples do not run from min to max")
-        if not self.count * exact_units(lo) <= self._sum <= self.count * exact_units(hi):
+        # float rounding is monotone, so the rounded sum obeys the rounded bounds
+        if not count * lo <= self._sum / _ONE <= count * hi:
             raise ValueError("sum lies outside count * [min, max]")
 
     # ------------------------------------------------------------------
