@@ -157,12 +157,10 @@ def _stream_header(registry_version: str, distance, min_phrase_count: int) -> st
 def _read_stream_header(fh, path):
     """The (registry, distance, min_phrase_count) a stream was extracted under."""
     fields = fh.readline().rstrip("\n").split("\t")
-    if fields[0] != f"#{RECORD_FORMAT}":
-        raise RecordFormatError(
-            f"missing {RECORD_FORMAT} header", line_number=1, path=str(path)
-        )
     meta = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
     try:
+        if fields[0] != f"#{RECORD_FORMAT}":
+            raise ValueError(f"missing {RECORD_FORMAT} header")
         return meta["registry"], _distance(meta["distance"]), int(meta["min_phrase_count"])
     except (KeyError, ValueError) as exc:
         raise RecordFormatError(
@@ -170,33 +168,21 @@ def _read_stream_header(fh, path):
         ) from None
 
 
-def _read_records(fh, path):
-    """Yield (line number, record) for each record line after the header."""
-    for lineno, raw in enumerate(fh, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise RecordFormatError(
-                f"expected 6 columns, got {len(parts)}",
-                line_number=lineno,
-                path=str(path),
-            )
-        surface, head, pos_s, dim_s, value_s, gap_s = parts
-        try:
-            pos = Pos[pos_s]
-            dim = Dimension[dim_s]
-            value = float(value_s)
-            gap = int(gap_s)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite value {value_s!r}")
-        except (KeyError, ValueError) as exc:
-            raise RecordFormatError(
-                f"bad record field: {exc}", line_number=lineno, path=str(path)
-            ) from None
-        key = ObjectKey(surface, pos, head or None)
-        yield lineno, CooccurrenceRecord(key, Quantity(dim, value, value, "standard"), gap)
+def _parse_record(line: str) -> CooccurrenceRecord:
+    """One record line; ValueError if malformed."""
+    parts = line.split("\t")
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 columns, got {len(parts)}")
+    surface, head, pos_s, dim_s, value_s, gap_s = parts
+    try:
+        key = ObjectKey(surface, Pos[pos_s], head or None)
+        dim = Dimension[dim_s]
+    except KeyError as exc:
+        raise ValueError(f"unknown tag {exc}") from None
+    value = float(value_s)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value_s!r}")
+    return CooccurrenceRecord(key, Quantity(dim, value, value, "standard"), int(gap_s))
 
 
 # ------------------------------------------------------------ subcommands
@@ -241,34 +227,26 @@ def _plain_sentences(path):
 
 def _cmd_aggregate(args) -> int:
     """Observe each record as its line is read, so memory grows with entries."""
-    stream_config = None
     table = None
     for path in args.records:
         with open(path, encoding="utf-8") as fh:
             config = _read_stream_header(fh, path)
-            if stream_config is None:
-                stream_config = config
-                registry_version, distance, min_phrase_count = config
-                table = QuantTable(
-                    BuildConfig(
-                        registry_version=registry_version,
-                        distance=distance,
-                        min_phrase_count=min_phrase_count,
-                        exact_cap=args.exact_cap,
-                    )
-                )
-            elif config != stream_config:
+            if table is None:
+                first = config
+                table = QuantTable(BuildConfig(*config, exact_cap=args.exact_cap))
+            elif config != first:
                 raise ConfigMismatchError(
                     f"record stream {path} was extracted under a different "
                     f"configuration than {args.records[0]}"
                 )
-            for lineno, record in _read_records(fh, path):
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
                 try:
-                    table.observe(record)
-                except OverflowError as exc:
-                    raise RecordFormatError(
-                        str(exc), line_number=lineno, path=str(path)
-                    ) from None
+                    table.observe(_parse_record(line))
+                except (ValueError, OverflowError) as exc:
+                    raise RecordFormatError(str(exc), line_number=lineno, path=str(path)) from None
     table.write(args.output)
     return 0
 

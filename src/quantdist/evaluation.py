@@ -65,6 +65,31 @@ def _parse_scale(token: str) -> tuple[str, Dimension | None]:
         return scale, None
 
 
+def _parse_example(line: str, first: bool) -> ComparisonExample | None:
+    """One dataset row; None for a header as the first row, ValueError if malformed."""
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+    o1, o2, scale_s, label_s = (p.strip() for p in parts)
+    if first and label_s.lower() == "label":
+        return None
+    if label_s == "NA":
+        gold = None
+    elif label_s in _LABELS:
+        gold = _LABELS[label_s]
+    else:
+        raise ValueError(f"unknown label {label_s!r}")
+    if not o1 or not o2:
+        raise ValueError("empty object name")
+    o1, o2 = o1.lower(), o2.lower()
+    if o1 == o2 and gold is not ComparisonLabel.EQUAL:
+        raise ValueError(f"identical objects {o1!r} need an '=' label")
+    scale, dimension = _parse_scale(scale_s)
+    if not scale:
+        raise ValueError("empty dimension name")
+    return ComparisonExample(o1, o2, scale, dimension, gold)
+
+
 def load_dataset(path) -> list[ComparisonExample]:
     """Parse `object1<TAB>object2<TAB>dimension<TAB>label` rows.
 
@@ -77,41 +102,12 @@ def load_dataset(path) -> list[ComparisonExample]:
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DatasetFormatError(
-                    f"expected 4 tab-separated columns, got {len(parts)}",
-                    line_number=lineno,
-                    path=str(path),
-                )
-            o1, o2, scale_s, label_s = (p.strip() for p in parts)
-            if lineno == 1 and label_s.lower() == "label":
-                continue  # header
-            if label_s == "NA":
-                gold = None
-            elif label_s in _LABELS:
-                gold = _LABELS[label_s]
-            else:
-                raise DatasetFormatError(
-                    f"unknown label {label_s!r}", line_number=lineno, path=str(path)
-                )
-            if not o1 or not o2:
-                raise DatasetFormatError(
-                    "empty object name", line_number=lineno, path=str(path)
-                )
-            o1, o2 = o1.lower(), o2.lower()
-            if o1 == o2 and gold is not ComparisonLabel.EQUAL:
-                raise DatasetFormatError(
-                    f"identical objects {o1!r} need an '=' label",
-                    line_number=lineno,
-                    path=str(path),
-                )
-            scale, dimension = _parse_scale(scale_s)
-            if not scale:
-                raise DatasetFormatError(
-                    "empty dimension name", line_number=lineno, path=str(path)
-                )
-            examples.append(ComparisonExample(o1, o2, scale, dimension, gold))
+            try:
+                example = _parse_example(line, first=lineno == 1)
+            except ValueError as exc:
+                raise DatasetFormatError(str(exc), line_number=lineno, path=str(path)) from None
+            if example is not None:
+                examples.append(example)
     return examples
 
 

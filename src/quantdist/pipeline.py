@@ -144,9 +144,6 @@ def contains_negation(tokens, negation_words=NEGATION_WORDS) -> bool:
     return any(t.lower() in negation_words for t in tokens)
 
 
-_TAGGED_OBJECTS = (Pos.NOUN, Pos.ADJ, Pos.VERB)
-
-
 def _candidate_objects(sentence: AnnotatedSentence, config: ExtractionConfig):
     """(ObjectKey, start, end) triples for tokens and noun phrases."""
     tags = sentence.pos
@@ -157,7 +154,7 @@ def _candidate_objects(sentence: AnnotatedSentence, config: ExtractionConfig):
         if pos is Pos.UNKNOWN:
             if word not in stops and _WORD_RE.match(word):
                 candidates.append((ObjectKey(word, Pos.UNKNOWN, None), i, i + 1))
-        elif pos in _TAGGED_OBJECTS:
+        elif pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
             head_word = None if head is None else low[head]
             candidates.append((ObjectKey(word, pos, head_word), i, i + 1))
     if Pos.NOUN not in tags:
@@ -220,80 +217,48 @@ def read_annotated(path):
 
     Format: one token per line as `index<TAB>surface<TAB>pos<TAB>head_index`,
     blank line between sentences; head_index is `-` for none. Malformed
-    lines raise AnnotationFormatError with their line number.
+    lines raise AnnotationFormatError with their line number; a bad head
+    index is reported at the last line of its sentence.
     """
     surfaces: list[str] = []
     tags: list[Pos] = []
     heads: list[int | None] = []
-    pending_line = 0
 
-    def flush():
-        if not surfaces:
-            return None
+    def sentence() -> AnnotatedSentence:
         n = len(surfaces)
         for idx, head in enumerate(heads):
             if head is not None and (not 0 <= head < n or head == idx):
-                raise AnnotationFormatError(
-                    f"head index {head} invalid for a {n}-token sentence",
-                    line_number=pending_line,
-                    path=str(path),
-                )
-        sentence = AnnotatedSentence(tuple(surfaces), tuple(tags), tuple(heads))
+                raise ValueError(f"head index {head} invalid for a {n}-token sentence")
+        out = AnnotatedSentence(tuple(surfaces), tuple(tags), tuple(heads))
         surfaces.clear()
         tags.clear()
         heads.clear()
-        return sentence
+        return out
 
+    token_line = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                sent = flush()
-                if sent:
-                    yield sent
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise AnnotationFormatError(
-                    f"expected 4 tab-separated columns, got {len(parts)}",
-                    line_number=lineno,
-                    path=str(path),
-                )
-            idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise AnnotationFormatError(
-                    f"bad token index {idx_s!r}", line_number=lineno, path=str(path)
-                ) from None
-            if idx != len(surfaces):
-                raise AnnotationFormatError(
-                    f"token index {idx} out of order (expected {len(surfaces)})",
-                    line_number=lineno,
-                    path=str(path),
-                )
-            if not surface:
-                raise AnnotationFormatError(
-                    "empty token surface", line_number=lineno, path=str(path)
-                )
-            pos = _POS_BY_NAME.get(pos_s.upper())
-            if pos is None or pos is Pos.UNKNOWN:
-                raise AnnotationFormatError(
-                    f"unknown pos tag {pos_s!r}", line_number=lineno, path=str(path)
-                )
-            if head_s in ("-", "_", ""):
-                head = None
-            else:
-                try:
-                    head = int(head_s)
-                except ValueError:
-                    raise AnnotationFormatError(
-                        f"bad head index {head_s!r}", line_number=lineno, path=str(path)
-                    ) from None
-            surfaces.append(surface)
-            tags.append(pos)
-            heads.append(head)
-            pending_line = lineno
-        sent = flush()
-        if sent:
-            yield sent
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    if surfaces:
+                        yield sentence()
+                    continue
+                token_line = lineno
+                parts = raw.rstrip("\n").split("\t")
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+                idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
+                if int(idx_s) != len(surfaces):
+                    raise ValueError(f"token index {idx_s} out of order, expected {len(surfaces)}")
+                if not surface:
+                    raise ValueError("empty token surface")
+                pos = _POS_BY_NAME.get(pos_s.upper())
+                if pos is None or pos is Pos.UNKNOWN:
+                    raise ValueError(f"unknown pos tag {pos_s!r}")
+                surfaces.append(surface)
+                tags.append(pos)
+                heads.append(None if head_s in ("-", "_", "") else int(head_s))
+            if surfaces:
+                yield sentence()
+        except ValueError as exc:
+            raise AnnotationFormatError(str(exc), line_number=token_line, path=str(path)) from None

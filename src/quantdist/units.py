@@ -159,85 +159,57 @@ class UnitRegistry:
         return unit
 
 
-def _parse_rates(text: str, path: str = "<rates>") -> dict[str, float]:
-    rates: dict[str, float] = {}
+def _parse_rows(text: str, path: str, width: int, parse_row) -> list:
+    """``parse_row(*fields)`` for each non-comment line of ``width`` tab-separated fields.
+
+    ``parse_row`` raises ValueError or LexiconError; either becomes a
+    LexiconError naming the file and line.
+    """
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split("\t")]
-        if len(parts) != 2:
-            raise LexiconError(
-                f"expected 'code<TAB>rate', got {raw!r}", line_number=lineno, path=path
-            )
-        code = parts[0].upper()
+        fields = [f.strip() for f in line.split("\t")]
         try:
-            rate = float(parts[1])
-        except ValueError as exc:
-            raise LexiconError(f"bad rate {parts[1]!r}", line_number=lineno, path=path) from exc
-        if rate <= 0:
-            raise LexiconError("rate must be positive", line_number=lineno, path=path)
-        rates[code] = rate
-    return rates
-
-
-def _parse_lexicon(text: str, rates: dict[str, float], path: str = "<lexicon>") -> list[UnitDef]:
-    units: list[UnitDef] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split("\t")]
-        if len(parts) != 5:
-            raise LexiconError(
-                f"expected 5 tab-separated columns, got {len(parts)}",
-                line_number=lineno,
-                path=path,
-            )
-        alias_field, dim_field, scale_field, offset_field, marker_field = parts
-        aliases = tuple(a.strip().lower() for a in alias_field.split(",") if a.strip())
-        try:
-            dimension = Dimension[dim_field.upper()]
-        except KeyError as exc:
-            raise LexiconError(
-                f"unknown dimension {dim_field!r}", line_number=lineno, path=path
-            ) from exc
-        try:
-            scale = float(scale_field)
-        except ValueError:
-            if dimension is not Dimension.CURRENCY:
-                raise LexiconError(
-                    f"non-numeric scale {scale_field!r} outside CURRENCY",
-                    line_number=lineno,
-                    path=path,
-                ) from None
-            code = scale_field.upper()
-            if code not in rates:
-                raise LexiconError(
-                    f"no rate for currency {code!r}", line_number=lineno, path=path
-                )
-            scale = rates[code]
-        try:
-            offset = float(offset_field)
-        except ValueError as exc:
-            raise LexiconError(
-                f"bad offset {offset_field!r}", line_number=lineno, path=path
-            ) from exc
-        if marker_field not in ("0", "1"):
-            raise LexiconError("requires_marker must be 0 or 1", line_number=lineno, path=path)
-        try:
-            units.append(
-                UnitDef(
-                    surface_forms=aliases,
-                    dimension=dimension,
-                    scale=scale,
-                    offset=offset,
-                    requires_marker=marker_field == "1",
-                )
-            )
-        except LexiconError as exc:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} tab-separated columns, got {len(fields)}")
+            out.append(parse_row(*fields))
+        except (ValueError, LexiconError) as exc:
             raise LexiconError(str(exc), line_number=lineno, path=path) from None
-    return units
+    return out
+
+
+def _rate_row(code: str, rate_field: str) -> tuple[str, float]:
+    rate = float(rate_field)
+    if not rate > 0:
+        raise ValueError("rate must be positive")
+    return code.upper(), rate
+
+
+def _unit_row(rates, alias_field, dim_field, scale_field, offset_field, marker_field) -> UnitDef:
+    try:
+        dimension = Dimension[dim_field.upper()]
+    except KeyError:
+        raise ValueError(f"unknown dimension {dim_field!r}") from None
+    try:
+        scale = float(scale_field)
+    except ValueError:
+        if dimension is not Dimension.CURRENCY:
+            raise ValueError(f"non-numeric scale {scale_field!r} outside CURRENCY") from None
+        code = scale_field.upper()
+        if code not in rates:
+            raise ValueError(f"no rate for currency {code!r}") from None
+        scale = rates[code]
+    if marker_field not in ("0", "1"):
+        raise ValueError("requires_marker must be 0 or 1")
+    return UnitDef(
+        surface_forms=tuple(a.strip().lower() for a in alias_field.split(",") if a.strip()),
+        dimension=dimension,
+        scale=scale,
+        offset=float(offset_field),
+        requires_marker=marker_field == "1",
+    )
 
 
 def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
@@ -261,8 +233,8 @@ def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
             rates_text = fh.read()
         rates_name = str(rates_path)
 
-    rates = _parse_rates(rates_text, rates_name)
-    units = _parse_lexicon(units_text, rates, units_name)
+    rates = dict(_parse_rows(rates_text, rates_name, 2, _rate_row))
+    units = _parse_rows(units_text, units_name, 5, lambda *row: _unit_row(rates, *row))
     digest = hashlib.sha256(
         units_text.encode("utf-8") + b"\x00" + rates_text.encode("utf-8")
     ).hexdigest()[:12]

@@ -75,6 +75,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
         assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:2: " in err and "non-finite" in err
+    bad.write_text(header + "\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")  # empty surface
+    assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+    assert f"{bad}:2: " in capsys.readouterr().err
 
 
 def test_sum_overflow_exits_2(tmp_path, capsys):
