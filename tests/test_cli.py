@@ -78,16 +78,12 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_text(header + "\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")  # empty surface
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"{bad}:2: " in capsys.readouterr().err
-
-
-def test_sum_overflow_exits_2(tmp_path, capsys):
-    header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
+    # exact sums past the float range, within one stream and across two tables
     stream = tmp_path / "huge.tsv"
     stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n" * 2, encoding="utf-8")
     assert main(["aggregate", str(stream), "-o", str(tmp_path / "t.tsv")]) == 2
     err = capsys.readouterr().err
     assert f"{stream}:3: " in err and "overflow" in err and "Traceback" not in err
-
     tables = []
     for name in ("a.tsv", "b.tsv"):
         stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
