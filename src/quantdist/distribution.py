@@ -81,40 +81,33 @@ class Distribution:
     def validate(self) -> None:
         """Raise ValueError unless the fields describe one multiset of values.
 
-        Bucket counts must be positive and add up to ``count``; kept samples
-        must number ``count``, fit under ``exact_cap`` and run from min to
-        max; min and max must fall in the lowest and highest buckets, and
-        the sum between ``count * min`` and ``count * max``. Each check is a
-        C-level pass over the buckets or samples at most: nothing is
-        re-bucketed or re-summed.
+        Bucket counts must be positive and add up to ``count``; min and max
+        must be ordered and fall in the lowest and highest buckets; kept
+        samples must number ``count``, fit under ``exact_cap`` and run from
+        min to max. The checks are C-level passes over the buckets and
+        samples: nothing is re-bucketed or re-summed.
         """
         count, lo, hi, buckets, exact = (
             self.count, self.minimum, self.maximum, self.buckets, self.exact
         )
-        if buckets and min(buckets.values()) < 1:
-            raise ValueError("bucket counts must be positive")
-        if sum(buckets.values()) != count:
-            raise ValueError("bucket mass does not match count")
-        if exact is not None:
-            if len(exact) != count:
-                raise ValueError("sample list does not match count")
-            if count > self.exact_cap:
-                raise ValueError(f"{count} samples kept past exact_cap {self.exact_cap}")
         if not count:
-            if lo is not None or hi is not None or self._sum:
-                raise ValueError("an empty distribution has no extrema and a zero sum")
+            if buckets or exact or lo is not None or hi is not None or self._sum:
+                raise ValueError("an empty distribution holds values")
             return
+        if sum(buckets.values()) != count or min(buckets.values()) < 1:
+            raise ValueError("bucket counts must be positive and add up to the count")
         if not lo <= hi:
             raise ValueError(f"min {lo!r} exceeds max {hi!r}")
         low_id = kernels.bucket_index(lo)
-        high_id = low_id if lo == hi else kernels.bucket_index(hi)
+        high_id = low_id if hi == lo else kernels.bucket_index(hi)
         if low_id != min(buckets) or high_id != max(buckets):
             raise ValueError("min and max do not fall in the lowest and highest buckets")
-        if exact and (min(exact) != lo or max(exact) != hi):
-            raise ValueError("kept samples do not run from min to max")
-        # float rounding is monotone, so the rounded sum obeys the rounded bounds
-        if not count * lo <= self._sum / _ONE <= count * hi:
-            raise ValueError("sum lies outside count * [min, max]")
+        if exact is not None and (
+            len(exact) != count or count > self.exact_cap or min(exact) != lo or max(exact) != hi
+        ):
+            raise ValueError(
+                "kept samples must number the count, fit under exact_cap and run from min to max"
+            )
 
     # ------------------------------------------------------------------
     # monoid structure

@@ -247,13 +247,6 @@ class QuantTable:
             fh.write(self.serialize())
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r}")
-    return value
-
-
 def _parse_entry(line: str, exact_cap: int):
     """One entry line as ``((key, dimension), Distribution)``; ValueError if malformed."""
     parts = line.split("\t")
@@ -265,25 +258,24 @@ def _parse_entry(line: str, exact_cap: int):
         dimension = Dimension[dim_s]
     except KeyError as exc:
         raise ValueError(f"unknown tag {exc}") from None
-    dist = Distribution(exact_cap=exact_cap)
+    floats = [float(min_s), float(max_s), *map(float, sum_s.split(" "))]
+    exact = None if exact_s == "-" else list(map(float, exact_s.split(" ")))
+    if not all(map(math.isfinite, floats)) or not all(map(math.isfinite, exact or ())):
+        raise ValueError("non-finite value")
+    dist = Distribution(exact_cap)
     dist.count = int(count_s)
     if dist.count < 1:
         raise ValueError("entry count must be >= 1")
-    dist.minimum = _finite(min_s)
-    dist.maximum = _finite(max_s)
-    dist._sum = checked_sum(sum(exact_units(_finite(p)) for p in sum_s.split(" ")))
+    dist.minimum, dist.maximum = floats[0], floats[1]
+    dist._sum = checked_sum(sum(map(exact_units, floats[2:])))
     buckets = dist.buckets
     for pair in buckets_s.split(" "):
-        if pair:
-            bid_s, n_s = pair.split(":")
-            bid = int(bid_s)
-            if bid in buckets:
-                raise ValueError(f"bucket id {bid} repeated")
-            buckets[bid] = int(n_s)
-    if exact_s == "-":
-        dist.exact = None
-    else:
-        dist.exact = [_finite(v) for v in exact_s.split(" ") if v]
+        bid_s, n_s = pair.split(":")
+        bid = int(bid_s)
+        if bid in buckets:
+            raise ValueError(f"bucket id {bid} repeated")
+        buckets[bid] = int(n_s)
+    dist.exact = exact
     dist.validate()
     return (key, dimension), dist
 

@@ -349,12 +349,11 @@ def test_validate_rejects_inconsistent_fields():
     broken().validate()
     cases = {
         "exceeds max": broken(minimum=40.0, maximum=30.0),
-        "kept samples": broken(exact=[2.0, 3.0, 40.0]),
+        "run from min to max": broken(exact=[2.0, 3.0, 40.0]),
         "positive": broken(buckets=Counter({**broken().buckets, 50: 0})),
         "exact_cap": broken(exact_cap=2),
         "lowest and highest": broken(minimum=1.0, exact=[1.0, 3.0, 30.0]),
-        "sum": broken(_sum=0),
-        "bucket mass": broken(count=4),
+        "add up to the count": broken(count=4),
         "empty": broken(count=0, buckets=Counter(), exact=[]),
     }
     for message, dist in cases.items():
