@@ -319,9 +319,8 @@ def read_table(path) -> QuantTable:
                 raise TableFormatError(
                     f"bad entry ({exc})", line_number=lineno, path=str(path)
                 ) from None
-            if key in table.entries:
+            if table.entries.setdefault(key, dist) is not dist:
                 raise TableFormatError("duplicate entry", line_number=lineno, path=str(path))
-            table.entries[key] = dist
     if len(table.entries) != expected_entries:
         raise TableFormatError(
             f"header promises {expected_entries} entries, "
