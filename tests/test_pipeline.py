@@ -350,12 +350,12 @@ def _generated_sentences(rng, count):
             Pos.NOUN if w[0].isalpha() and w not in _FILLER else rng.choice((Pos.OTHER, Pos.VERB, Pos.ADJ))
             for w in words
         )
-        yield AnnotatedSentence(tuple(words), tags, (None,) + (1,) * (len(words) - 1))
+        yield AnnotatedSentence(tuple(words), tags, (None,) + (0,) * (len(words) - 1))
 
 
 def _pairs_with_spans(sentence, config, registry):
     """Every (mention, candidate) pairing outside the mention's own span, in order."""
-    mentions = scan_measurements(list(sentence.surfaces), registry)
+    mentions = scan_measurements(sentence.surfaces, registry)
     out = []
     for mention in mentions:
         for key, start, end in _candidate_objects(sentence, config):
