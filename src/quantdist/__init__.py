@@ -28,7 +28,6 @@ from .inference import (
     query_distribution,
     relax_hour_window,
     relax_to_decade,
-    suggest_dimension,
 )
 from .parser import Mention, scan_measurements, tokenize
 from .pipeline import (
@@ -88,7 +87,6 @@ __all__ = [
     "relax_to_decade",
     "scan_measurements",
     "split_sentences",
-    "suggest_dimension",
     "tokenize",
     "__version__",
 ]

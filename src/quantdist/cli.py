@@ -19,8 +19,8 @@ import sys
 
 from .errors import QuantdistError, ConfigMismatchError, RecordFormatError
 from .evaluation import (
-    SCALE_MAP,
     detect_leakage,
+    dimension_named,
     evaluate,
     load_dataset,
     make_clean_split,
@@ -80,13 +80,10 @@ def _tau(raw: str) -> float:
 
 
 def _dimension(raw: str) -> Dimension:
-    name = raw.strip().lower()
-    if name in SCALE_MAP:
-        return SCALE_MAP[name]
-    try:
-        return Dimension[name.upper()]
-    except KeyError:
+    dimension = dimension_named(raw)
+    if dimension is None:
         raise argparse.ArgumentTypeError(f"unknown dimension {raw!r}")
+    return dimension
 
 
 def _distance(raw: str):
@@ -154,14 +151,19 @@ def _stream_header(registry_version: str, distance, min_phrase_count: int) -> st
     )
 
 
-def _read_stream_header(fh, path):
-    """The (registry, distance, min_phrase_count) a stream was extracted under."""
+def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
+    """The BuildConfig a stream's header pins, with aggregate's ``exact_cap``."""
     fields = fh.readline().rstrip("\n").split("\t")
     meta = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
     try:
         if fields[0] != f"#{RECORD_FORMAT}":
             raise ValueError(f"missing {RECORD_FORMAT} header")
-        return meta["registry"], _distance(meta["distance"]), int(meta["min_phrase_count"])
+        return BuildConfig(
+            registry_version=meta["registry"],
+            distance=_distance(meta["distance"]),
+            min_phrase_count=int(meta["min_phrase_count"]),
+            exact_cap=exact_cap,
+        )
     except (KeyError, ValueError) as exc:
         raise RecordFormatError(
             f"bad stream header: {exc}", line_number=1, path=str(path)
@@ -182,7 +184,7 @@ def _parse_record(line: str) -> CooccurrenceRecord:
     value = float(value_s)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value_s!r}")
-    return CooccurrenceRecord(key, Quantity(dim, value, value, "standard"), int(gap_s))
+    return CooccurrenceRecord(key, Quantity(dim, value), int(gap_s))
 
 
 # ------------------------------------------------------------ subcommands
@@ -190,17 +192,10 @@ def _parse_record(line: str) -> CooccurrenceRecord:
 
 def _cmd_extract(args) -> int:
     registry = _registry_for(args)
-    config = ExtractionConfig(
-        max_distance=args.distance,
-        min_phrase_count=args.min_phrase_count,
-        max_phrase_len=args.max_phrase_len,
-    )
+    config = ExtractionConfig(max_distance=args.distance)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        print(
-            _stream_header(registry.version, config.max_distance, config.min_phrase_count),
-            file=out,
-        )
+        print(_stream_header(registry.version, args.distance, args.min_phrase_count), file=out)
         for path in args.inputs:
             if args.annotated:
                 sentences = read_annotated(path)
@@ -230,11 +225,10 @@ def _cmd_aggregate(args) -> int:
     table = None
     for path in args.records:
         with open(path, encoding="utf-8") as fh:
-            config = _read_stream_header(fh, path)
+            config = _read_stream_header(fh, path, args.exact_cap)
             if table is None:
-                first = config
-                table = QuantTable(BuildConfig(*config, exact_cap=args.exact_cap))
-            elif config != first:
+                table = QuantTable(config)
+            elif config != table.config:
                 raise ConfigMismatchError(
                     f"record stream {path} was extracted under a different "
                     f"configuration than {args.records[0]}"
@@ -287,9 +281,7 @@ def _cmd_query(args) -> int:
             print(f"unknown unit {args.unit!r}", file=sys.stderr)
             return 2
         for field in ("median", "mean", "p5", "p95", "min", "max"):
-            stats[field] = registry.denormalize(
-                Quantity(args.dim, stats[field], stats[field], "standard"), unit
-            )
+            stats[field] = registry.denormalize(Quantity(args.dim, stats[field]), unit)
         unit_label = args.unit
     if args.dim is Dimension.TIME:
         window = relax_hour_window(stats["median"])
@@ -412,18 +404,14 @@ def _cmd_split(args) -> int:
 def _cmd_plot_export(args) -> int:
     table = read_table(args.table)
     key = _object_key(args)
-    points = table.export_points(key, args.dim)
-    if points is None and key.pos is not Pos.UNKNOWN:
-        points = table.export_points(
-            ObjectKey(key.surface, Pos.UNKNOWN, key.head), args.dim
-        )
-    if points is None:
+    dist = query_distribution(table, key, args.dim)
+    if dist is None:
         print(f"no entry for {key.surface!r} under {args.dim.name}", file=sys.stderr)
         return 2
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         print("#bucket_center\tdensity", file=out)
-        for center, density in points:
+        for center, density in dist.density_points():
             print(f"{center!r}\t{density!r}", file=out)
     finally:
         if out is not sys.stdout:
@@ -453,7 +441,6 @@ def _build_parser() -> _Parser:
         help="co-occurrence window preset (default: sentence)",
     )
     p.add_argument("--min-phrase-count", type=_positive_int, default=5)
-    p.add_argument("--max-phrase-len", type=_positive_int, default=3)
     p.add_argument("-o", "--output", help="record stream path (default: stdout)")
     _add_registry_flags(p)
     p.set_defaults(func=_cmd_extract)

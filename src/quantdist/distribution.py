@@ -268,6 +268,22 @@ class Distribution:
             "count": self.count,
         }
 
+    def density_points(self) -> list[tuple[float, float]]:
+        """(bucket_center, density) pairs for plotting, ascending.
+
+        Density integrates to 1 over the value axis; the zero bucket has
+        no width, so its point carries probability mass instead.
+        """
+        points = []
+        for bid in sorted(self.buckets):
+            n = self.buckets[bid]
+            lo, hi = kernels.bucket_bounds(bid)
+            if bid == 0:
+                points.append((0.0, n / self.count))
+            else:
+                points.append(((lo + hi) / 2.0, n / (self.count * (hi - lo))))
+        return points
+
 
 def _middle(a: float, b: float) -> float:
     """Midpoint of the two central samples: geometric when signs agree."""

@@ -39,10 +39,6 @@ class ComparisonExample:
     dimension: Dimension | None  # None = out of the resource's coverage
     gold: ComparisonLabel | None  # None = not comparable
 
-    @property
-    def scoreable(self) -> bool:
-        return self.gold is not None and self.dimension is not None
-
 
 @dataclass(frozen=True)
 class LeakageReport:
@@ -55,14 +51,10 @@ class LeakageReport:
         return not self.transitive_flags and not self.object_flags
 
 
-def _parse_scale(token: str) -> tuple[str, Dimension | None]:
-    scale = token.strip().lower()
-    if scale in SCALE_MAP:
-        return scale, SCALE_MAP[scale]
-    try:
-        return scale, Dimension[scale.upper()]
-    except KeyError:
-        return scale, None
+def dimension_named(name: str) -> Dimension | None:
+    """The dimension a dataset scale or dimension name stands for; None if neither."""
+    name = name.strip().lower()
+    return SCALE_MAP.get(name) or Dimension.__members__.get(name.upper())
 
 
 def _parse_example(line: str, first: bool) -> ComparisonExample | None:
@@ -84,10 +76,10 @@ def _parse_example(line: str, first: bool) -> ComparisonExample | None:
     o1, o2 = o1.lower(), o2.lower()
     if o1 == o2 and gold is not ComparisonLabel.EQUAL:
         raise ValueError(f"identical objects {o1!r} need an '=' label")
-    scale, dimension = _parse_scale(scale_s)
+    scale = scale_s.lower()
     if not scale:
         raise ValueError("empty dimension name")
-    return ComparisonExample(o1, o2, scale, dimension, gold)
+    return ComparisonExample(o1, o2, scale, dimension_named(scale), gold)
 
 
 def load_dataset(path) -> list[ComparisonExample]:

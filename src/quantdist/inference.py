@@ -144,27 +144,3 @@ def relax_to_decade(value: float) -> tuple[float, float]:
 def relax_hour_window(value: float) -> tuple[float, float]:
     """Hour-of-day medians have no meaningful decade; use +/- one hour."""
     return (max(0.0, value - 1.0), min(24.0, value + 1.0))
-
-
-def suggest_dimension(table: QuantTable, adj1, adj2) -> Dimension | None:
-    """Most-evidenced shared dimension for an adjective pair.
-
-    Optional helper for exploration; evaluation always receives the
-    dimension from the caller.
-    """
-    key1 = _coerce_key(adj1, Pos.ADJ)
-    key2 = _coerce_key(adj2, Pos.ADJ)
-    best: tuple[int, str] | None = None
-    choice = None
-    for dimension in Dimension:
-        heads1 = table.heads_for(key1.surface, key1.pos, dimension)
-        heads2 = table.heads_for(key2.surface, key2.pos, dimension)
-        shared = heads1.keys() & heads2.keys()
-        if not shared:
-            continue
-        weight = sum(heads1[h].count + heads2[h].count for h in shared)
-        rank = (weight, dimension.name)
-        if best is None or rank > best:
-            best = rank
-            choice = dimension
-    return choice

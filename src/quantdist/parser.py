@@ -125,12 +125,11 @@ class _Scanner:
         return mentions
 
     def _make(self, value, unit, start, end, unit_surface) -> Mention:
-        quantity = self.registry.normalize(value, unit, surface=unit_surface)
         return Mention(
             value=value,
             surface=" ".join(self.tokens[start:end]),
             unit_surface=unit_surface,
-            quantity=quantity,
+            quantity=self.registry.normalize(value, unit),
             start=start,
             end=end,
         )

@@ -10,6 +10,7 @@ word contribute nothing at all.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,7 @@ from .parser import scan_measurements, tokenize
 from .units import Quantity, UnitRegistry
 
 NEGATION_WORDS = frozenset({"not", "no", "without", "neither", "nor"})
+MAX_PHRASE_LEN = 3  # longest noun run kept as one phrase object
 
 # words that end in "." without ending the sentence
 ABBREVIATIONS = frozenset(
@@ -87,40 +89,25 @@ class CooccurrenceRecord:
     token_distance: int  # token gap; 0 means the spans are adjacent
 
 
+def check_distance(distance: int | None) -> None:
+    """A co-occurrence window is the whole sentence (None) or 1..100 tokens."""
+    if distance is not None and not 1 <= distance <= 100:
+        raise ValueError("distance must be None or within 1..100")
+
+
 @dataclass(frozen=True)
 class ExtractionConfig:
     max_distance: int | None = None  # None = whole sentence
-    min_phrase_count: int = 5
-    max_phrase_len: int = 3
-    negation_words: frozenset = NEGATION_WORDS
 
     def __post_init__(self):
-        if self.max_distance is not None and not 1 <= self.max_distance <= 100:
-            raise ValueError("max_distance must be None or within 1..100")
-        if self.max_phrase_len < 1:
-            raise ValueError("max_phrase_len must be >= 1")
-        if self.min_phrase_count < 1:
-            raise ValueError("min_phrase_count must be >= 1")
+        check_distance(self.max_distance)
 
 
-def load_stopwords() -> frozenset:
-    text = resources.files("quantdist.data").joinpath("stopwords.txt").read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
-
-
-_STOPWORDS: frozenset | None = None
-
-
+@functools.cache
 def stopwords() -> frozenset:
-    global _STOPWORDS
-    if _STOPWORDS is None:
-        _STOPWORDS = load_stopwords()
-    return _STOPWORDS
+    text = resources.files("quantdist.data").joinpath("stopwords.txt").read_text("utf-8")
+    words = (line.strip().lower() for line in text.splitlines())
+    return frozenset(w for w in words if w and not w.startswith("#"))
 
 
 def split_sentences(text: str) -> list[str]:
@@ -140,11 +127,11 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in out if s]
 
 
-def contains_negation(tokens, negation_words=NEGATION_WORDS) -> bool:
-    return any(t.lower() in negation_words for t in tokens)
+def contains_negation(tokens) -> bool:
+    return any(t.lower() in NEGATION_WORDS for t in tokens)
 
 
-def _candidate_objects(sentence: AnnotatedSentence, config: ExtractionConfig):
+def _candidate_objects(sentence: AnnotatedSentence):
     """(ObjectKey, start, end) triples for tokens and noun phrases."""
     tags = sentence.pos
     low = [s.lower() for s in sentence.surfaces]
@@ -167,7 +154,7 @@ def _candidate_objects(sentence: AnnotatedSentence, config: ExtractionConfig):
             run_start = i
         elif not is_noun and run_start is not None:
             for s in range(run_start, i):
-                for e in range(s + 2, min(i, s + config.max_phrase_len) + 1):
+                for e in range(s + 2, min(i, s + MAX_PHRASE_LEN) + 1):
                     surface = " ".join(low[s:e])
                     candidates.append((ObjectKey(surface, Pos.NOUN, low[e - 1]), s, e))
             run_start = None
@@ -185,7 +172,7 @@ def extract_records(
     max_distance are dropped, which makes the k=3 and k=10 record sets
     nest inside the whole-sentence set.
     """
-    if contains_negation(sentence.surfaces, config.negation_words):
+    if contains_negation(sentence.surfaces):
         return []
     mentions = scan_measurements(sentence.surfaces, registry)
     if not mentions:
@@ -193,7 +180,7 @@ def extract_records(
     spans = [(m.start, m.end) for m in mentions]
     candidates = [
         (key, start, end)
-        for key, start, end in _candidate_objects(sentence, config)
+        for key, start, end in _candidate_objects(sentence)
         if not any(start < m_end and m_start < end for m_start, m_end in spans)
     ]
     records = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, TableFormatError
-from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW, bucket_bounds
-from .pipeline import CooccurrenceRecord, ObjectKey, Pos
+from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
+from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
 from .units import Dimension
 
 FORMAT_NAME = "quanttable/1"
@@ -23,27 +23,43 @@ FORMAT_NAME = "quanttable/1"
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Echo of how a table was built; merges require equal configs."""
+    """How a table was built; the header pins every field.
+
+    Tables merge only when every field but ``min_count`` is equal.
+    """
 
     registry_version: str = "unversioned"
     distance: int | None = None
     min_phrase_count: int = 5
     exact_cap: int = DEFAULT_EXACT_CAP
-    buckets_per_decade: int = BUCKETS_PER_DECADE
-    value_floor: float = 10.0**-DECADES_BELOW
     min_count: int = 1
     finalized: bool = False
 
-    def mergeable_fields(self) -> tuple:
-        return (
-            self.registry_version,
-            self.distance,
-            self.min_phrase_count,
-            self.exact_cap,
-            self.buckets_per_decade,
-            self.value_floor,
-            self.finalized,
-        )
+    def __post_init__(self):
+        check_distance(self.distance)
+        if self.min_phrase_count < 1:
+            raise ValueError("min_phrase_count must be >= 1")
+        if self.exact_cap < 0:
+            raise ValueError("exact_cap must be >= 0")
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
+
+
+# (header key, BuildConfig field, accepted JSON types); a bool is no int here
+_HEADER_FIELDS = (
+    ("registry", "registry_version", (str,)),
+    ("distance", "distance", (int, type(None))),
+    ("min_phrase_count", "min_phrase_count", (int,)),
+    ("exact_cap", "exact_cap", (int,)),
+    ("min_count", "min_count", (int,)),
+    ("finalized", "finalized", (bool,)),
+)
+# header values every table carries: the bucketing is fixed in ``kernels``
+_HEADER_CONSTANTS = {
+    "format": FORMAT_NAME,
+    "buckets_per_decade": BUCKETS_PER_DECADE,
+    "value_floor": 10.0**-DECADES_BELOW,
+}
 
 
 class QuantTable:
@@ -100,8 +116,9 @@ class QuantTable:
         largest of the count thresholds so the result is again a valid
         finalized table.
         """
+        mergeable = replace(self.config, min_count=1)
         for other in others:
-            if self.config.mergeable_fields() != other.config.mergeable_fields():
+            if replace(other.config, min_count=1) != mergeable:
                 raise ConfigMismatchError(
                     f"incompatible table configs: {self.config} vs {other.config}"
                 )
@@ -168,42 +185,12 @@ class QuantTable:
                 out[key.head] = dist
         return out
 
-    def export_points(self, key: ObjectKey, dimension: Dimension):
-        """(bucket_center, density) pairs for plotting one entry.
-
-        Density integrates to 1 over the value axis; the zero bucket has
-        no width, so its point carries probability mass instead.
-        """
-        dist = self.get(key, dimension)
-        if dist is None:
-            return None
-        total = dist.count
-        points = []
-        for bid in sorted(dist.buckets):
-            n = dist.buckets[bid]
-            lo, hi = bucket_bounds(bid)
-            if bid == 0:
-                points.append((0.0, n / total))
-            else:
-                points.append(((lo + hi) / 2.0, n / (total * (hi - lo))))
-        return points
-
     # ------------------------------------------------------------------
     # serialization
 
     def serialize(self) -> str:
-        header = {
-            "format": FORMAT_NAME,
-            "registry": self.config.registry_version,
-            "distance": self.config.distance,
-            "min_phrase_count": self.config.min_phrase_count,
-            "exact_cap": self.config.exact_cap,
-            "buckets_per_decade": self.config.buckets_per_decade,
-            "value_floor": self.config.value_floor,
-            "min_count": self.config.min_count,
-            "finalized": self.config.finalized,
-            "entries": len(self.entries),
-        }
+        header = {key: getattr(self.config, field) for key, field, _ in _HEADER_FIELDS}
+        header.update(_HEADER_CONSTANTS, entries=len(self.entries))
         lines = [json.dumps(header, sort_keys=True)]
         for (key, dimension), dist in sorted(
             self.entries.items(),
@@ -280,6 +267,31 @@ def _parse_entry(line: str, exact_cap: int):
     return (key, dimension), dist
 
 
+def _header_value(header: dict, key: str, types: tuple):
+    if key not in header:
+        raise ValueError(f"missing {key!r}")
+    value = header[key]
+    if type(value) not in types:
+        expected = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
+def _parse_header(line: str) -> tuple[BuildConfig, int]:
+    """A header line as ``(config, promised entry count)``; ValueError if malformed."""
+    header = json.loads(line)
+    if not isinstance(header, dict):
+        raise ValueError("not a JSON object")
+    for key, value in _HEADER_CONSTANTS.items():
+        found = header.get(key)
+        if type(found) is not type(value) or found != value:
+            raise ValueError(f"unsupported {key} {found!r}")
+    config = BuildConfig(
+        **{field: _header_value(header, key, types) for key, field, types in _HEADER_FIELDS}
+    )
+    return config, _header_value(header, "entries", (int,))
+
+
 def read_table(path) -> QuantTable:
     """Parse a table file; malformed or truncated input raises TableFormatError."""
     with open(path, encoding="utf-8") as fh:
@@ -287,27 +299,9 @@ def read_table(path) -> QuantTable:
         if not header_line.strip():
             raise TableFormatError("missing header", path=str(path))
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise TableFormatError(f"bad header ({exc})", path=str(path)) from None
-        if header.get("format") != FORMAT_NAME:
-            raise TableFormatError(
-                f"unsupported format {header.get('format')!r}", path=str(path)
-            )
-        try:
-            config = BuildConfig(
-                registry_version=header["registry"],
-                distance=header["distance"],
-                min_phrase_count=header["min_phrase_count"],
-                exact_cap=header["exact_cap"],
-                buckets_per_decade=header["buckets_per_decade"],
-                value_floor=header["value_floor"],
-                min_count=header["min_count"],
-                finalized=header["finalized"],
-            )
-            expected_entries = int(header["entries"])
-        except (KeyError, TypeError) as exc:
-            raise TableFormatError(f"incomplete header ({exc})", path=str(path)) from None
+            config, expected_entries = _parse_header(header_line)
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise TableFormatError(f"bad header ({exc})", line_number=1, path=str(path)) from None
         table = QuantTable(config)
         for lineno, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")

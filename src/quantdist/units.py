@@ -76,8 +76,6 @@ class Quantity:
 
     dimension: Dimension
     value_std: float
-    source_value: float
-    source_unit: str
 
 
 def _clean_zero(x: float) -> float:
@@ -126,7 +124,7 @@ class UnitRegistry:
             return None
         return unit
 
-    def normalize(self, value: float, unit: UnitDef, surface: str | None = None) -> Quantity:
+    def normalize(self, value: float, unit: UnitDef) -> Quantity:
         """Convert a raw (value, unit) pair into standard units."""
         if not math.isfinite(value):
             raise ValueError(f"cannot normalize non-finite value {value!r}")
@@ -135,12 +133,7 @@ class UnitRegistry:
             raise ValueError(f"normalization of {value!r} {unit.name!r} overflowed")
         if unit.dimension is Dimension.TIME:
             std = std % 24.0
-        return Quantity(
-            dimension=unit.dimension,
-            value_std=_clean_zero(std),
-            source_value=value,
-            source_unit=surface if surface is not None else unit.name,
-        )
+        return Quantity(unit.dimension, _clean_zero(std))
 
     def denormalize(self, quantity: Quantity, target_unit: UnitDef) -> float:
         """Express a normalized quantity in another unit of the same dimension."""

@@ -185,7 +185,7 @@ def _random_record_corpus(rng, n):
         value = 10.0 ** rng.uniform(-3, 4)
         dim = rng.choice(dims)
         key = ObjectKey(rng.choice(surfaces), Pos.UNKNOWN, None)
-        records.append(CooccurrenceRecord(key, Quantity(dim, value, value, "x"), 0))
+        records.append(CooccurrenceRecord(key, Quantity(dim, value), 0))
     return records
 
 
@@ -303,7 +303,7 @@ def _head_table(entries):
     for (adj, head), values in entries.items():
         key = ObjectKey(adj, Pos.ADJ, head)
         for v in values:
-            q = Quantity(Dimension.SPEED, float(v), float(v), "x")
+            q = Quantity(Dimension.SPEED, float(v))
             table.observe(CooccurrenceRecord(key, q, 0))
     return table
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import dataclasses
 import random
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 
 from quantdist.cli import main
 from quantdist.evaluation import detect_leakage, load_dataset
-from quantdist.table import read_table
+from quantdist.pipeline import ExtractionConfig
+from quantdist.table import BuildConfig, QuantTable, read_table
 
 
 @pytest.fixture()
@@ -78,6 +80,10 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_text(header + "\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")  # empty surface
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"{bad}:2: " in capsys.readouterr().err
+    for bad_header in (header.replace("=5", "=0"), header.replace("=sentence", "=0")):
+        bad.write_text(bad_header + "car\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")
+        assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+        assert f"{bad}:1: bad stream header" in capsys.readouterr().err
     # exact sums past the float range, within one stream and across two tables
     stream = tmp_path / "huge.tsv"
     stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n" * 2, encoding="utf-8")
@@ -205,6 +211,34 @@ def test_aggregate_rejects_mixed_headers(tmp_path, corpus, capsys):
     code = main(["aggregate", str(r1), str(r2), "-o", str(tmp_path / "out.tsv")])
     assert code == 2
     assert "configuration" in capsys.readouterr().err
+
+
+def test_every_build_setting_is_pinned(tmp_path, corpus, capsys):
+    """A new setting fails here until a header records it, or it becomes a constant."""
+    config = BuildConfig(
+        registry_version="lexicon-b",
+        distance=3,
+        min_phrase_count=2,
+        exact_cap=7,
+        min_count=4,
+        finalized=True,
+    )
+    for field in dataclasses.fields(BuildConfig):
+        assert getattr(config, field.name) != field.default, field.name
+    path = tmp_path / "t.tsv"
+    QuantTable(config).write(path)
+    assert read_table(path).config == config
+    # each ExtractionConfig field: (extract flag, value, stream header field)
+    stream_fields = {"max_distance": ("--distance", "3", "distance=3")}
+    assert {f.name for f in dataclasses.fields(ExtractionConfig)} == set(stream_fields)
+    argv = ["extract", str(corpus)]
+    for flag, value, _ in stream_fields.values():
+        argv += [flag, value]
+    assert main(argv) == 0
+    header = capsys.readouterr().out.split("\n", 1)[0].split("\t")
+    assert all(pinned in header for _, _, pinned in stream_fields.values())
+    assert main(["extract", str(corpus), "--max-phrase-len", "2"]) == 1
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------------ query

@@ -39,7 +39,7 @@ def planted_table(medians):
     for (surface, dim), values in medians.items():
         key = ObjectKey(surface=surface, pos=Pos.UNKNOWN)
         for v in values:
-            quantity = Quantity(dim, float(v), float(v), "std")
+            quantity = Quantity(dim, float(v))
             table.observe(CooccurrenceRecord(key, quantity, 0))
     return table
 
@@ -62,7 +62,7 @@ def test_load_dataset_basic(tmp_path):
         "tractor", "truck", "speed", Dimension.SPEED, ComparisonLabel.LESS
     )
     assert rows[1].object1 == "whale"  # lowercased
-    assert rows[2].gold is None and not rows[2].scoreable
+    assert rows[2].gold is None
 
 
 def test_load_dataset_no_header(tmp_path):
@@ -79,7 +79,6 @@ def test_load_dataset_out_of_coverage_scale(tmp_path):
     rows = load_dataset(p)
     assert rows[0].dimension is None
     assert rows[0].scale == "rigidity"
-    assert not rows[0].scoreable
 
 
 def test_load_dataset_direct_dimension_name(tmp_path):

@@ -13,7 +13,6 @@ from quantdist.inference import (
     query_distribution,
     relax_hour_window,
     relax_to_decade,
-    suggest_dimension,
 )
 from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
 from quantdist.table import BuildConfig, QuantTable
@@ -23,7 +22,7 @@ LESS, EQUAL, GREATER = ComparisonLabel.LESS, ComparisonLabel.EQUAL, ComparisonLa
 
 
 def record(surface, dim, value, pos=Pos.UNKNOWN, head=None):
-    q = Quantity(dimension=dim, value_std=value, source_value=value, source_unit="x")
+    q = Quantity(dim, value)
     return CooccurrenceRecord(
         object=ObjectKey(surface, pos, head), quantity=q, token_distance=0
     )
@@ -274,15 +273,3 @@ def test_relax_hours():
     assert relax_hour_window(7.5) == (6.5, 8.5)
     assert relax_hour_window(0.5) == (0.0, 1.5)
     assert relax_hour_window(23.7) == (22.7, 24.0)
-
-
-def test_suggest_dimension_prefers_evidence():
-    rows = adjective_rows([("fast", "car", 60.0), ("slow", "car", 10.0)])
-    rows += [
-        record("fast", Dimension.MASS, 1.0, Pos.ADJ, "car"),
-        record("slow", Dimension.MASS, 2.0, Pos.ADJ, "car"),
-        record("fast", Dimension.MASS, 1.5, Pos.ADJ, "car"),
-    ]
-    t = build(rows)
-    assert suggest_dimension(t, "fast", "slow") is Dimension.MASS
-    assert suggest_dimension(t, "fast", "ghost") is None

@@ -10,6 +10,7 @@ from quantdist.pipeline import (
     AnnotatedSentence,
     CooccurrenceRecord,
     ExtractionConfig,
+    MAX_PHRASE_LEN,
     ObjectKey,
     Pos,
     _candidate_objects,
@@ -212,9 +213,12 @@ def test_phrase_length_cap(registry):
     toks = [(w, Pos.NOUN, None) for w in ["steel", "race", "car", "frame"]]
     toks += [("weighs", Pos.VERB, None), ("90", Pos.OTHER, None), ("kg", Pos.OTHER, None)]
     sent = annotated(toks)
-    records = extract_records(sent, ExtractionConfig(max_phrase_len=2), registry)
+    records = extract_records(sent, ExtractionConfig(), registry)
     phrases = {r.object.surface for r in records if " " in r.object.surface}
-    assert phrases == {"steel race", "race car", "car frame"}
+    assert MAX_PHRASE_LEN == 3  # a four-noun run keeps no four-word phrase
+    assert phrases == {
+        "steel race", "race car", "car frame", "steel race car", "race car frame"
+    }
 
 
 def test_annotated_noun_subset_of_plain(registry):
@@ -358,7 +362,7 @@ def _pairs_with_spans(sentence, config, registry):
     mentions = scan_measurements(sentence.surfaces, registry)
     out = []
     for mention in mentions:
-        for key, start, end in _candidate_objects(sentence, config):
+        for key, start, end in _candidate_objects(sentence):
             if end <= mention.start:
                 gap = mention.start - end
             elif mention.end <= start:

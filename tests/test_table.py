@@ -1,6 +1,9 @@
 """Table tests: dual keys, monoid laws, thresholds, canonical bytes."""
 
+import contextlib
 import functools
+import io
+import json
 import os
 import random
 import tempfile
@@ -11,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 from quantdist.cli import main
 from quantdist.distribution import Distribution
 from quantdist.errors import ConfigMismatchError, TableFormatError
+from quantdist.kernels import bucket_bounds
 from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
 from quantdist.table import BuildConfig, QuantTable, read_table
 from quantdist.units import Dimension, Quantity
 
 
 def record(surface, dim, value, pos=Pos.UNKNOWN, head=None):
-    q = Quantity(dimension=dim, value_std=value, source_value=value, source_unit="x")
+    q = Quantity(dim, value)
     return CooccurrenceRecord(
         object=ObjectKey(surface, pos, head), quantity=q, token_distance=0
     )
@@ -218,7 +222,7 @@ def test_truncated_file_rejected(tmp_path):
     assert (err.value.path, err.value.line_number) == (str(cut), None)
 
 
-def test_bad_header_rejected(tmp_path):
+def test_bad_header_rejected(tmp_path, capsys):
     p = tmp_path / "bad.tsv"
     p.write_text("not json\n", encoding="utf-8")
     with pytest.raises(TableFormatError):
@@ -229,6 +233,64 @@ def test_bad_header_rejected(tmp_path):
     p.write_text("", encoding="utf-8")
     with pytest.raises(TableFormatError):
         read_table(p)
+    build([record("car", Dimension.SPEED, 5.0)]).write(p)
+    header_line, entry = p.read_text(encoding="utf-8").splitlines()
+    bad_values = [
+        ("exact_cap", "x"),
+        ("exact_cap", True),  # a bool is no int
+        ("distance", "far"),
+        ("distance", 0),
+        ("finalized", "no"),
+        ("min_count", 0),
+        ("min_phrase_count", 0),
+        ("entries", "1"),
+        ("registry", None),
+        ("buckets_per_decade", 5),  # bucketing is fixed in kernels
+        ("value_floor", 1e-9),
+    ]
+    bad_headers = ["[1]", "[" * 100_000 + "]" * 100_000]  # not a JSON object
+    for field, value in bad_values:
+        header = json.loads(header_line)
+        header[field] = value
+        bad_headers.append(json.dumps(header))
+    for bad_header in bad_headers:
+        p.write_text(bad_header + "\n" + entry + "\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=f"{p}:1: bad header") as err:
+            read_table(p)
+        assert err.value.path == str(p)
+        argv = ["query", "--table", str(p), "--object", "car", "--dim", "speed"]
+        assert main(argv) == 2, bad_header
+        err = capsys.readouterr().err
+        assert str(p) in err and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_header_value_reads_or_is_rejected(data):
+    """A header with one value replaced reads back or fails as a located data error."""
+    table = build([record("car", Dimension.SPEED, v) for v in (5.0, 7.0)], exact_cap=1)
+    header_line, body = table.serialize().split("\n", 1)
+    header = json.loads(header_line)
+    header[data.draw(st.sampled_from(sorted(header)))] = data.draw(_JSON)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n" + body)
+        try:
+            read_table(path)
+        except TableFormatError as exc:
+            assert exc.path == path
+        out = os.path.join(d, "final.tsv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["finalize", path, "--min-count", "1", "-o", out]) in (0, 2)
 
 
 def test_corrupt_entry_rejected(tmp_path, capsys):
@@ -291,12 +353,14 @@ def test_export_points_density():
     t = QuantTable(BuildConfig())
     for v in values:
         t.observe(record("car", Dimension.SPEED, v))
-    points = t.export_points(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED)
-    assert points is not None
+    dist = t.get(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED)
+    points = dist.density_points()
     assert points == sorted(points)
     zero_mass = points[0][1]
     assert points[0][0] == 0.0 and zero_mass == pytest.approx(1 / 6)
-    assert t.export_points(ObjectKey("boat", Pos.UNKNOWN), Dimension.SPEED) is None
+    widths = [hi - lo for lo, hi in map(bucket_bounds, sorted(dist.buckets))]
+    mass = zero_mass + sum(d * w for (_, d), w in zip(points[1:], widths[1:]))
+    assert mass == pytest.approx(1.0)
 
 
 def test_entry_distributions_are_real_distributions():
