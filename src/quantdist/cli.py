@@ -153,9 +153,9 @@ def _stream_header(registry_version: str, distance, min_phrase_count: int) -> st
 
 def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
     """The BuildConfig a stream's header pins, with aggregate's ``exact_cap``."""
-    fields = fh.readline().rstrip("\n").split("\t")
-    meta = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
     try:
+        fields = fh.readline().decode("utf-8").rstrip("\r\n").split("\t")
+        meta = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
         if fields[0] != f"#{RECORD_FORMAT}":
             raise ValueError(f"missing {RECORD_FORMAT} header")
         return BuildConfig(
@@ -224,7 +224,7 @@ def _cmd_aggregate(args) -> int:
     """Observe each record as its line is read, so memory grows with entries."""
     table = None
     for path in args.records:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
             config = _read_stream_header(fh, path, args.exact_cap)
             if table is None:
                 table = QuantTable(config)
@@ -234,10 +234,10 @@ def _cmd_aggregate(args) -> int:
                     f"configuration than {args.records[0]}"
                 )
             for lineno, raw in enumerate(fh, start=2):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
                 try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                    if not line:
+                        continue
                     table.observe(_parse_record(line))
                 except (ValueError, OverflowError) as exc:
                     raise RecordFormatError(str(exc), line_number=lineno, path=str(path)) from None

@@ -213,26 +213,25 @@ class Distribution:
         """
         if not 1 <= rank <= self.count:
             raise ValueError(f"rank {rank} outside 1..{self.count}")
+        return self._ranked()[rank - 1]
+
+    def _ranked(self):
+        """Values in ascending order, rank r at index r - 1; kept samples are sorted once."""
         if self.exact is not None:
-            return self.sorted_exact()[rank - 1]
-        seen = 0
-        for bid in sorted(self.buckets):
-            n = self.buckets[bid]
-            if rank <= seen + n:
-                return _bucket_value(bid, rank - seen, n)
-            seen += n
-        raise AssertionError("bucket mass does not cover count")
+            return sorted(self.exact)
+        return _HistogramRanks(self.buckets)
 
     def median(self) -> float:
         """Median with a geometric midpoint for even same-sign middles."""
         if self.count == 0:
             raise ValueError("median of empty distribution")
+        return self._median(self._ranked())
+
+    def _median(self, ranked) -> float:
         n = self.count
         if n % 2 == 1:
-            return self.order_statistic(n // 2 + 1)
-        a = self.order_statistic(n // 2)
-        b = self.order_statistic(n // 2 + 1)
-        return _middle(a, b)
+            return ranked[n // 2]
+        return _middle(ranked[n // 2 - 1], ranked[n // 2])
 
     def quantile(self, q: float) -> float:
         """Order statistic at fraction q, interpolating between ranks."""
@@ -240,13 +239,16 @@ class Distribution:
             raise ValueError("quantile fraction must be in [0, 1]")
         if self.count == 0:
             raise ValueError("quantile of empty distribution")
+        return self._quantile(q, self._ranked())
+
+    def _quantile(self, q: float, ranked) -> float:
         pos = 1 + q * (self.count - 1)
         lo_rank = math.floor(pos)
         hi_rank = math.ceil(pos)
-        lo = self.order_statistic(lo_rank)
+        lo = ranked[lo_rank - 1]
         if hi_rank == lo_rank:
             return lo
-        hi = self.order_statistic(hi_rank)
+        hi = ranked[hi_rank - 1]
         frac = pos - lo_rank
         if lo > 0 and hi > 0:
             return lo * (hi / lo) ** frac
@@ -258,11 +260,12 @@ class Distribution:
         """Summary fields used by query answers and exports."""
         if self.count == 0:
             raise ValueError("stats of empty distribution")
+        ranked = self._ranked()
         return {
-            "median": self.median(),
+            "median": self._median(ranked),
             "mean": self.mean(),
-            "p5": self.quantile(0.05),
-            "p95": self.quantile(0.95),
+            "p5": self._quantile(0.05, ranked),
+            "p95": self._quantile(0.95, ranked),
             "min": self.minimum,
             "max": self.maximum,
             "count": self.count,
@@ -283,6 +286,22 @@ class Distribution:
             else:
                 points.append(((lo + hi) / 2.0, n / (self.count * (hi - lo))))
         return points
+
+
+class _HistogramRanks:
+    """Histogram estimates of the samples in ascending order, indexed like a list."""
+
+    def __init__(self, buckets: Counter):
+        self.buckets = sorted(buckets.items())
+
+    def __getitem__(self, index: int) -> float:
+        rank = index + 1
+        seen = 0
+        for bid, n in self.buckets:
+            if rank <= seen + n:
+                return _bucket_value(bid, rank - seen, n)
+            seen += n
+        raise AssertionError("bucket mass does not cover count")
 
 
 def _middle(a: float, b: float) -> float:

@@ -89,12 +89,12 @@ def load_dataset(path) -> list[ComparisonExample]:
     kept so audits see every pair, but they never enter accuracy.
     """
     examples: list[ComparisonExample] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
             try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
                 example = _parse_example(line, first=lineno == 1)
             except ValueError as exc:
                 raise DatasetFormatError(str(exc), line_number=lineno, path=str(path)) from None

@@ -222,16 +222,19 @@ def read_annotated(path):
         heads.clear()
         return out
 
-    token_line = 0
-    with open(path, encoding="utf-8") as fh:
+    at = token_line = 0  # at: the line an error is reported at
+    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
         try:
             for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
+                at = lineno
+                line = raw.decode("utf-8")
+                if not line.strip():
                     if surfaces:
+                        at = token_line
                         yield sentence()
                     continue
                 token_line = lineno
-                parts = raw.rstrip("\n").split("\t")
+                parts = line.rstrip("\r\n").split("\t")
                 if len(parts) != 4:
                     raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
                 idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
@@ -246,6 +249,7 @@ def read_annotated(path):
                 tags.append(pos)
                 heads.append(None if head_s in ("-", "_", "") else int(head_s))
             if surfaces:
+                at = token_line
                 yield sentence()
         except ValueError as exc:
-            raise AnnotationFormatError(str(exc), line_number=token_line, path=str(path)) from None
+            raise AnnotationFormatError(str(exc), line_number=at, path=str(path)) from None

@@ -60,14 +60,23 @@ _HEADER_CONSTANTS = {
     "buckets_per_decade": BUCKETS_PER_DECADE,
     "value_floor": 10.0**-DECADES_BELOW,
 }
+_HEADER_KEYS = {key for key, _, _ in _HEADER_FIELDS} | _HEADER_CONSTANTS.keys() | {"entries"}
 
 
 class QuantTable:
-    """Entries keyed by (ObjectKey, Dimension), each holding a Distribution."""
+    """Entries keyed by (ObjectKey, Dimension), each holding a Distribution.
+
+    ``heads_for`` answers from an index of the headed entries that it
+    builds one (pos, dimension) slice at a time, on first use. The index
+    holds the entries' own Distributions, so observing into an existing
+    entry keeps it current; adding a key through ``observe`` clears it.
+    """
 
     def __init__(self, config: BuildConfig | None = None):
         self.config = config or BuildConfig()
         self.entries: dict[tuple[ObjectKey, Dimension], Distribution] = {}
+        # (pos, dimension) -> modifier surface -> head -> entry
+        self._heads: dict[tuple[Pos, Dimension], dict[str, dict[str, Distribution]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -85,6 +94,7 @@ class QuantTable:
         if entry is None:
             entry = Distribution(exact_cap=self.config.exact_cap)
             self.entries[(key, dimension)] = entry
+            self._heads.clear()
         entry.observe(value_std)
 
     def observe(self, record: CooccurrenceRecord) -> None:
@@ -173,17 +183,18 @@ class QuantTable:
         return self.entries.get((key, dimension))
 
     def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
-        """All head-specific distributions for one modifier surface."""
-        out = {}
-        for (key, dim), dist in self.entries.items():
-            if (
-                dim is dimension
-                and key.head is not None
-                and key.surface == surface
-                and key.pos is pos
-            ):
-                out[key.head] = dist
-        return out
+        """All head-specific distributions for one modifier surface, as a new dict.
+
+        The first call for a (pos, dimension) indexes that pair's headed
+        entries in one pass; later calls are lookups.
+        """
+        index = self._heads.get((pos, dimension))
+        if index is None:
+            index = self._heads[(pos, dimension)] = {}
+            for (key, dim), dist in self.entries.items():
+                if dim is dimension and key.pos is pos and key.head is not None:
+                    index.setdefault(key.surface, {})[key.head] = dist
+        return dict(index.get(surface, ()))
 
     # ------------------------------------------------------------------
     # serialization
@@ -282,6 +293,9 @@ def _parse_header(line: str) -> tuple[BuildConfig, int]:
     header = json.loads(line)
     if not isinstance(header, dict):
         raise ValueError("not a JSON object")
+    unknown = header.keys() - _HEADER_KEYS
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     for key, value in _HEADER_CONSTANTS.items():
         found = header.get(key)
         if type(found) is not type(value) or found != value:
@@ -294,20 +308,20 @@ def _parse_header(line: str) -> tuple[BuildConfig, int]:
 
 def read_table(path) -> QuantTable:
     """Parse a table file; malformed or truncated input raises TableFormatError."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
         header_line = fh.readline()
         if not header_line.strip():
             raise TableFormatError("missing header", path=str(path))
         try:
-            config, expected_entries = _parse_header(header_line)
+            config, expected_entries = _parse_header(header_line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise TableFormatError(f"bad header ({exc})", line_number=1, path=str(path)) from None
         table = QuantTable(config)
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line:
+                    continue
                 key, dist = _parse_entry(line, config.exact_cap)
             except (ValueError, OverflowError) as exc:
                 raise TableFormatError(

@@ -152,19 +152,20 @@ class UnitRegistry:
         return unit
 
 
-def _parse_rows(text: str, path: str, width: int, parse_row) -> list:
+def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list:
     """``parse_row(*fields)`` for each non-comment line of ``width`` tab-separated fields.
 
-    ``parse_row`` raises ValueError or LexiconError; either becomes a
+    Lines are decoded as UTF-8 one by one. A line that is not UTF-8, or
+    on which ``parse_row`` raises ValueError or LexiconError, becomes a
     LexiconError naming the file and line.
     """
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
+            line = raw.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [f.strip() for f in line.split("\t")]
             if len(fields) != width:
                 raise ValueError(f"expected {width} tab-separated columns, got {len(fields)}")
             out.append(parse_row(*fields))
@@ -205,30 +206,27 @@ def _unit_row(rates, alias_field, dim_field, scale_field, offset_field, marker_f
     )
 
 
+def _lexicon_bytes(path, packaged: str) -> tuple[bytes, str]:
+    """A lexicon file's bytes with every line ending made ``\\n``, and its name for errors."""
+    if path is None:
+        data = resources.files("quantdist.data").joinpath(packaged).read_bytes()
+        name = packaged
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        name = str(path)
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"), name
+
+
 def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
     """Build a registry from lexicon files, defaulting to the shipped ones.
 
     The registry version is a digest of the file contents, so tables built
     against different lexicons refuse to merge.
     """
-    if units_path is None:
-        units_text = resources.files("quantdist.data").joinpath("units.tsv").read_text("utf-8")
-        units_name = "units.tsv"
-    else:
-        with open(units_path, encoding="utf-8") as fh:
-            units_text = fh.read()
-        units_name = str(units_path)
-    if rates_path is None:
-        rates_text = resources.files("quantdist.data").joinpath("currency.tsv").read_text("utf-8")
-        rates_name = "currency.tsv"
-    else:
-        with open(rates_path, encoding="utf-8") as fh:
-            rates_text = fh.read()
-        rates_name = str(rates_path)
-
-    rates = dict(_parse_rows(rates_text, rates_name, 2, _rate_row))
-    units = _parse_rows(units_text, units_name, 5, lambda *row: _unit_row(rates, *row))
-    digest = hashlib.sha256(
-        units_text.encode("utf-8") + b"\x00" + rates_text.encode("utf-8")
-    ).hexdigest()[:12]
+    units_data, units_name = _lexicon_bytes(units_path, "units.tsv")
+    rates_data, rates_name = _lexicon_bytes(rates_path, "currency.tsv")
+    rates = dict(_parse_rows(rates_data, rates_name, 2, _rate_row))
+    units = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, *row))
+    digest = hashlib.sha256(units_data + b"\x00" + rates_data).hexdigest()[:12]
     return UnitRegistry(units, version=digest)

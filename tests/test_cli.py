@@ -4,13 +4,15 @@ import dataclasses
 import random
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
 from quantdist.cli import main
 from quantdist.evaluation import detect_leakage, load_dataset
-from quantdist.pipeline import ExtractionConfig
+from quantdist.pipeline import ExtractionConfig, read_annotated
 from quantdist.table import BuildConfig, QuantTable, read_table
+from quantdist.units import load_registry
 
 
 @pytest.fixture()
@@ -98,6 +100,67 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["merge", *tables, "-o", str(tmp_path / "m.tsv")]) == 2
     err = capsys.readouterr().err
     assert all(t in err for t in tables) and "overflow" in err and "Traceback" not in err
+
+
+def _with_bad_byte(data: bytes, line: int) -> bytes:
+    """``data`` with a byte that is never UTF-8 at the start of its ``line``-th line."""
+    lines = data.split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    return b"\n".join(lines)
+
+
+def test_bytes_that_are_not_utf8_exit_2_at_their_line(tmp_path, corpus, capsys):
+    """Every reader decodes one line at a time, so a bad byte is a data error at its line."""
+    table = build_table(tmp_path, corpus)
+    records = (tmp_path / "records.tsv").read_bytes()
+    header, body = records.split(b"\n", 1)
+    long_stream = header + b"\n" + body * 200  # past the first read-ahead chunk
+    conll = b"0\tThe\tOTHER\t1\n1\tcar\tNOUN\t-\n\n" * 300
+    pairs = b"car\tcat\tmass\t>\n" * 1000
+    out = str(tmp_path / "out.tsv")
+    bad = tmp_path / "bad.tsv"
+    query = ["query", "--table", str(bad), "--object", "car", "--dim", "speed"]
+    units = b"# units\nkg\tMASS\t1\t0\t0\n"
+    cases = [
+        (table.read_bytes(), 1, query),
+        (table.read_bytes(), 3, query),
+        (records, 1, ["aggregate", str(bad), "-o", out]),
+        (long_stream, long_stream.count(b"\n") - 1, ["aggregate", str(bad), "-o", out]),
+        (conll, 800, ["extract", "--annotated", str(bad), "-o", out]),
+        (pairs, 900, ["eval", str(bad), "--table", str(table)]),
+        (units, 2, ["extract", "--units", str(bad), str(corpus), "-o", out]),
+        (b"USD\t1\nEUR\t1.1\n", 2, ["extract", "--rates", str(bad), str(corpus), "-o", out]),
+    ]
+    for data, line, argv in cases:
+        bad.write_bytes(_with_bad_byte(data, line))
+        assert main(argv) == 2, (argv, line)
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: " in err and "utf-8" in err and "Traceback" not in err, argv
+
+
+def test_crlf_line_ends_read_like_lf(tmp_path, corpus):
+    """Inputs with CRLF line ends give the same tables, answers and registry version."""
+    table = build_table(tmp_path, corpus)
+    crlf = tmp_path / "crlf.tsv"
+
+    def as_crlf(path):
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        return crlf
+
+    assert read_table(as_crlf(table)) == read_table(table)
+    lf_out, crlf_out = tmp_path / "lf_out.tsv", tmp_path / "crlf_out.tsv"
+    assert main(["aggregate", str(tmp_path / "records.tsv"), "-o", str(lf_out)]) == 0
+    assert main(["aggregate", str(as_crlf(tmp_path / "records.tsv")), "-o", str(crlf_out)]) == 0
+    assert lf_out.read_bytes() == crlf_out.read_bytes()
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("object1\tobject2\tdimension\tlabel\ncar\tcat\tmass\t>\n", "utf-8")
+    assert load_dataset(as_crlf(pairs)) == load_dataset(pairs)
+    conll = tmp_path / "annotated.tsv"
+    conll.write_text("0\tThe\tOTHER\t1\n1\tcar\tNOUN\t-\n\n0\tIt\tOTHER\t-\n", "utf-8")
+    assert list(read_annotated(as_crlf(conll))) == list(read_annotated(conll))
+    units = resources.files("quantdist.data").joinpath("units.tsv")
+    crlf.write_bytes(units.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_registry(units_path=crlf).version == load_registry().version
 
 
 def test_missing_object_exits_2(tmp_path, corpus, capsys):

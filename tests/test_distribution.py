@@ -247,6 +247,13 @@ def test_stats_payload():
     assert s["min"] == 1.0 and s["max"] == 100.0
     assert s["median"] == 10.0
     assert s["p5"] <= s["median"] <= s["p95"]
+    values = [30.0, 2.0, 7.5, 2.0, 1e4, 0.5]
+    for cap in (4096, 0):  # kept samples, then the histogram
+        d = build(values, cap=cap)
+        s = d.stats()
+        assert s["median"] == d.median()
+        assert (s["p5"], s["p95"]) == (d.quantile(0.05), d.quantile(0.95))
+        assert d.exact == (values if cap else None)  # stats never reorder kept samples
 
 
 def test_canonical_partials_zero_sum():

@@ -247,6 +247,7 @@ def test_bad_header_rejected(tmp_path, capsys):
         ("registry", None),
         ("buckets_per_decade", 5),  # bucketing is fixed in kernels
         ("value_floor", 1e-9),
+        ("max_phrase_len", 1),  # a key no build setting writes
     ]
     bad_headers = ["[1]", "[" * 100_000 + "]" * 100_000]  # not a JSON object
     for field, value in bad_values:
@@ -346,6 +347,64 @@ def test_heads_for():
     heads = t.heads_for("fast", Pos.ADJ, Dimension.SPEED)
     assert set(heads) == {"car", "truck"}
     assert heads["car"].count == 1
+
+
+def scanned_heads(table, surface, pos, dimension):
+    """Reference for ``heads_for``: one pass over every entry."""
+    return {
+        key.head: dist
+        for (key, dim), dist in table.entries.items()
+        if dim is dimension and key.pos is pos and key.surface == surface and key.head
+    }
+
+
+def assert_heads_match_scan(table):
+    surfaces = {key.surface for key, _ in table.entries} | {"absent"}
+    for surface in surfaces:
+        for pos in Pos:
+            for dimension in (Dimension.MASS, Dimension.SPEED, Dimension.LENGTH):
+                got = table.heads_for(surface, pos, dimension)
+                want = scanned_heads(table, surface, pos, dimension)
+                assert got == want, (surface, pos, dimension)
+                assert all(got[head] is want[head] for head in want)
+
+
+_INDEX_RECORDS = st.lists(
+    st.builds(
+        record,
+        st.sampled_from(["fast", "heavy", "car", "race car", "drive"]),
+        st.sampled_from([Dimension.MASS, Dimension.SPEED, Dimension.LENGTH]),
+        st.sampled_from([1.0, 2.5, 40.0, 1e4]),
+        pos=st.sampled_from([Pos.ADJ, Pos.NOUN, Pos.VERB, Pos.UNKNOWN]),
+        head=st.sampled_from([None, "car", "truck", "road"]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_INDEX_RECORDS, _INDEX_RECORDS)
+def test_heads_for_matches_a_scan(first, later):
+    """The head index answers like a scan, before and after new keys, and on derived tables."""
+    table = build(first)
+    assert_heads_match_scan(table)
+    for pos in (Pos.ADJ, Pos.NOUN):
+        heads = table.heads_for("fast", pos, Dimension.SPEED)
+        heads.clear()  # callers get a copy
+        heads["car"] = Distribution()
+    assert_heads_match_scan(table)
+    table.observe_all(later)  # new heads and surfaces after the index is built
+    assert_heads_match_scan(table)
+    other = build(later)
+    other.heads_for("fast", Pos.ADJ, Dimension.SPEED)
+    merged = table.merge(other)
+    assert_heads_match_scan(merged)
+    final = merged.finalize(2)
+    assert_heads_match_scan(final)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tsv")
+        final.write(path)
+        assert_heads_match_scan(read_table(path))
 
 
 def test_export_points_density():
