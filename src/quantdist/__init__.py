@@ -2,8 +2,8 @@
 
 from .distribution import Distribution
 from .errors import (
-    AnnotationFormatError,
     ConfigMismatchError,
+    CorpusFormatError,
     DatasetFormatError,
     DimensionMismatchError,
     LexiconError,
@@ -38,6 +38,7 @@ from .pipeline import (
     Pos,
     extract_records,
     read_annotated,
+    read_plain,
     split_sentences,
 )
 from .table import BuildConfig, QuantTable, read_table
@@ -47,13 +48,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedSentence",
-    "AnnotationFormatError",
     "BuildConfig",
     "CompareConfig",
     "ComparisonExample",
     "ComparisonLabel",
     "ConfigMismatchError",
     "CooccurrenceRecord",
+    "CorpusFormatError",
     "DatasetFormatError",
     "Dimension",
     "DimensionMismatchError",
@@ -82,6 +83,7 @@ __all__ = [
     "make_clean_split",
     "query_distribution",
     "read_annotated",
+    "read_plain",
     "read_table",
     "relax_hour_window",
     "relax_to_decade",

@@ -34,19 +34,19 @@ from .inference import (
     relax_to_decade,
 )
 from .pipeline import (
-    AnnotatedSentence,
     CooccurrenceRecord,
     ExtractionConfig,
     ObjectKey,
     Pos,
     read_annotated,
-    split_sentences,
+    read_plain,
 )
 from .pipeline import extract_records as _extract_records
-from .table import BuildConfig, QuantTable, read_table
+from .table import BuildConfig, QuantTable, parse_key, read_table
 from .units import Dimension, Quantity, load_registry
 
 RECORD_FORMAT = "quantrecords/1"
+_STREAM_FIELDS = ("registry", "distance", "min_phrase_count")
 
 
 class _UsageError(Exception):
@@ -86,6 +86,12 @@ def _dimension(raw: str) -> Dimension:
     return dimension
 
 
+def _name(raw: str) -> str:
+    if not raw.strip():
+        raise argparse.ArgumentTypeError("must be a nonempty name")
+    return raw
+
+
 def _distance(raw: str):
     return None if raw == "sentence" else int(raw)
 
@@ -108,7 +114,7 @@ def _add_registry_flags(p) -> None:
 
 
 def _add_key_flags(p) -> None:
-    p.add_argument("--object", required=True, help="object surface form")
+    p.add_argument("--object", required=True, type=_name, help="object surface form")
     p.add_argument("--dim", required=True, type=_dimension, help="measurement dimension")
     p.add_argument("--pos", choices=[x.name.lower() for x in Pos], default=None)
     p.add_argument("--head", default=None, help="restrict to one syntactic head")
@@ -130,17 +136,8 @@ def _object_key(args) -> ObjectKey:
 
 
 def _record_line(record: CooccurrenceRecord) -> str:
-    key = record.object
-    return "\t".join(
-        (
-            key.surface,
-            key.head or "",
-            key.pos.name,
-            record.quantity.dimension.name,
-            repr(record.quantity.value_std),
-            str(record.token_distance),
-        )
-    )
+    (surface, pos, head), (dimension, value_std), gap = record
+    return f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t{value_std!r}\t{gap}"
 
 
 def _stream_header(registry_version: str, distance, min_phrase_count: int) -> str:
@@ -155,9 +152,14 @@ def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
     """The BuildConfig a stream's header pins, with aggregate's ``exact_cap``."""
     try:
         fields = fh.readline().decode("utf-8").rstrip("\r\n").split("\t")
-        meta = dict(f.split("=", 1) for f in fields[1:] if "=" in f)
         if fields[0] != f"#{RECORD_FORMAT}":
             raise ValueError(f"missing {RECORD_FORMAT} header")
+        meta = {}
+        for field in fields[1:]:
+            name, eq, value = field.partition("=")
+            if not eq or name not in _STREAM_FIELDS or name in meta:
+                raise ValueError(f"unknown, repeated or malformed field {field!r}")
+            meta[name] = value
         return BuildConfig(
             registry_version=meta["registry"],
             distance=_distance(meta["distance"]),
@@ -170,21 +172,19 @@ def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
         ) from None
 
 
-def _parse_record(line: str) -> CooccurrenceRecord:
-    """One record line; ValueError if malformed."""
+def _parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
+    """One record line; ValueError if malformed or its gap is outside ``distance``."""
     parts = line.split("\t")
     if len(parts) != 6:
         raise ValueError(f"expected 6 columns, got {len(parts)}")
-    surface, head, pos_s, dim_s, value_s, gap_s = parts
-    try:
-        key = ObjectKey(surface, Pos[pos_s], head or None)
-        dim = Dimension[dim_s]
-    except KeyError as exc:
-        raise ValueError(f"unknown tag {exc}") from None
-    value = float(value_s)
+    surface, pos, head, dimension = parse_key(*parts[:4])
+    value = float(parts[4])
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {value_s!r}")
-    return CooccurrenceRecord(key, Quantity(dim, value), int(gap_s))
+        raise ValueError(f"non-finite value {parts[4]!r}")
+    gap = int(parts[5])
+    if gap < 0 or (distance is not None and gap >= distance):
+        raise ValueError(f"token gap {gap} outside the extraction window")
+    return CooccurrenceRecord(ObjectKey(surface, pos, head), Quantity(dimension, value), gap)
 
 
 # ------------------------------------------------------------ subcommands
@@ -197,10 +197,7 @@ def _cmd_extract(args) -> int:
     try:
         print(_stream_header(registry.version, args.distance, args.min_phrase_count), file=out)
         for path in args.inputs:
-            if args.annotated:
-                sentences = read_annotated(path)
-            else:
-                sentences = _plain_sentences(path)
+            sentences = read_annotated(path) if args.annotated else read_plain(path)
             for sentence in sentences:
                 for record in _extract_records(sentence, config, registry):
                     print(_record_line(record), file=out)
@@ -208,16 +205,6 @@ def _cmd_extract(args) -> int:
         if out is not sys.stdout:
             out.close()
     return 0
-
-
-def _plain_sentences(path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            for text in split_sentences(line):
-                yield AnnotatedSentence.from_plain(text)
 
 
 def _cmd_aggregate(args) -> int:
@@ -238,7 +225,7 @@ def _cmd_aggregate(args) -> int:
                     line = raw.decode("utf-8").rstrip("\r\n")
                     if not line:
                         continue
-                    table.observe(_parse_record(line))
+                    table.observe(_parse_record(line, config.distance))
                 except (ValueError, OverflowError) as exc:
                     raise RecordFormatError(str(exc), line_number=lineno, path=str(path)) from None
     table.write(args.output)
@@ -473,8 +460,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare", help="order two objects or two modifiers")
     p.add_argument("--table", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--noun", nargs=2, metavar=("OBJ1", "OBJ2"))
-    group.add_argument("--adj", nargs=2, metavar=("ADJ1", "ADJ2"))
+    group.add_argument("--noun", nargs=2, type=_name, metavar=("OBJ1", "OBJ2"))
+    group.add_argument("--adj", nargs=2, type=_name, metavar=("ADJ1", "ADJ2"))
     p.add_argument("--dim", required=True, type=_dimension)
     p.add_argument("--tau", type=_tau, default=1.1, help="equality ratio (default 1.1)")
     p.add_argument("--min-count", type=_positive_int, default=1)

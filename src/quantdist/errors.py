@@ -27,8 +27,8 @@ class LexiconError(LocatedInputError):
     """Raised when a unit lexicon or currency rate file is malformed."""
 
 
-class AnnotationFormatError(LocatedInputError):
-    """Raised on malformed annotated-corpus input; carries the line number."""
+class CorpusFormatError(LocatedInputError):
+    """Raised on malformed plain or annotated corpus input; carries the line number."""
 
 
 class TableFormatError(LocatedInputError):

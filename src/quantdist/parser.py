@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .units import Dimension, Quantity, UnitRegistry
 
@@ -72,18 +72,13 @@ def _clock_parts(token: str) -> tuple[int, int, str | None] | None:
     return int(m.group(1)), minutes, m.group(2)
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """One measurement found in a token stream.
 
-    ``value`` is the raw number with magnitude words folded in;
-    ``quantity`` is the standard-unit normalization. The token span is
-    end-exclusive.
+    ``quantity`` is the standard-unit normalization, with magnitude words
+    folded in. The token span is end-exclusive.
     """
 
-    value: float
-    surface: str
-    unit_surface: str
     quantity: Quantity
     start: int
     end: int
@@ -101,7 +96,6 @@ def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Men
 
 class _Scanner:
     def __init__(self, tokens: Sequence[str], registry: UnitRegistry):
-        self.tokens = tokens
         self.low = [t.lower() for t in tokens]
         self.registry = registry
         self.n = len(tokens)
@@ -124,15 +118,8 @@ class _Scanner:
                 i += 1
         return mentions
 
-    def _make(self, value, unit, start, end, unit_surface) -> Mention:
-        return Mention(
-            value=value,
-            surface=" ".join(self.tokens[start:end]),
-            unit_surface=unit_surface,
-            quantity=self.registry.normalize(value, unit),
-            start=start,
-            end=end,
-        )
+    def _make(self, value, unit, start, end) -> Mention:
+        return Mention(self.registry.normalize(value, unit), start, end)
 
     def _match_unit(self, j: int, marker_present: bool):
         """Longest-first unit lookup starting at token j."""
@@ -142,7 +129,7 @@ class _Scanner:
             surface = " ".join(self.low[j : j + width])
             unit = self.registry.lookup_unit(surface, marker_present)
             if unit is not None:
-                return unit, width, " ".join(self.tokens[j : j + width])
+                return unit, width
         return None
 
     def _magnitude(self, j: int) -> tuple[float, int]:
@@ -171,7 +158,7 @@ class _Scanner:
         else:
             return None  # bare or dotted numbers need am/pm to be clock times
         unit = self.registry.time_unit()
-        return [self._make(value, unit, i, end, unit.name)]
+        return [self._make(value, unit, i, end)]
 
     def _clock_range(self, i: int):
         """CLOCK sep CLOCK am/pm, the meridiem covering both endpoints."""
@@ -190,7 +177,7 @@ class _Scanner:
             if not 1 <= hour <= 12:
                 return None
             value = hour % 12 + offset + minutes / 60.0
-            mentions.append(self._make(value, unit, start, end, unit.name))
+            mentions.append(self._make(value, unit, start, end))
         return mentions
 
     def _range(self, i: int):
@@ -205,10 +192,10 @@ class _Scanner:
         hit = self._match_unit(j, marker)
         if hit is None:
             return None
-        unit, width, unit_surface = hit
+        unit, width = hit
         return [
-            self._make(v1 * mag, unit, i, i + 1, unit_surface),
-            self._make(v2 * mag, unit, i + 2, j + width, unit_surface),
+            self._make(v1 * mag, unit, i, i + 1),
+            self._make(v2 * mag, unit, i + 2, j + width),
         ]
 
     def _currency_prefix(self, i: int):
@@ -219,7 +206,7 @@ class _Scanner:
         if value is None:
             return None
         mag, end = self._magnitude(i + 2)
-        return [self._make(value * mag, unit, i, end, self.tokens[i])]
+        return [self._make(value * mag, unit, i, end)]
 
     def _number_unit(self, i: int):
         value = parse_number(self.low[i])
@@ -230,5 +217,5 @@ class _Scanner:
         hit = self._match_unit(j, marker)
         if hit is None:
             return None
-        unit, width, unit_surface = hit
-        return [self._make(value * mag, unit, i, j + width, unit_surface)]
+        unit, width = hit
+        return [self._make(value * mag, unit, i, j + width)]

@@ -15,8 +15,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
-from .errors import AnnotationFormatError
+from .errors import CorpusFormatError
 from .parser import scan_measurements, tokenize
 from .units import Quantity, UnitRegistry
 
@@ -64,26 +65,15 @@ class AnnotatedSentence:
         return cls(surfaces, (Pos.UNKNOWN,) * n, (None,) * n)
 
 
-@dataclass(frozen=True)
-class ObjectKey:
+class ObjectKey(NamedTuple):
     """What a measurement is attributed to: token or phrase, plus head."""
 
     surface: str
     pos: Pos = Pos.UNKNOWN
     head: str | None = None
 
-    def __post_init__(self):
-        if not self.surface:
-            raise ValueError("ObjectKey surface must be nonempty")
 
-    def without_head(self) -> "ObjectKey":
-        if self.head is None:
-            return self
-        return ObjectKey(self.surface, self.pos, None)
-
-
-@dataclass(frozen=True)
-class CooccurrenceRecord:
+class CooccurrenceRecord(NamedTuple):
     object: ObjectKey
     quantity: Quantity
     token_distance: int  # token gap; 0 means the spans are adjacent
@@ -190,10 +180,26 @@ def extract_records(
             gap = mention.start - end if end <= mention.start else start - mention.end
             if config.max_distance is not None and gap >= config.max_distance:
                 continue
-            records.append(
-                CooccurrenceRecord(object=key, quantity=mention.quantity, token_distance=gap)
-            )
+            records.append(CooccurrenceRecord(key, mention.quantity, gap))
     return records
+
+
+def read_plain(path):
+    """Yield the sentences of a plain-text file whose lines are paragraphs.
+
+    Lines are decoded as UTF-8 one by one; a line that is not UTF-8
+    raises CorpusFormatError with its line number. A lone ``\\r`` also
+    ends a paragraph.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except ValueError as exc:
+                raise CorpusFormatError(str(exc), line_number=lineno, path=str(path)) from None
+            for paragraph in line.split("\r"):
+                for text in split_sentences(paragraph.strip()):
+                    yield AnnotatedSentence.from_plain(text)
 
 
 _POS_BY_NAME = {p.name: p for p in Pos}
@@ -204,7 +210,7 @@ def read_annotated(path):
 
     Format: one token per line as `index<TAB>surface<TAB>pos<TAB>head_index`,
     blank line between sentences; head_index is `-` for none. Malformed
-    lines raise AnnotationFormatError with their line number; a bad head
+    lines raise CorpusFormatError with their line number; a bad head
     index is reported at the last line of its sentence.
     """
     surfaces: list[str] = []
@@ -252,4 +258,4 @@ def read_annotated(path):
                 at = token_line
                 yield sentence()
         except ValueError as exc:
-            raise AnnotationFormatError(str(exc), line_number=at, path=str(path)) from None
+            raise CorpusFormatError(str(exc), line_number=at, path=str(path)) from None

@@ -63,8 +63,21 @@ _HEADER_CONSTANTS = {
 _HEADER_KEYS = {key for key, _, _ in _HEADER_FIELDS} | _HEADER_CONSTANTS.keys() | {"entries"}
 
 
+def parse_key(surface: str, head: str, pos: str, dimension: str):
+    """The entry key ``(surface, pos, head, dimension)`` named by four text columns.
+
+    An empty head is none. ValueError for an empty surface or an unknown tag.
+    """
+    if not surface:
+        raise ValueError("empty object surface")
+    try:
+        return surface, Pos[pos], head or None, Dimension[dimension]
+    except KeyError as exc:
+        raise ValueError(f"unknown tag {exc}") from None
+
+
 class QuantTable:
-    """Entries keyed by (ObjectKey, Dimension), each holding a Distribution.
+    """Entries keyed by ``(surface, pos, head, dimension)``, each holding a Distribution.
 
     ``heads_for`` answers from an index of the headed entries that it
     builds one (pos, dimension) slice at a time, on first use. The index
@@ -74,7 +87,7 @@ class QuantTable:
 
     def __init__(self, config: BuildConfig | None = None):
         self.config = config or BuildConfig()
-        self.entries: dict[tuple[ObjectKey, Dimension], Distribution] = {}
+        self.entries: dict[tuple[str, Pos, str | None, Dimension], Distribution] = {}
         # (pos, dimension) -> modifier surface -> head -> entry
         self._heads: dict[tuple[Pos, Dimension], dict[str, dict[str, Distribution]]] = {}
 
@@ -89,11 +102,10 @@ class QuantTable:
     # ------------------------------------------------------------------
     # building
 
-    def _bump(self, key: ObjectKey, dimension: Dimension, value_std: float) -> None:
-        entry = self.entries.get((key, dimension))
+    def _bump(self, key: tuple, value_std: float) -> None:
+        entry = self.entries.get(key)
         if entry is None:
-            entry = Distribution(exact_cap=self.config.exact_cap)
-            self.entries[(key, dimension)] = entry
+            entry = self.entries[key] = Distribution(exact_cap=self.config.exact_cap)
             self._heads.clear()
         entry.observe(value_std)
 
@@ -101,15 +113,18 @@ class QuantTable:
         """Credit a record under its full key and its head-erased key.
 
         The second write makes head-free queries a plain lookup instead of
-        a scan over every head. Records without a head write once.
+        a scan over every head. Records without a head write once. A record
+        with an empty surface or an empty head (a head is a word or None)
+        raises ValueError: the table format could not tell it apart.
         """
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
-        key = record.object
-        dimension = record.quantity.dimension
-        self._bump(key, dimension, record.quantity.value_std)
-        if key.head is not None:
-            self._bump(key.without_head(), dimension, record.quantity.value_std)
+        (surface, pos, head), (dimension, value_std), _ = record
+        if not surface or head == "":
+            raise ValueError("empty object surface or head")
+        self._bump((surface, pos, head, dimension), value_std)
+        if head is not None:
+            self._bump((surface, pos, None, dimension), value_std)
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -170,9 +185,9 @@ class QuantTable:
         }
         return out
 
-    def _keeps(self, key: tuple[ObjectKey, Dimension], dist: Distribution, min_count: int) -> bool:
+    def _keeps(self, key: tuple, dist: Distribution, min_count: int) -> bool:
         """Whether an entry meets the count threshold of a finalized table."""
-        if " " in key[0].surface:
+        if " " in key[0]:
             min_count = max(min_count, self.config.min_phrase_count)
         return dist.count >= min_count
 
@@ -180,7 +195,7 @@ class QuantTable:
     # lookup
 
     def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
-        return self.entries.get((key, dimension))
+        return self.entries.get((*key, dimension))
 
     def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
@@ -191,9 +206,9 @@ class QuantTable:
         index = self._heads.get((pos, dimension))
         if index is None:
             index = self._heads[(pos, dimension)] = {}
-            for (key, dim), dist in self.entries.items():
-                if dim is dimension and key.pos is pos and key.head is not None:
-                    index.setdefault(key.surface, {})[key.head] = dist
+            for (modifier, p, head, dim), dist in self.entries.items():
+                if dim is dimension and p is pos and head is not None:
+                    index.setdefault(modifier, {})[head] = dist
         return dict(index.get(surface, ()))
 
     # ------------------------------------------------------------------
@@ -203,14 +218,9 @@ class QuantTable:
         header = {key: getattr(self.config, field) for key, field, _ in _HEADER_FIELDS}
         header.update(_HEADER_CONSTANTS, entries=len(self.entries))
         lines = [json.dumps(header, sort_keys=True)]
-        for (key, dimension), dist in sorted(
+        for (surface, pos, head, dimension), dist in sorted(
             self.entries.items(),
-            key=lambda kv: (
-                kv[0][1].name,
-                kv[0][0].pos.name,
-                kv[0][0].surface,
-                kv[0][0].head or "",
-            ),
+            key=lambda kv: (kv[0][3].name, kv[0][1].name, kv[0][0], kv[0][2] or ""),
         ):
             buckets = " ".join(
                 f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets)
@@ -225,9 +235,9 @@ class QuantTable:
             lines.append(
                 "\t".join(
                     (
-                        key.surface,
-                        key.head or "",
-                        key.pos.name,
+                        surface,
+                        head or "",
+                        pos.name,
                         dimension.name,
                         str(dist.count),
                         repr(dist.minimum),
@@ -246,16 +256,12 @@ class QuantTable:
 
 
 def _parse_entry(line: str, exact_cap: int):
-    """One entry line as ``((key, dimension), Distribution)``; ValueError if malformed."""
+    """One entry line as ``(key, Distribution)``; ValueError if malformed."""
     parts = line.split("\t")
     if len(parts) != 10:
         raise ValueError(f"expected 10 columns, got {len(parts)}")
-    surface, head, pos_s, dim_s, count_s, min_s, max_s, sum_s, buckets_s, exact_s = parts
-    try:
-        key = ObjectKey(surface, Pos[pos_s], head or None)
-        dimension = Dimension[dim_s]
-    except KeyError as exc:
-        raise ValueError(f"unknown tag {exc}") from None
+    key = parse_key(*parts[:4])
+    count_s, min_s, max_s, sum_s, buckets_s, exact_s = parts[4:]
     floats = [float(min_s), float(max_s), *map(float, sum_s.split(" "))]
     exact = None if exact_s == "-" else list(map(float, exact_s.split(" ")))
     if not all(map(math.isfinite, floats)) or not all(map(math.isfinite, exact or ())):
@@ -275,7 +281,7 @@ def _parse_entry(line: str, exact_cap: int):
         buckets[bid] = int(n_s)
     dist.exact = exact
     dist.validate()
-    return (key, dimension), dist
+    return key, dist
 
 
 def _header_value(header: dict, key: str, types: tuple):

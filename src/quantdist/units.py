@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import DimensionMismatchError, LexiconError
 
@@ -70,8 +71,7 @@ class UnitDef:
         return self.surface_forms[0]
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A measurement normalized into its dimension's standard unit."""
 
     dimension: Dimension

@@ -1,18 +1,28 @@
 """End-to-end tests for the command-line front end."""
 
 import dataclasses
+import os
 import random
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quantdist.cli import main
+from quantdist.cli import _parse_record, _record_line, _stream_header, main
 from quantdist.evaluation import detect_leakage, load_dataset
-from quantdist.pipeline import ExtractionConfig, read_annotated
+from quantdist.pipeline import (
+    CooccurrenceRecord,
+    ExtractionConfig,
+    ObjectKey,
+    Pos,
+    read_annotated,
+    read_plain,
+)
 from quantdist.table import BuildConfig, QuantTable, read_table
-from quantdist.units import load_registry
+from quantdist.units import Dimension, Quantity, load_registry
 
 
 @pytest.fixture()
@@ -55,6 +65,17 @@ def test_usage_errors_exit_1(capsys):
     assert main(["compare", "--table", "x", "--dim", "mass"]) == 1  # no pair
     err = capsys.readouterr().err
     assert "usage:" in err
+    # an empty or all-blank object name is a usage error, not a lookup
+    for name in ("", "  "):
+        for argv in (
+            ["query", "--table", "x", "--object", name, "--dim", "mass"],
+            ["plot-export", "--table", "x", "--object", name, "--dim", "mass"],
+            ["compare", "--table", "x", "--noun", name, "lion", "--dim", "mass"],
+            ["compare", "--table", "x", "--adj", "big", name, "--dim", "mass"],
+        ):
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "nonempty name" in err and "Traceback" not in err, argv
 
 
 def test_help_exits_0(capsys):
@@ -82,10 +103,28 @@ def test_data_errors_exit_2(tmp_path, capsys):
     bad.write_text(header + "\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")  # empty surface
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"{bad}:2: " in capsys.readouterr().err
-    for bad_header in (header.replace("=5", "=0"), header.replace("=sentence", "=0")):
+    bad_headers = (
+        header.replace("=5", "=0"),
+        header.replace("=sentence", "=0"),
+        header.replace("\n", "\tmax_phrase_len=2\n"),  # a setting no stream pins
+        header.replace("\n", "\tsentence\n"),  # a field with no "="
+        header.replace("\n", "\tregistry=r\n"),  # a field given twice
+        header.replace("\tmin_phrase_count=5", ""),  # a field missing
+    )
+    for bad_header in bad_headers:
         bad.write_text(bad_header + "car\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")
-        assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+        assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2, bad_header
         assert f"{bad}:1: bad stream header" in capsys.readouterr().err
+    # a token gap below 0, or at or past the pinned window, is no record extract writes
+    near = header.replace("=sentence", "=3")
+    for stream_header, gap in ((header, -3), (near, 7), (near, 3)):
+        bad.write_text(
+            stream_header + f"car\t\tNOUN\tMASS\t5.0\t2\ncar\t\tNOUN\tMASS\t5.0\t{gap}\n",
+            encoding="utf-8",
+        )
+        assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2, gap
+        err = capsys.readouterr().err
+        assert f"{bad}:3: " in err and "token gap" in err
     # exact sums past the float range, within one stream and across two tables
     stream = tmp_path / "huge.tsv"
     stream.write_text(header + "car\t\tNOUN\tMASS\t1e308\t0\n" * 2, encoding="utf-8")
@@ -100,6 +139,49 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert main(["merge", *tables, "-o", str(tmp_path / "m.tsv")]) == 2
     err = capsys.readouterr().err
     assert all(t in err for t in tables) and "overflow" in err and "Traceback" not in err
+
+
+# names with spaces and non-ASCII characters, but no tab, line break or surrogate
+_NAMES = st.text(
+    st.sampled_from(" aé水") | st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    min_size=1,
+    max_size=12,
+)
+_RECORDS = st.builds(
+    CooccurrenceRecord,
+    st.builds(ObjectKey, _NAMES, st.sampled_from(Pos), st.none() | _NAMES),
+    st.builds(
+        Quantity,
+        st.sampled_from(Dimension),
+        # finite, with -0.0 and subnormals, and no sum of 30 past the float range
+        st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from([-0.0, 5e-324]),
+    ),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_RECORDS, min_size=1, max_size=30))
+def test_record_lines_round_trip(records):
+    """A record reads back from its stream line, and aggregating the stream equals observing."""
+    for record in records:
+        line = _record_line(record)
+        assert _parse_record(line) == record
+        assert _record_line(_parse_record(line)) == line  # keeps the sign of -0.0
+    with tempfile.TemporaryDirectory() as d:
+        stream, part = os.path.join(d, "records.tsv"), os.path.join(d, "part.tsv")
+        with open(stream, "w", encoding="utf-8") as fh:
+            fh.write(_stream_header("r", None, 5) + "\n")
+            fh.writelines(_record_line(record) + "\n" for record in records)
+        assert main(["aggregate", stream, "--exact-cap", "4", "-o", part]) == 0
+        with open(part, "rb") as fh:
+            aggregated = fh.read()
+    table = QuantTable(BuildConfig(registry_version="r", exact_cap=4))
+    table.observe_all(records)
+    assert aggregated == table.serialize().encode("utf-8")
 
 
 def _with_bad_byte(data: bytes, line: int) -> bytes:
@@ -127,6 +209,7 @@ def test_bytes_that_are_not_utf8_exit_2_at_their_line(tmp_path, corpus, capsys):
         (records, 1, ["aggregate", str(bad), "-o", out]),
         (long_stream, long_stream.count(b"\n") - 1, ["aggregate", str(bad), "-o", out]),
         (conll, 800, ["extract", "--annotated", str(bad), "-o", out]),
+        (corpus.read_bytes() * 300, 2000, ["extract", str(bad), "-o", out]),
         (pairs, 900, ["eval", str(bad), "--table", str(table)]),
         (units, 2, ["extract", "--units", str(bad), str(corpus), "-o", out]),
         (b"USD\t1\nEUR\t1.1\n", 2, ["extract", "--rates", str(bad), str(corpus), "-o", out]),
@@ -158,6 +241,10 @@ def test_crlf_line_ends_read_like_lf(tmp_path, corpus):
     conll = tmp_path / "annotated.tsv"
     conll.write_text("0\tThe\tOTHER\t1\n1\tcar\tNOUN\t-\n\n0\tIt\tOTHER\t-\n", "utf-8")
     assert list(read_annotated(as_crlf(conll))) == list(read_annotated(conll))
+    # a plain corpus reads the same with CRLF or lone CR line ends
+    for ends in (b"\r\n", b"\r"):
+        crlf.write_bytes(corpus.read_bytes().replace(b"\n", ends))
+        assert list(read_plain(crlf)) == list(read_plain(corpus))
     units = resources.files("quantdist.data").joinpath("units.tsv")
     crlf.write_bytes(units.read_bytes().replace(b"\n", b"\r\n"))
     assert load_registry(units_path=crlf).version == load_registry().version

@@ -8,7 +8,7 @@ hide a scanner mistake.
 import pytest
 
 from quantdist.parser import Mention, parse_number, scan_measurements, tokenize
-from quantdist.units import Dimension, load_registry
+from quantdist.units import Dimension, Quantity, load_registry
 
 MILE = 1609.344
 HOUR = 3600.0
@@ -88,8 +88,8 @@ def one(mentions):
 def test_volume_sentence(registry):
     m = one(scan_text("The fuel tank holds 225 litres of diesel.", registry))
     assert m.dimension is Dimension.VOLUME
-    assert m.value == 225.0
     assert m.quantity.value_std == pytest.approx(0.225, rel=1e-12)
+    assert (m.start, m.end) == (4, 6)
 
 
 def test_speed_sentence(registry):
@@ -103,7 +103,6 @@ def test_multiword_unit_longest_match(registry):
     assert m.dimension is Dimension.SPEED
     assert m.quantity.value_std == pytest.approx(50 * MILE / HOUR, rel=1e-12)
     assert (m.start, m.end) == (5, 9)
-    assert m.unit_surface == "miles per hour"
 
 
 def test_voltage_sentences(registry):
@@ -119,8 +118,8 @@ def test_currency_symbol_with_separator(registry):
 
 def test_currency_magnitude_word(registry):
     m = one(scan_text("The deal was worth £5 million in total.", registry))
-    assert m.value == 5e6
     assert m.quantity.value_std == pytest.approx(5e6 * 1.30, rel=1e-12)
+    assert (m.start, m.end) == (4, 7)
 
 
 def test_suffix_currency_word(registry):
@@ -196,11 +195,14 @@ def test_attached_unit_after_split(registry):
 
 def test_range_shares_unit(registry):
     got = scan_text("Gusts of 50-60 mph are possible.", registry)
-    assert [m.value for m in got] == [50.0, 60.0]
+    assert [m.quantity.value_std for m in got] == pytest.approx(
+        [50 * MILE / HOUR, 60 * MILE / HOUR], rel=1e-12
+    )
     assert {m.dimension for m in got} == {Dimension.SPEED}
+    assert [(m.start, m.end) for m in got] == [(2, 3), (4, 6)]
     worded = scan_text("Keep it between 30 to 40 km/h in town.", registry)
-    assert [m.value for m in worded] == [30.0, 40.0]
-    assert worded[0].quantity.value_std == pytest.approx(30 / 3.6, rel=1e-12)
+    assert [m.quantity.value_std for m in worded] == pytest.approx([30 / 3.6, 40 / 3.6], rel=1e-12)
+    assert [(m.start, m.end) for m in worded] == [(3, 4), (5, 7)]
 
 
 def test_range_without_unit_yields_nothing(registry):
@@ -215,12 +217,12 @@ def test_negation_does_not_block_scanning(registry):
 
 def test_thousand_suffix_letter(registry):
     m = one(scan_text("The job pays $80k a year.", registry))
-    assert m.value == 80000.0
-    assert m.dimension is Dimension.CURRENCY
+    assert m.quantity == Quantity(Dimension.CURRENCY, 80000.0)
+    assert (m.start, m.end) == (3, 6)
 
 
 def test_mentions_are_value_objects(registry):
     m = one(scan_text("a 24 volt battery", registry))
     assert isinstance(m, Mention)
-    assert m.surface == "24 volt"
-    assert m.unit_surface == "volt"
+    assert m == Mention(Quantity(Dimension.VOLTAGE, 24.0), 1, 3)
+    assert m.dimension is Dimension.VOLTAGE

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quantdist.errors import AnnotationFormatError
+from quantdist.errors import CorpusFormatError
 from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
     AnnotatedSentence,
@@ -20,7 +20,8 @@ from quantdist.pipeline import (
     split_sentences,
     stopwords,
 )
-from quantdist.units import Dimension, load_registry
+from quantdist.table import QuantTable
+from quantdist.units import Dimension, Quantity, load_registry
 
 
 @pytest.fixture(scope="module")
@@ -248,8 +249,12 @@ def test_config_validation():
         ExtractionConfig(max_distance=0)
     with pytest.raises(ValueError):
         ExtractionConfig(max_distance=101)
-    with pytest.raises(ValueError):
-        ObjectKey("")
+    # a hand-built record whose surface or head the table format cannot hold
+    table = QuantTable()
+    for key in (ObjectKey(""), ObjectKey("", Pos.ADJ, "car"), ObjectKey("fast", Pos.ADJ, "")):
+        with pytest.raises(ValueError, match="empty object surface or head"):
+            table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.0), 0))
+    assert len(table) == 0
 
 
 # ----------------------------------------------------------------------
@@ -293,28 +298,28 @@ def test_read_annotated_empty_file(tmp_path):
 
 def test_read_annotated_head_out_of_range(tmp_path):
     path = write_conll(tmp_path, "0\tcar\tNOUN\t7\n")
-    with pytest.raises(AnnotationFormatError) as err:
+    with pytest.raises(CorpusFormatError) as err:
         list(read_annotated(path))
     assert err.value.line_number == 1
 
 
 def test_read_annotated_self_head(tmp_path):
     path = write_conll(tmp_path, "0\tcar\tNOUN\t0\n")
-    with pytest.raises(AnnotationFormatError):
+    with pytest.raises(CorpusFormatError):
         list(read_annotated(path))
 
 
 def test_read_annotated_bad_columns(tmp_path):
     path = write_conll(tmp_path, "0\tcar\n")
-    with pytest.raises(AnnotationFormatError) as err:
+    with pytest.raises(CorpusFormatError) as err:
         list(read_annotated(path))
     assert "columns" in str(err.value)
 
 
 def test_read_annotated_bad_pos_and_index(tmp_path):
-    with pytest.raises(AnnotationFormatError):
+    with pytest.raises(CorpusFormatError):
         list(read_annotated(write_conll(tmp_path, "0\tcar\tNOUNISH\t-\n")))
-    with pytest.raises(AnnotationFormatError):
+    with pytest.raises(CorpusFormatError):
         list(read_annotated(write_conll(tmp_path, "3\tcar\tNOUN\t-\n")))
 
 

@@ -352,14 +352,14 @@ def test_heads_for():
 def scanned_heads(table, surface, pos, dimension):
     """Reference for ``heads_for``: one pass over every entry."""
     return {
-        key.head: dist
-        for (key, dim), dist in table.entries.items()
-        if dim is dimension and key.pos is pos and key.surface == surface and key.head
+        h: dist
+        for (s, p, h, d), dist in table.entries.items()
+        if d is dimension and p is pos and s == surface and h is not None
     }
 
 
 def assert_heads_match_scan(table):
-    surfaces = {key.surface for key, _ in table.entries} | {"absent"}
+    surfaces = {s for s, _, _, _ in table.entries} | {"absent"}
     for surface in surfaces:
         for pos in Pos:
             for dimension in (Dimension.MASS, Dimension.SPEED, Dimension.LENGTH):
