@@ -1,11 +1,18 @@
 """Tokenization and measurement scanning.
 
 The scanner walks a token list left to right and tries, at each position,
-a small ordered set of productions: clock ranges, clock times,
-shared-unit ranges, prefix-currency amounts, then plain number-unit
-pairs. The first production that matches consumes its span; positions
-that match nothing advance by one token. Numbers without a resolvable
-unit are dropped, not guessed at.
+three productions, one per kind of start token:
+
+- a clock token (``7:30``, ``8.30``, ``7``): a clock range sharing one
+  am/pm (``7.30-8.30 am``), or else one clock time (``1.51 pm``, ``19:05``);
+- a currency alias (``$``, ``£``): a prefix amount (``£5 million``);
+- a number: a range sharing one unit (``50-60 mph``), or else a
+  number-unit pair (``225 litres``, ``100 degrees C``).
+
+So every mention starts at a token that begins with a digit or resolves
+to a currency unit. The first production that matches consumes its span;
+positions that match nothing advance by one token. Numbers without a
+resolvable unit are dropped, not guessed at.
 """
 
 from __future__ import annotations
@@ -104,13 +111,7 @@ class _Scanner:
         mentions: list[Mention] = []
         i = 0
         while i < self.n:
-            found = (
-                self._clock_range(i)
-                or self._clock(i)
-                or self._range(i)
-                or self._currency_prefix(i)
-                or self._number_unit(i)
-            )
+            found = self._clock(i) or self._currency_prefix(i) or self._number(i)
             if found:
                 mentions.extend(found)
                 i = found[-1].end
@@ -121,31 +122,37 @@ class _Scanner:
     def _make(self, value, unit, start, end) -> Mention:
         return Mention(self.registry.normalize(value, unit), start, end)
 
-    def _match_unit(self, j: int, marker_present: bool):
-        """Longest-first unit lookup starting at token j."""
-        for width in range(self.registry.max_alias_tokens, 0, -1):
-            if j + width > self.n:
-                continue
-            surface = " ".join(self.low[j : j + width])
-            unit = self.registry.lookup_unit(surface, marker_present)
-            if unit is not None:
-                return unit, width
-        return None
-
     def _magnitude(self, j: int) -> tuple[float, int]:
         if j < self.n and self.low[j] in MAGNITUDES:
             return MAGNITUDES[self.low[j]], j + 1
         return 1.0, j
 
-    def _marker(self, j: int) -> tuple[bool, int]:
-        if j < self.n and self.low[j] in MARKER_WORDS:
-            return True, j + 1
-        return False, j
+    def _unit_after(self, j: int):
+        """(magnitude, unit, end) for ``[magnitude] [marker] unit`` at token j, longest unit first."""
+        mag, j = self._magnitude(j)
+        marker = j < self.n and self.low[j] in MARKER_WORDS
+        j += marker
+        for width in range(min(self.registry.max_alias_tokens, self.n - j), 0, -1):
+            unit = self.registry.lookup_unit(" ".join(self.low[j : j + width]), marker)
+            if unit is not None:
+                return mag, unit, j + width
+        return None
 
     def _clock(self, i: int):
+        """CLOCK sep CLOCK am/pm, the meridiem covering both endpoints, or else one clock time."""
         parts = _clock_parts(self.low[i])
         if parts is None:
             return None
+        if i + 3 < self.n and self.low[i + 1] in RANGE_SEPARATORS and self.low[i + 3] in AMPM:
+            other = _clock_parts(self.low[i + 2])
+            if other is not None:
+                unit = self.registry.time_unit()
+                offset = AMPM[self.low[i + 3]]
+                if 1 <= parts[0] <= 12 and 1 <= other[0] <= 12:
+                    return [
+                        self._make(parts[0] % 12 + offset + parts[1] / 60.0, unit, i, i + 1),
+                        self._make(other[0] % 12 + offset + other[1] / 60.0, unit, i + 2, i + 4),
+                    ]
         hour, minutes, sep = parts
         end = i + 1
         if end < self.n and self.low[end] in AMPM:
@@ -160,44 +167,6 @@ class _Scanner:
         unit = self.registry.time_unit()
         return [self._make(value, unit, i, end)]
 
-    def _clock_range(self, i: int):
-        """CLOCK sep CLOCK am/pm, the meridiem covering both endpoints."""
-        if i + 4 > self.n or self.low[i + 1] not in RANGE_SEPARATORS:
-            return None
-        if self.low[i + 3] not in AMPM:
-            return None
-        endpoints = (_clock_parts(self.low[i]), _clock_parts(self.low[i + 2]))
-        if endpoints[0] is None or endpoints[1] is None:
-            return None
-        offset = AMPM[self.low[i + 3]]
-        spans = ((i, i + 1), (i + 2, i + 4))
-        mentions = []
-        unit = self.registry.time_unit()
-        for (hour, minutes, _), (start, end) in zip(endpoints, spans):
-            if not 1 <= hour <= 12:
-                return None
-            value = hour % 12 + offset + minutes / 60.0
-            mentions.append(self._make(value, unit, start, end))
-        return mentions
-
-    def _range(self, i: int):
-        if i + 3 > self.n or self.low[i + 1] not in RANGE_SEPARATORS:
-            return None
-        v1 = parse_number(self.low[i])
-        v2 = parse_number(self.low[i + 2]) if i + 2 < self.n else None
-        if v1 is None or v2 is None:
-            return None
-        mag, j = self._magnitude(i + 3)
-        marker, j = self._marker(j)
-        hit = self._match_unit(j, marker)
-        if hit is None:
-            return None
-        unit, width = hit
-        return [
-            self._make(v1 * mag, unit, i, i + 1),
-            self._make(v2 * mag, unit, i + 2, j + width),
-        ]
-
     def _currency_prefix(self, i: int):
         unit = self.registry.lookup_unit(self.low[i])
         if unit is None or unit.dimension is not Dimension.CURRENCY or i + 1 >= self.n:
@@ -208,14 +177,20 @@ class _Scanner:
         mag, end = self._magnitude(i + 2)
         return [self._make(value * mag, unit, i, end)]
 
-    def _number_unit(self, i: int):
+    def _number(self, i: int):
+        """NUMBER sep NUMBER [magnitude] [marker] unit, the unit shared by both endpoints,
+        or else NUMBER [magnitude] [marker] unit."""
         value = parse_number(self.low[i])
         if value is None:
             return None
-        mag, j = self._magnitude(i + 1)
-        marker, j = self._marker(j)
-        hit = self._match_unit(j, marker)
+        if i + 2 < self.n and self.low[i + 1] in RANGE_SEPARATORS:
+            high = parse_number(self.low[i + 2])
+            hit = None if high is None else self._unit_after(i + 3)
+            if hit is not None:
+                mag, unit, end = hit
+                return [self._make(value * mag, unit, i, i + 1), self._make(high * mag, unit, i + 2, end)]
+        hit = self._unit_after(i + 1)
         if hit is None:
             return None
-        unit, width = hit
-        return [self._make(value * mag, unit, i, j + width)]
+        mag, unit, end = hit
+        return [self._make(value * mag, unit, i, end)]

@@ -105,16 +105,15 @@ def split_sentences(text: str) -> list[str]:
     out = []
     start = 0
     for m in _BOUNDARY_RE.finditer(text):
-        prev = text[start : m.end(1)]
-        last_word = prev.rsplit(None, 1)[-1] if prev.split() else ""
-        if last_word.rstrip(".").lower() in ABBREVIATIONS:
+        sentence = text[start : m.end(1)].strip()  # ends in the matched punctuation
+        if sentence.rsplit(None, 1)[-1].rstrip(".").lower() in ABBREVIATIONS:
             continue
-        out.append(text[start : m.end(1)].strip())
+        out.append(sentence)
         start = m.end()
     tail = text[start:].strip()
     if tail:
         out.append(tail)
-    return [s for s in out if s]
+    return out
 
 
 def contains_negation(tokens) -> bool:
@@ -136,18 +135,13 @@ def _candidate_objects(sentence: AnnotatedSentence):
             candidates.append((ObjectKey(word, pos, head_word), i, i + 1))
     if Pos.NOUN not in tags:
         return candidates  # plain text never has a noun run
-    # contiguous noun runs become phrases headed by their final noun
-    run_start = None
-    for i in range(len(tags) + 1):
-        is_noun = i < len(tags) and tags[i] is Pos.NOUN
-        if is_noun and run_start is None:
-            run_start = i
-        elif not is_noun and run_start is not None:
-            for s in range(run_start, i):
-                for e in range(s + 2, min(i, s + MAX_PHRASE_LEN) + 1):
-                    surface = " ".join(low[s:e])
-                    candidates.append((ObjectKey(surface, Pos.NOUN, low[e - 1]), s, e))
-            run_start = None
+    # each window of 2..MAX_PHRASE_LEN nouns is a phrase headed by its final noun
+    for s in range(len(tags)):
+        e = s
+        while e < len(tags) and e < s + MAX_PHRASE_LEN and tags[e] is Pos.NOUN:
+            e += 1
+            if e - s > 1:
+                candidates.append((ObjectKey(" ".join(low[s:e]), Pos.NOUN, low[e - 1]), s, e))
     return candidates
 
 
