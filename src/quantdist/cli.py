@@ -74,7 +74,7 @@ def _positive_int(raw: str) -> int:
 
 def _tau(raw: str) -> float:
     value = float(raw)
-    if value < 1.0:
+    if not value >= 1.0:  # written so that NaN fails too
         raise argparse.ArgumentTypeError("must be >= 1.0")
     return value
 
@@ -101,7 +101,7 @@ def _ratios(raw: str) -> tuple[float, float, float]:
         parts = tuple(float(p) for p in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("ratios must be numbers")
-    if len(parts) != 3 or any(p < 0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
+    if len(parts) != 3 or not (all(p >= 0 for p in parts) and abs(sum(parts) - 1.0) <= 1e-9):
         raise argparse.ArgumentTypeError(
             "need three non-negative ratios summing to 1, e.g. 0.8,0.1,0.1"
         )
@@ -160,13 +160,16 @@ def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
             if not eq or name not in _STREAM_FIELDS or name in meta:
                 raise ValueError(f"unknown, repeated or malformed field {field!r}")
             meta[name] = value
+        for name in _STREAM_FIELDS:
+            if name not in meta:
+                raise ValueError(f"missing {name!r}")
         return BuildConfig(
             registry_version=meta["registry"],
             distance=_distance(meta["distance"]),
             min_phrase_count=int(meta["min_phrase_count"]),
             exact_cap=exact_cap,
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise RecordFormatError(
             f"bad stream header: {exc}", line_number=1, path=str(path)
         ) from None

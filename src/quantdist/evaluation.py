@@ -275,7 +275,7 @@ def make_clean_split(
     below its target ratio. Splits therefore share no objects at all,
     which rules out both leakage kinds by construction.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
         raise ValueError("ratios must be three non-negative numbers summing to 1")
     examples = list(examples)
     if not examples:

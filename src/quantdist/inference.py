@@ -40,7 +40,7 @@ class CompareConfig:
     min_count: int = 1
 
     def __post_init__(self):
-        if self.equality_ratio < 1.0:
+        if not self.equality_ratio >= 1.0:  # written so that NaN fails too
             raise ValueError("equality_ratio must be >= 1")
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")

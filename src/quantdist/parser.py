@@ -128,7 +128,7 @@ class _Scanner:
         return 1.0, j
 
     def _unit_after(self, j: int):
-        """(magnitude, unit, end) for ``[magnitude] [marker] unit`` at token j, longest unit first."""
+        """(magnitude, unit, end) of ``[magnitude] [marker] unit`` at j; the longest unit wins."""
         mag, j = self._magnitude(j)
         marker = j < self.n and self.low[j] in MARKER_WORDS
         j += marker
@@ -145,14 +145,13 @@ class _Scanner:
             return None
         if i + 3 < self.n and self.low[i + 1] in RANGE_SEPARATORS and self.low[i + 3] in AMPM:
             other = _clock_parts(self.low[i + 2])
-            if other is not None:
+            if other is not None and 1 <= parts[0] <= 12 and 1 <= other[0] <= 12:
                 unit = self.registry.time_unit()
                 offset = AMPM[self.low[i + 3]]
-                if 1 <= parts[0] <= 12 and 1 <= other[0] <= 12:
-                    return [
-                        self._make(parts[0] % 12 + offset + parts[1] / 60.0, unit, i, i + 1),
-                        self._make(other[0] % 12 + offset + other[1] / 60.0, unit, i + 2, i + 4),
-                    ]
+                return [
+                    self._make(parts[0] % 12 + offset + parts[1] / 60.0, unit, i, i + 1),
+                    self._make(other[0] % 12 + offset + other[1] / 60.0, unit, i + 2, i + 4),
+                ]
         hour, minutes, sep = parts
         end = i + 1
         if end < self.n and self.low[end] in AMPM:
@@ -188,7 +187,10 @@ class _Scanner:
             hit = None if high is None else self._unit_after(i + 3)
             if hit is not None:
                 mag, unit, end = hit
-                return [self._make(value * mag, unit, i, i + 1), self._make(high * mag, unit, i + 2, end)]
+                return [
+                    self._make(value * mag, unit, i, i + 1),
+                    self._make(high * mag, unit, i + 2, end),
+                ]
         hit = self._unit_after(i + 1)
         if hit is None:
             return None

@@ -86,19 +86,27 @@ def _clean_zero(x: float) -> float:
 class UnitRegistry:
     """Immutable lookup table from unit surface forms to conversions."""
 
-    def __init__(self, units: list[UnitDef], version: str = "unversioned"):
+    def __init__(self, units: list[UnitDef], version: str = "unversioned", path=None, lines=None):
+        """``path`` and ``lines`` (each unit's line in that file) locate lexicon errors.
+
+        Clock times need an ``hour of day`` TIME unit, so a lexicon without one is rejected.
+        """
         self.version = version
         self._units = tuple(units)
         self._by_alias: dict[str, UnitDef] = {}
         max_tokens = 1
-        for unit in units:
+        for position, unit in enumerate(units):
             for alias in unit.surface_forms:
                 key = alias.lower()
                 if key in self._by_alias:
-                    raise LexiconError(f"duplicate unit alias {alias!r}")
+                    line = None if lines is None else lines[position]
+                    raise LexiconError(f"duplicate unit alias {alias!r}", line, path)
                 self._by_alias[key] = unit
                 max_tokens = max(max_tokens, len(key.split()))
         self.max_alias_tokens = max_tokens
+        self._time_unit = self.lookup_unit("hour of day")
+        if self._time_unit is None or self._time_unit.dimension is not Dimension.TIME:
+            raise LexiconError("lexicon has no 'hour of day' TIME unit", path=path)
 
     def __len__(self) -> int:
         return len(self._units)
@@ -146,14 +154,11 @@ class UnitRegistry:
 
     def time_unit(self) -> UnitDef:
         """The hour-of-day unit used by clock expressions."""
-        unit = self.lookup_unit("hour of day")
-        if unit is None or unit.dimension is not Dimension.TIME:
-            raise LexiconError("lexicon has no 'hour of day' TIME unit")
-        return unit
+        return self._time_unit
 
 
-def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list:
-    """``parse_row(*fields)`` for each non-comment line of ``width`` tab-separated fields.
+def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list[tuple[int, object]]:
+    """``(line, parse_row(*fields))`` for each non-comment line of ``width`` tab-separated fields.
 
     Lines are decoded as UTF-8 one by one. A line that is not UTF-8, or
     on which ``parse_row`` raises ValueError or LexiconError, becomes a
@@ -168,7 +173,7 @@ def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list:
             fields = [f.strip() for f in line.split("\t")]
             if len(fields) != width:
                 raise ValueError(f"expected {width} tab-separated columns, got {len(fields)}")
-            out.append(parse_row(*fields))
+            out.append((lineno, parse_row(*fields)))
         except (ValueError, LexiconError) as exc:
             raise LexiconError(str(exc), line_number=lineno, path=path) from None
     return out
@@ -226,7 +231,9 @@ def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
     """
     units_data, units_name = _lexicon_bytes(units_path, "units.tsv")
     rates_data, rates_name = _lexicon_bytes(rates_path, "currency.tsv")
-    rates = dict(_parse_rows(rates_data, rates_name, 2, _rate_row))
-    units = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, *row))
+    rates = dict(rate for _, rate in _parse_rows(rates_data, rates_name, 2, _rate_row))
+    rows = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, *row))
     digest = hashlib.sha256(units_data + b"\x00" + rates_data).hexdigest()[:12]
-    return UnitRegistry(units, version=digest)
+    return UnitRegistry(
+        [unit for _, unit in rows], digest, path=units_name, lines=[line for line, _ in rows]
+    )

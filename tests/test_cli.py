@@ -61,8 +61,12 @@ def test_usage_errors_exit_1(capsys):
     assert main(["extract", "x.txt", "--no-such-flag"]) == 1
     assert main(["extract", "x.txt", "--distance", "7"]) == 1
     assert main(["query", "--table", "x", "--object", "a", "--dim", "warmth"]) == 1
-    assert main(["split", "x.tsv", "--output-prefix", "y", "--ratios", "0.5,0.5"]) == 1
+    for ratios in ("0.5,0.5", "nan,0.5,0.5", "nan,nan,nan"):
+        assert main(["split", "x.tsv", "--output-prefix", "y", "--ratios", ratios]) == 1, ratios
     assert main(["compare", "--table", "x", "--dim", "mass"]) == 1  # no pair
+    for tau in ("0.9", "nan"):
+        argv = ["compare", "--table", "x", "--noun", "cat", "dog", "--dim", "mass", "--tau", tau]
+        assert main(argv) == 1, tau
     err = capsys.readouterr().err
     assert "usage:" in err
     # an empty or all-blank object name is a usage error, not a lookup
@@ -84,8 +88,14 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
-def test_data_errors_exit_2(tmp_path, capsys):
+def test_data_errors_exit_2(tmp_path, corpus, capsys):
     bad = tmp_path / "bad.tsv"
+    # a lexicon without the hour-of-day unit clocks need fails at load, before any output
+    bad.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
+    out = tmp_path / "records.tsv"
+    assert main(["extract", "--units", str(bad), str(corpus), "-o", str(out)]) == 2
+    assert f"error: {bad}: lexicon has no 'hour of day'" in capsys.readouterr().err
+    assert not out.exists()
     bad.write_text("this is not a record stream\n", encoding="utf-8")
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert main(["merge", str(tmp_path / "missing.tsv"), "-o", str(tmp_path / "o.tsv")]) == 2
@@ -114,7 +124,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
     for bad_header in bad_headers:
         bad.write_text(bad_header + "car\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")
         assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2, bad_header
-        assert f"{bad}:1: bad stream header" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}:1: bad stream header" in err
+    assert "bad stream header: missing 'min_phrase_count'" in err  # the last: a field missing
     # a token gap below 0, or at or past the pinned window, is no record extract writes
     near = header.replace("=sentence", "=3")
     for stream_header, gap in ((header, -3), (near, 7), (near, 3)):

@@ -425,8 +425,10 @@ def test_clean_split_bad_ratios():
     rows = [ex("a", "b", "size", "<"), ex("c", "d", "size", "<")]
     with pytest.raises(ValueError):
         make_clean_split(rows, ratios=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        make_clean_split(rows, ratios=(0.9, 0.2, -0.1))
+    nan = float("nan")
+    for ratios in ((0.9, 0.2, -0.1), (nan, 0.5, 0.5), (nan, nan, nan)):
+        with pytest.raises(ValueError):
+            make_clean_split(rows, ratios=ratios)
 
 
 def test_report_clean_property():

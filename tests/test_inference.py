@@ -52,8 +52,9 @@ def test_labels_inverse():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CompareConfig(equality_ratio=0.9)
+    for ratio in (0.9, float("nan")):
+        with pytest.raises(ValueError):
+            CompareConfig(equality_ratio=ratio)
     with pytest.raises(ValueError):
         CompareConfig(min_count=0)
 

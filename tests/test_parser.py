@@ -6,6 +6,7 @@ hide a scanner mistake.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantdist.parser import Mention, parse_number, scan_measurements, tokenize
 from quantdist.units import Dimension, Quantity, load_registry
@@ -142,6 +143,9 @@ def test_clock_range_shares_meridiem(registry):
     assert [m.quantity.value_std for m in got] == [19.5, 20.5]
     got = scan_text("It runs 7 to 8 pm.", registry)
     assert [m.quantity.value_std for m in got] == [19.0, 20.0]
+    # an hour outside 1..12 is no am/pm range; the second clock still scans alone
+    m = one(scan_text("It runs 13 - 2 pm.", registry))
+    assert (m.quantity.value_std, m.start, m.end) == (14.0, 4, 6)
 
 
 def test_clock_pm_and_colon(registry):
@@ -203,6 +207,14 @@ def test_range_shares_unit(registry):
     worded = scan_text("Keep it between 30 to 40 km/h in town.", registry)
     assert [m.quantity.value_std for m in worded] == pytest.approx([30 / 3.6, 40 / 3.6], rel=1e-12)
     assert [(m.start, m.end) for m in worded] == [(3, 4), (5, 7)]
+    # clock-shaped endpoints without am/pm, and a degree marker before the unit
+    got = scan_text("Walk from 7 to 9 km today.", registry)
+    assert [(m.quantity.value_std, m.start, m.end) for m in got] == [
+        (7000.0, 2, 3), (9000.0, 4, 6),
+    ]
+    got = scan_text("Keep it at 10 - 20 degrees C.", registry)
+    assert [m.quantity.value_std for m in got] == pytest.approx([283.15, 293.15], rel=1e-12)
+    assert [(m.start, m.end) for m in got] == [(3, 4), (5, 8)]
 
 
 def test_range_without_unit_yields_nothing(registry):
@@ -226,3 +238,35 @@ def test_mentions_are_value_objects(registry):
     assert isinstance(m, Mention)
     assert m == Mention(Quantity(Dimension.VOLTAGE, 24.0), 1, 3)
     assert m.dimension is Dimension.VOLTAGE
+
+
+# ----------------------------------------------------------------------
+# the start-token rule: every production starts at a digit or a currency alias
+
+_VOCABULARY = [
+    # numbers and clocks, in and out of the 1..12 hour range
+    "5", "13", "2", "7", "12", "0", "1,000", "2.5", "7.30", "8.30", "7:30", "13:00", "19:05",
+    "99:99", "24:00",
+    # range separators, meridiems, magnitudes and degree markers
+    "-", "–", "to", "and", "am", "pm", "a.m.", "PM", "million", "k", "b", "thousand",
+    "degrees", "°",
+    # unit and currency aliases, with the degree sign fused to some
+    "km", "mph", "miles", "per", "hour", "c", "°f", "°C", "°usd", "usd", "USD", "$", "£",
+    "dollars", "m", "of", "day",
+    # plain words
+    "the", "cat", "from", ".",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_VOCABULARY), min_size=1, max_size=9))
+def test_mentions_start_at_a_digit_or_currency_alias(registry, tokens):
+    mentions = scan_measurements(tokens, registry)
+    end = 0
+    for m in mentions:
+        assert end <= m.start < m.end <= len(tokens)  # ordered, disjoint, inside the list
+        end = m.end
+        first = tokens[m.start]
+        # lookup_unit, not the alias column: "°usd" resolves with its degree sign stripped
+        unit = registry.lookup_unit(first)
+        assert first[:1].isdigit() or (unit is not None and unit.dimension is Dimension.CURRENCY)

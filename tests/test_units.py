@@ -223,8 +223,24 @@ def test_max_alias_tokens(registry):
 def test_duplicate_alias_rejected():
     meter = UnitDef(("meter",), Dimension.LENGTH, 1.0)
     dup = UnitDef(("meter", "m2x"), Dimension.AREA, 1.0)
-    with pytest.raises(LexiconError):
+    with pytest.raises(LexiconError, match="^duplicate unit alias 'meter'"):
         UnitRegistry([meter, dup])
+
+
+def test_lexicon_errors_name_the_units_file(tmp_path):
+    units = tmp_path / "units.tsv"
+    hour = "hour of day\tTIME\t1\t0\t0\n"
+    units.write_text(
+        hour + "kg\tMASS\t1\t0\t0\n# comment\ngram, kg\tMASS\t0.001\t0\t0\n", encoding="utf-8"
+    )
+    with pytest.raises(LexiconError, match=f"^{units}:4: duplicate unit alias 'kg'") as err:
+        load_registry(units_path=units)
+    assert (err.value.path, err.value.line_number) == (str(units), 4)
+    # clock times need an hour-of-day unit, so a lexicon without one fails at load
+    units.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"^{units}: lexicon has no 'hour of day'") as err:
+        load_registry(units_path=units)
+    assert (err.value.path, err.value.line_number) == (str(units), None)
 
 
 def test_offset_outside_temperature_rejected():
