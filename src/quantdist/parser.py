@@ -143,10 +143,10 @@ class _Scanner:
         parts = _clock_parts(self.low[i])
         if parts is None:
             return None
+        unit = self.registry.time_unit()
         if i + 3 < self.n and self.low[i + 1] in RANGE_SEPARATORS and self.low[i + 3] in AMPM:
             other = _clock_parts(self.low[i + 2])
             if other is not None and 1 <= parts[0] <= 12 and 1 <= other[0] <= 12:
-                unit = self.registry.time_unit()
                 offset = AMPM[self.low[i + 3]]
                 return [
                     self._make(parts[0] % 12 + offset + parts[1] / 60.0, unit, i, i + 1),
@@ -163,7 +163,6 @@ class _Scanner:
             value = hour + minutes / 60.0
         else:
             return None  # bare or dotted numbers need am/pm to be clock times
-        unit = self.registry.time_unit()
         return [self._make(value, unit, i, end)]
 
     def _currency_prefix(self, i: int):

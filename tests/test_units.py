@@ -227,22 +227,6 @@ def test_duplicate_alias_rejected():
         UnitRegistry([meter, dup])
 
 
-def test_lexicon_errors_name_the_units_file(tmp_path):
-    units = tmp_path / "units.tsv"
-    hour = "hour of day\tTIME\t1\t0\t0\n"
-    units.write_text(
-        hour + "kg\tMASS\t1\t0\t0\n# comment\ngram, kg\tMASS\t0.001\t0\t0\n", encoding="utf-8"
-    )
-    with pytest.raises(LexiconError, match=f"^{units}:4: duplicate unit alias 'kg'") as err:
-        load_registry(units_path=units)
-    assert (err.value.path, err.value.line_number) == (str(units), 4)
-    # clock times need an hour-of-day unit, so a lexicon without one fails at load
-    units.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"^{units}: lexicon has no 'hour of day'") as err:
-        load_registry(units_path=units)
-    assert (err.value.path, err.value.line_number) == (str(units), None)
-
-
 def test_offset_outside_temperature_rejected():
     with pytest.raises(LexiconError):
         UnitDef(("weird",), Dimension.LENGTH, 1.0, offset=5.0)
@@ -266,6 +250,17 @@ def test_malformed_lexicon_file_rejected(tmp_path):
     with pytest.raises(LexiconError, match=f"^{bad}:2: unit 'weird'") as err:
         load_registry(units_path=bad)
     assert err.value.line_number == 2
+    # a repeated alias is reported where it repeats
+    hour = "hour of day\tTIME\t1\t0\t0\n"
+    bad.write_text(hour + "kg\tMASS\t1\t0\t0\n# c\ngram, kg\tMASS\t0.001\t0\t0\n", "utf-8")
+    with pytest.raises(LexiconError, match=f"^{bad}:4: duplicate unit alias 'kg'") as err:
+        load_registry(units_path=bad)
+    assert (err.value.path, err.value.line_number) == (str(bad), 4)
+    # clock times need an hour-of-day unit, so a lexicon without one fails at load
+    bad.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"^{bad}: lexicon has no 'hour of day'") as err:
+        load_registry(units_path=bad)
+    assert (err.value.path, err.value.line_number) == (str(bad), None)
 
 
 def test_unknown_currency_code_rejected(tmp_path):
