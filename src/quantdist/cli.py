@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .errors import QuantdistError, ConfigMismatchError, RecordFormatError
+from .errors import ConfigMismatchError, LocatedLines, QuantdistError, RecordFormatError
 from .evaluation import (
     detect_leakage,
     dimension_named,
@@ -148,10 +148,10 @@ def _stream_header(registry_version: str, distance, min_phrase_count: int) -> st
     )
 
 
-def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
-    """The BuildConfig a stream's header pins, with aggregate's ``exact_cap``."""
+def _read_stream_header(line: str, exact_cap: int) -> BuildConfig:
+    """The BuildConfig a stream's header line pins, with aggregate's ``exact_cap``."""
     try:
-        fields = fh.readline().decode("utf-8").rstrip("\r\n").split("\t")
+        fields = line.split("\t")
         if fields[0] != f"#{RECORD_FORMAT}":
             raise ValueError(f"missing {RECORD_FORMAT} header")
         meta = {}
@@ -170,9 +170,7 @@ def _read_stream_header(fh, path, exact_cap: int) -> BuildConfig:
             exact_cap=exact_cap,
         )
     except ValueError as exc:
-        raise RecordFormatError(
-            f"bad stream header: {exc}", line_number=1, path=str(path)
-        ) from None
+        raise ValueError(f"bad stream header: {exc}") from None
 
 
 def _parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
@@ -214,8 +212,9 @@ def _cmd_aggregate(args) -> int:
     """Observe each record as its line is read, so memory grows with entries."""
     table = None
     for path in args.records:
-        with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
-            config = _read_stream_header(fh, path, args.exact_cap)
+        with LocatedLines(path, RecordFormatError) as lines:
+            rows = iter(lines)
+            config = _read_stream_header(next(rows, ""), args.exact_cap)
             if table is None:
                 table = QuantTable(config)
             elif config != table.config:
@@ -223,14 +222,9 @@ def _cmd_aggregate(args) -> int:
                     f"record stream {path} was extracted under a different "
                     f"configuration than {args.records[0]}"
                 )
-            for lineno, raw in enumerate(fh, start=2):
-                try:
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                    if not line:
-                        continue
+            for line in rows:
+                if line:
                     table.observe(_parse_record(line, config.distance))
-                except (ValueError, OverflowError) as exc:
-                    raise RecordFormatError(str(exc), line_number=lineno, path=str(path)) from None
     table.write(args.output)
     return 0
 

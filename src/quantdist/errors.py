@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of located lines."""
 
 
 class QuantdistError(Exception):
@@ -21,6 +21,36 @@ class LocatedInputError(QuantdistError):
         self.path = path
         where = ":".join(str(part) for part in (path, line_number) if part is not None)
         super().__init__(f"{where}: {message}" if where else message)
+
+
+class LocatedLines:
+    """Decoded lines of a file, read in a ``with`` block that locates their data errors.
+
+    Tables, record streams, corpora and datasets are read through it. Each line is
+    decoded as UTF-8 on its own, without ``\\r\\n``; on exit a ValueError (UnicodeDecodeError
+    too) or OverflowError becomes ``error(message, line_number, path)``. ``line_number``
+    is the line last read, which a reader may move, or 0 (no line) before the first.
+    Lexicons are not read here: ``units._parse_rows`` parses bytes already in memory,
+    because the registry digest hashes them, and also locates a UnitDef's LexiconError.
+    """
+
+    def __init__(self, path, error):
+        self.path = path
+        self.error = error
+        self.line_number = 0
+
+    def __enter__(self):
+        self._file = open(self.path, "rb")
+        return self
+
+    def __iter__(self):
+        for self.line_number, raw in enumerate(self._file, self.line_number + 1):
+            yield raw.decode("utf-8").rstrip("\r\n")
+
+    def __exit__(self, kind, exc, traceback):
+        self._file.close()
+        if isinstance(exc, (ValueError, OverflowError)):
+            raise self.error(str(exc), self.line_number or None, str(self.path)) from None
 
 
 class LexiconError(LocatedInputError):

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 import random
 
-from .errors import DatasetFormatError, SplitInfeasibleError
+from .errors import DatasetFormatError, LocatedLines, SplitInfeasibleError
 from .inference import ComparisonLabel, CompareConfig, compare_nouns, query_distribution
 from .table import QuantTable
 from .units import Dimension
@@ -89,17 +89,12 @@ def load_dataset(path) -> list[ComparisonExample]:
     kept so audits see every pair, but they never enter accuracy.
     """
     examples: list[ComparisonExample] = []
-    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                example = _parse_example(line, first=lineno == 1)
-            except ValueError as exc:
-                raise DatasetFormatError(str(exc), line_number=lineno, path=str(path)) from None
-            if example is not None:
-                examples.append(example)
+    with LocatedLines(path, DatasetFormatError) as lines:
+        for line in lines:
+            if line.strip() and not line.lstrip().startswith("#"):
+                example = _parse_example(line, first=lines.line_number == 1)
+                if example is not None:
+                    examples.append(example)
     return examples
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 from importlib import resources
 from typing import NamedTuple
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, LocatedLines
 from .parser import scan_measurements, tokenize
 from .units import Quantity, UnitRegistry
 
@@ -181,16 +181,11 @@ def extract_records(
 def read_plain(path):
     """Yield the sentences of a plain-text file whose lines are paragraphs.
 
-    Lines are decoded as UTF-8 one by one; a line that is not UTF-8
-    raises CorpusFormatError with its line number. A lone ``\\r`` also
-    ends a paragraph.
+    A line that is not UTF-8 raises CorpusFormatError with its line
+    number. A lone ``\\r`` also ends a paragraph.
     """
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except ValueError as exc:
-                raise CorpusFormatError(str(exc), line_number=lineno, path=str(path)) from None
+    with LocatedLines(path, CorpusFormatError) as lines:
+        for line in lines:
             for paragraph in line.split("\r"):
                 for text in split_sentences(paragraph.strip()):
                     yield AnnotatedSentence.from_plain(text)
@@ -222,34 +217,26 @@ def read_annotated(path):
         heads.clear()
         return out
 
-    at = token_line = 0  # at: the line an error is reported at
-    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                at = lineno
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    if surfaces:
-                        at = token_line
-                        yield sentence()
-                    continue
-                token_line = lineno
-                parts = line.rstrip("\r\n").split("\t")
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
-                idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
-                if int(idx_s) != len(surfaces):
-                    raise ValueError(f"token index {idx_s} out of order, expected {len(surfaces)}")
-                if not surface:
-                    raise ValueError("empty token surface")
-                pos = _POS_BY_NAME.get(pos_s.upper())
-                if pos is None or pos is Pos.UNKNOWN:
-                    raise ValueError(f"unknown pos tag {pos_s!r}")
-                surfaces.append(surface)
-                tags.append(pos)
-                heads.append(None if head_s in ("-", "_", "") else int(head_s))
-            if surfaces:
-                at = token_line
-                yield sentence()
-        except ValueError as exc:
-            raise CorpusFormatError(str(exc), line_number=at, path=str(path)) from None
+    with LocatedLines(path, CorpusFormatError) as lines:
+        for line in lines:
+            if not line.strip():
+                if surfaces:
+                    lines.line_number -= 1  # the line above, the sentence's last token
+                    yield sentence()
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+            idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
+            if int(idx_s) != len(surfaces):
+                raise ValueError(f"token index {idx_s} out of order, expected {len(surfaces)}")
+            if not surface:
+                raise ValueError("empty token surface")
+            pos = _POS_BY_NAME.get(pos_s.upper())
+            if pos is None or pos is Pos.UNKNOWN:
+                raise ValueError(f"unknown pos tag {pos_s!r}")
+            surfaces.append(surface)
+            tags.append(pos)
+            heads.append(None if head_s in ("-", "_", "") else int(head_s))
+        if surfaces:
+            yield sentence()

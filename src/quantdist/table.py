@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
-from .errors import ConfigMismatchError, TableFormatError
+from .errors import ConfigMismatchError, LocatedLines, TableFormatError
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
 from .units import Dimension
@@ -314,27 +314,21 @@ def _parse_header(line: str) -> tuple[BuildConfig, int]:
 
 def read_table(path) -> QuantTable:
     """Parse a table file; malformed or truncated input raises TableFormatError."""
-    with open(path, "rb") as fh:  # lines are decoded one by one, so a bad byte has a line
-        header_line = fh.readline()
-        if not header_line.strip():
+    with LocatedLines(path, TableFormatError) as lines:
+        rows = iter(lines)
+        header = next(rows, "")
+        if not header.strip():
             raise TableFormatError("missing header", path=str(path))
         try:
-            config, expected_entries = _parse_header(header_line.decode("utf-8"))
+            config, expected_entries = _parse_header(header)
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            raise TableFormatError(f"bad header ({exc})", line_number=1, path=str(path)) from None
+            raise ValueError(f"bad header ({exc})") from None
         table = QuantTable(config)
-        for lineno, raw in enumerate(fh, start=2):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line:
-                    continue
+        for line in rows:
+            if line:
                 key, dist = _parse_entry(line, config.exact_cap)
-            except (ValueError, OverflowError) as exc:
-                raise TableFormatError(
-                    f"bad entry ({exc})", line_number=lineno, path=str(path)
-                ) from None
-            if table.entries.setdefault(key, dist) is not dist:
-                raise TableFormatError("duplicate entry", line_number=lineno, path=str(path))
+                if table.entries.setdefault(key, dist) is not dist:
+                    raise ValueError("duplicate entry")
     if len(table.entries) != expected_entries:
         raise TableFormatError(
             f"header promises {expected_entries} entries, "
