@@ -12,7 +12,8 @@ three productions, one per kind of start token:
 So every mention starts at a token that begins with a digit or resolves
 to a currency unit. The first production that matches consumes its span;
 positions that match nothing advance by one token. Numbers without a
-resolvable unit are dropped, not guessed at.
+resolvable unit, and values that are not finite once normalized, are
+dropped, not guessed at.
 """
 
 from __future__ import annotations
@@ -119,8 +120,16 @@ class _Scanner:
                 i += 1
         return mentions
 
-    def _make(self, value, unit, start, end) -> Mention:
-        return Mention(self.registry.normalize(value, unit), start, end)
+    def _make(self, unit, *spans):
+        """One mention of ``unit`` per ``(value, start, end)``; None, no match, if a value
+        is not finite before or after normalization (400 digits, an overflowing rate)."""
+        try:
+            return [
+                Mention(self.registry.normalize(value, unit), start, end)
+                for value, start, end in spans
+            ]
+        except ValueError:
+            return None
 
     def _magnitude(self, j: int) -> tuple[float, int]:
         if j < self.n and self.low[j] in MAGNITUDES:
@@ -148,10 +157,11 @@ class _Scanner:
             other = _clock_parts(self.low[i + 2])
             if other is not None and 1 <= parts[0] <= 12 and 1 <= other[0] <= 12:
                 offset = AMPM[self.low[i + 3]]
-                return [
-                    self._make(parts[0] % 12 + offset + parts[1] / 60.0, unit, i, i + 1),
-                    self._make(other[0] % 12 + offset + other[1] / 60.0, unit, i + 2, i + 4),
-                ]
+                return self._make(
+                    unit,
+                    (parts[0] % 12 + offset + parts[1] / 60.0, i, i + 1),
+                    (other[0] % 12 + offset + other[1] / 60.0, i + 2, i + 4),
+                )
         hour, minutes, sep = parts
         end = i + 1
         if end < self.n and self.low[end] in AMPM:
@@ -163,7 +173,7 @@ class _Scanner:
             value = hour + minutes / 60.0
         else:
             return None  # bare or dotted numbers need am/pm to be clock times
-        return [self._make(value, unit, i, end)]
+        return self._make(unit, (value, i, end))
 
     def _currency_prefix(self, i: int):
         unit = self.registry.lookup_unit(self.low[i])
@@ -173,7 +183,7 @@ class _Scanner:
         if value is None:
             return None
         mag, end = self._magnitude(i + 2)
-        return [self._make(value * mag, unit, i, end)]
+        return self._make(unit, (value * mag, i, end))
 
     def _number(self, i: int):
         """NUMBER sep NUMBER [magnitude] [marker] unit, the unit shared by both endpoints,
@@ -186,12 +196,11 @@ class _Scanner:
             hit = None if high is None else self._unit_after(i + 3)
             if hit is not None:
                 mag, unit, end = hit
-                return [
-                    self._make(value * mag, unit, i, i + 1),
-                    self._make(high * mag, unit, i + 2, end),
-                ]
+                found = self._make(unit, (value * mag, i, i + 1), (high * mag, i + 2, end))
+                if found:
+                    return found
         hit = self._unit_after(i + 1)
         if hit is None:
             return None
         mag, unit, end = hit
-        return [self._make(value * mag, unit, i, end)]
+        return self._make(unit, (value * mag, i, end))

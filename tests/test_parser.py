@@ -180,6 +180,8 @@ def test_degrees_word_marker(registry):
 def test_bare_number_is_not_a_measurement(registry):
     assert scan_text("New York was a scorching 110", registry) == []
     assert scan_text("Chapter 12 covers the basics.", registry) == []
+    # a value past the float range is dropped like a number with no unit
+    assert scan_text(f"The rock weighs {'9' * 400} kg.", registry) == []
 
 
 def test_bare_temperature_letter_dropped_without_marker(registry):
@@ -244,9 +246,9 @@ def test_mentions_are_value_objects(registry):
 # the start-token rule: every production starts at a digit or a currency alias
 
 _VOCABULARY = [
-    # numbers and clocks, in and out of the 1..12 hour range
+    # numbers and clocks, in and out of the 1..12 hour range, and a number past the float range
     "5", "13", "2", "7", "12", "0", "1,000", "2.5", "7.30", "8.30", "7:30", "13:00", "19:05",
-    "99:99", "24:00",
+    "99:99", "24:00", "9" * 400,
     # range separators, meridiems, magnitudes and degree markers
     "-", "–", "to", "and", "am", "pm", "a.m.", "PM", "million", "k", "b", "thousand",
     "degrees", "°",
