@@ -179,11 +179,14 @@ def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list[tuple[int
     return out
 
 
-def _rate_row(code: str, rate_field: str) -> tuple[str, float]:
+def _rate_row(rates: dict, code: str, rate_field: str) -> None:
     rate = float(rate_field)
     if not rate > 0:
         raise ValueError("rate must be positive")
-    return code.upper(), rate
+    code = code.upper()
+    if code in rates:
+        raise ValueError(f"duplicate currency code {code!r}")
+    rates[code] = rate
 
 
 def _unit_row(rates, alias_field, dim_field, scale_field, offset_field, marker_field) -> UnitDef:
@@ -231,7 +234,8 @@ def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
     """
     units_data, units_name = _lexicon_bytes(units_path, "units.tsv")
     rates_data, rates_name = _lexicon_bytes(rates_path, "currency.tsv")
-    rates = dict(rate for _, rate in _parse_rows(rates_data, rates_name, 2, _rate_row))
+    rates: dict[str, float] = {}
+    _parse_rows(rates_data, rates_name, 2, lambda *row: _rate_row(rates, *row))
     rows = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, *row))
     digest = hashlib.sha256(units_data + b"\x00" + rates_data).hexdigest()[:12]
     return UnitRegistry(

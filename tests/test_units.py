@@ -273,3 +273,7 @@ def test_unknown_currency_code_rejected(tmp_path):
     rates.write_text("USD\t0\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=f"^{rates}:1: rate must be positive"):
         load_registry(rates_path=rates)
+    rates.write_text("USD\t1\nEUR\t1.1\nusd\t2\n", encoding="utf-8")  # codes are upper-cased
+    with pytest.raises(LexiconError, match="duplicate currency code 'USD'") as err:
+        load_registry(rates_path=rates)
+    assert (err.value.path, err.value.line_number) == (str(rates), 3)
