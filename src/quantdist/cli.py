@@ -13,6 +13,7 @@ phrase threshold, so sharded builds cannot silently mix configurations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -126,6 +127,16 @@ def _registry_for(args):
     return load_registry(units, rates)
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The ``-o`` file, opened for writing and closed on exit, or stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def _object_key(args) -> ObjectKey:
     pos = Pos[args.pos.upper()] if args.pos else Pos.UNKNOWN
     head = args.head.lower() if args.head else None
@@ -194,17 +205,13 @@ def _parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
 def _cmd_extract(args) -> int:
     registry = _registry_for(args)
     config = ExtractionConfig(max_distance=args.distance)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         print(_stream_header(registry.version, args.distance, args.min_phrase_count), file=out)
         for path in args.inputs:
             sentences = read_annotated(path) if args.annotated else read_plain(path)
             for sentence in sentences:
                 for record in _extract_records(sentence, config, registry):
                     print(_record_line(record), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -233,7 +240,7 @@ def _cmd_merge(args) -> int:
     first, *rest = [read_table(path) for path in args.tables]
     try:
         merged = first.merge(*rest)
-    except OverflowError as exc:
+    except (OverflowError, ConfigMismatchError) as exc:
         raise QuantdistError(f"merging {', '.join(args.tables)}: {exc}") from None
     merged.write(args.output)
     return 0
@@ -392,14 +399,10 @@ def _cmd_plot_export(args) -> int:
     if dist is None:
         print(f"no entry for {key.surface!r} under {args.dim.name}", file=sys.stderr)
         return 2
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+    with _output(args.output) as out:
         print("#bucket_center\tdensity", file=out)
         for center, density in dist.density_points():
             print(f"{center!r}\t{density!r}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

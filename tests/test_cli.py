@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -233,6 +234,91 @@ def test_bytes_that_are_not_utf8_exit_2_at_their_line(tmp_path, corpus, capsys):
         assert f"{bad}:{line}: " in err and "utf-8" in err and "Traceback" not in err, argv
 
 
+_FUZZ_PLAIN = (
+    b"The car was driving 98 km/h. The fee was 7430 euros, or 5 million dollars.\n"
+    b"The elephant weighs 5000 kg and the cat weighs 4 kg. The train leaves at 7:30 pm.\n"
+    b"Gusts of 50-60 mph hit the 300 m tower. The oven reached 110 \xc2\xb0F. It cost \xc2\xa35.\n"
+)
+_FUZZ_ANNOTATED = (
+    b"0\tThe\tOTHER\t2\n1\tfast\tADJ\t2\n2\tcar\tNOUN\t3\n3\tdrove\tVERB\t-\n"
+    b"4\t50\tOTHER\t3\n5\tmph\tOTHER\t4\n\n"
+    b"0\tThe\tOTHER\t1\n1\tcat\tNOUN\t2\n2\tweighs\tVERB\t-\n3\t4\tOTHER\t2\n4\tkg\tOTHER\t3\n"
+)
+_FUZZ_PAIRS = b"object1\tobject2\tdimension\tlabel\ncar\tcat\tspeed\t>\ncat\telephant\tweight\t<\n"
+# what a number or a field may become: not a number, infinite, past the float range, empty
+_EDGE_VALUES = (b"nan", b"inf", b"1e400", b"9" * 400, b"")
+
+
+def _mutant(rng: random.Random, data: bytes, donors: list) -> bytes:
+    """``data`` with one mutation: a flipped bit, a line deleted, duplicated, swapped or
+    spliced in from another format, a truncation, or a number or field made an edge value."""
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(7)
+    if kind == 0:
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    if kind == 1:
+        return data[: rng.randrange(len(data))]
+    if kind == 2:
+        del lines[i]
+    elif kind == 3:
+        lines.insert(i, lines[i])
+    elif kind == 4:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 5:
+        lines.insert(i, rng.choice(rng.choice(donors).split(b"\n")))
+    else:
+        spans = [m.span() for m in re.finditer(rng.choice([rb"\d[\d.]*", rb"[^\t]+"]), lines[i])]
+        if spans:
+            start, end = rng.choice(spans)
+            lines[i] = lines[i][:start] + rng.choice(_EDGE_VALUES) + lines[i][end:]
+    return b"\n".join(lines)
+
+
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2."""
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(_FUZZ_PLAIN)
+    table = build_table(tmp_path, plain)
+    data = resources.files("quantdist.data")
+    valid = {
+        "table": table.read_bytes(),
+        "stream": (tmp_path / "records.tsv").read_bytes(),
+        "annotated": _FUZZ_ANNOTATED,
+        "plain": _FUZZ_PLAIN,
+        "dataset": _FUZZ_PAIRS,
+        "units": data.joinpath("units.tsv").read_bytes(),
+        "rates": data.joinpath("currency.tsv").read_bytes(),
+    }
+    mutant, out = tmp_path / "mutant", str(tmp_path / "out.tsv")
+    commands = {
+        "table": ["merge", str(mutant), str(table), "-o", out],
+        "stream": ["aggregate", str(mutant), "-o", out],
+        "annotated": ["extract", "--annotated", str(mutant), "-o", out],
+        "plain": ["extract", str(mutant), "-o", out],
+        "dataset": ["eval", str(mutant), "--table", str(table)],
+        "units": ["extract", "--units", str(mutant), str(plain), "-o", out],
+        "rates": ["extract", "--rates", str(mutant), str(plain), "-o", out],
+    }
+    rng = random.Random(9)
+    for name, argv in commands.items():
+        donors = [other for key, other in valid.items() if key != name]
+        for k in range(60):
+            mutant.write_bytes(_mutant(rng, valid[name], donors))
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"mutant {k} of the {name} input: {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (name, k)
+            # a rate the units need but the rates file lost is reported at that unit
+            named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
+            assert code != 2 or named, (name, k, err)
+
+
 def test_crlf_line_ends_read_like_lf(tmp_path, corpus):
     """Inputs with CRLF line ends give the same tables, answers and registry version."""
     table = build_table(tmp_path, corpus)
@@ -373,6 +459,12 @@ def test_aggregate_rejects_mixed_headers(tmp_path, corpus, capsys):
     code = main(["aggregate", str(r1), str(r2), "-o", str(tmp_path / "out.tsv")])
     assert code == 2
     assert "configuration" in capsys.readouterr().err
+    # tables from those streams refuse to merge, and the error names both
+    t1, t2 = str(tmp_path / "t1.tsv"), str(tmp_path / "t2.tsv")
+    assert main(["aggregate", str(r1), "-o", t1]) == main(["aggregate", str(r2), "-o", t2]) == 0
+    assert main(["merge", t1, t2, "-o", str(tmp_path / "out.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"merging {t1}, {t2}: incompatible table configs" in err
 
 
 def test_every_build_setting_is_pinned(tmp_path, corpus, capsys):
