@@ -128,6 +128,9 @@ def test_data_errors_exit_2(tmp_path, corpus, capsys):
         err = capsys.readouterr().err
         assert f"{bad}:1: bad stream header" in err
     assert "bad stream header: missing 'min_phrase_count'" in err  # the last: a field missing
+    bad.write_bytes(b"")  # an empty stream has no line to name, as an empty table has none
+    assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+    assert f"error: {bad}: bad stream header" in capsys.readouterr().err
     # a token gap below 0, or at or past the pinned window, is no record extract writes
     near = header.replace("=sentence", "=3")
     for stream_header, gap in ((header, -3), (near, 7), (near, 3)):

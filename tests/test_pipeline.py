@@ -301,6 +301,11 @@ def test_read_annotated_head_out_of_range(tmp_path):
     with pytest.raises(CorpusFormatError) as err:
         list(read_annotated(path))
     assert err.value.line_number == 1
+    # a sentence ended by a blank line reports its last token line, not the blank one
+    path = write_conll(tmp_path, "0\tThe\tOTHER\t-\n1\tcar\tNOUN\t7\n\n0\tIt\tOTHER\t-\n")
+    with pytest.raises(CorpusFormatError) as err:
+        list(read_annotated(path))
+    assert (err.value.path, err.value.line_number) == (str(path), 2)
 
 
 def test_read_annotated_self_head(tmp_path):
