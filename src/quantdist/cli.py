@@ -256,13 +256,17 @@ def _format_value(value: float) -> str:
     return f"{value:.6g}"
 
 
-def _cmd_query(args) -> int:
-    table = read_table(args.table)
+def _queried(args):
+    """The key and entry that ``query`` and ``plot-export`` answer; a data error without one."""
     key = _object_key(args)
-    dist = query_distribution(table, key, args.dim)
+    dist = query_distribution(read_table(args.table), key, args.dim)
     if dist is None:
-        print(f"no entry for {key.surface!r} under {args.dim.name}", file=sys.stderr)
-        return 2
+        raise QuantdistError(f"{args.table}: no entry for {key.surface!r} under {args.dim.name}")
+    return key, dist
+
+
+def _cmd_query(args) -> int:
+    key, dist = _queried(args)
     stats = dist.stats()
     unit_label = args.dim.standard_unit
     if args.unit:
@@ -307,12 +311,10 @@ def _cmd_compare(args) -> int:
     else:
         label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, cfg)
         if label is None:
-            print(
-                f"no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
-                f"under {args.dim.name}",
-                file=sys.stderr,
+            raise QuantdistError(
+                f"{args.table}: no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
+                f"under {args.dim.name}"
             )
-            return 2
     print(label.value)
     return 0
 
@@ -393,12 +395,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_plot_export(args) -> int:
-    table = read_table(args.table)
-    key = _object_key(args)
-    dist = query_distribution(table, key, args.dim)
-    if dist is None:
-        print(f"no entry for {key.surface!r} under {args.dim.name}", file=sys.stderr)
-        return 2
+    _, dist = _queried(args)
     with _output(args.output) as out:
         print("#bucket_center\tdensity", file=out)
         for center, density in dist.density_points():

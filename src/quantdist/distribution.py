@@ -3,10 +3,12 @@
 A Distribution accumulates observed standard-unit values. It always
 maintains the bucketed histogram; alongside it, raw samples are kept
 until ``exact_cap`` is exceeded, after which they are dropped and stats
-fall back to histogram estimates. Merging is commutative and associative,
-and every derived artifact (sum expansion, histogram, sorted samples) is
-a pure function of the observed multiset, so shards can be combined in
-any order and still serialize byte-identically.
+fall back to histogram estimates. ``Distribution.of`` builds the same
+summary from a batch of kept samples, one pass per field, as a table
+reader does. Folding with ``update`` is commutative and associative, and
+every derived artifact (sum expansion, histogram, sorted samples) is a
+pure function of the observed multiset, so shards can be combined in any
+order and still serialize byte-identically.
 
 The sum is one exact integer: every finite double is a whole multiple of
 2**-1074, the smallest subnormal, so ``_sum`` counts those units and a
@@ -58,6 +60,27 @@ class Distribution:
         self.buckets: Counter[int] = Counter()
         self.exact: list[float] | None = []
         self.exact_cap = exact_cap
+
+    @classmethod
+    def of(cls, samples: list[float], exact_cap: int = DEFAULT_EXACT_CAP) -> "Distribution":
+        """The kept-samples summary of ``samples``, a list it takes over.
+
+        Equal to observing each sample in turn, but computed one pass per
+        field. ValueError for a non-finite sample or more samples than
+        ``exact_cap``; OverflowError for a sum past the float range.
+        """
+        if not all(map(math.isfinite, samples)):
+            raise ValueError("non-finite sample")
+        if len(samples) > exact_cap:
+            raise ValueError(f"{len(samples)} samples exceed exact_cap {exact_cap}")
+        if 0.0 in samples:
+            samples = [v + 0.0 for v in samples]  # fold -0.0
+        out = cls.__new__(cls)  # every slot is set here
+        out.exact_cap, out.count, out.exact = exact_cap, len(samples), samples
+        out.minimum, out.maximum = min(samples, default=None), max(samples, default=None)
+        out._sum = checked_sum(sum(map(exact_units, samples)))
+        out.buckets = kernels.accumulate(samples)
+        return out
 
     # ------------------------------------------------------------------
     # ingestion
@@ -143,12 +166,6 @@ class Distribution:
             else:
                 self.exact.extend(other.exact)
 
-    def merge(self, other: "Distribution") -> "Distribution":
-        """Combine two summaries; neither input is mutated."""
-        out = self.copy()
-        out.update(other)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -203,20 +220,13 @@ class Distribution:
             raise ValueError("exact samples were spilled")
         return sorted(self.exact)
 
-    def order_statistic(self, rank: int) -> float:
-        """Value of the rank-th smallest sample (1-indexed).
-
-        Exact when raw samples are retained; otherwise estimated from the
-        histogram by geometric interpolation inside the covering bucket,
-        which keeps the result within one bucket width of the true sample
-        for values inside the covered magnitude range.
-        """
-        if not 1 <= rank <= self.count:
-            raise ValueError(f"rank {rank} outside 1..{self.count}")
-        return self._ranked()[rank - 1]
-
     def _ranked(self):
-        """Values in ascending order, rank r at index r - 1; kept samples are sorted once."""
+        """Values in ascending order, rank r at index r - 1.
+
+        Kept samples are sorted once. Otherwise each value is a histogram
+        estimate, within one bucket width of the true sample for magnitudes
+        inside the covered range.
+        """
         if self.exact is not None:
             return sorted(self.exact)
         return _HistogramRanks(self.buckets)

@@ -5,11 +5,11 @@ bucket 0 reserved for exact zero and negative values mirrored to negative
 ids, so ascending signed id is ascending value. Values outside the covered
 magnitude range land in the nearest edge bucket.
 
-``bucket_index`` is the one bucketing implementation: ``Distribution``
-calls it once per observed value, through this module's attribute, so a
-tracer that replaces the attribute sees every call. ``accumulate`` is its
-batch form; no program path calls it, but the benchmark's tracer patches
-it by name.
+``bucket_index`` is the one bucketing implementation. ``Distribution.observe``
+calls it once per value, and ``accumulate``, its batch form that
+``Distribution.of`` uses to read a kept-samples table entry, once per sample.
+Both look it up through this module's attribute, so a tracer that replaces
+the attribute sees every call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def bucket_index(value: float) -> int:
     """Signed bucket id of one value; value must be finite."""
     if value == 0.0:
         return 0
-    p = int(math.floor(BUCKETS_PER_DECADE * (math.log10(abs(value)) + DECADES_BELOW)))
+    p = math.floor(BUCKETS_PER_DECADE * (math.log10(abs(value)) + DECADES_BELOW))
     if p < 0:
         p = 0
     elif p > N_POSITIVE_BUCKETS - 1:
@@ -41,11 +41,9 @@ def bucket_index(value: float) -> int:
     return p + 1 if value > 0.0 else -p - 1
 
 
-def accumulate(values) -> tuple[list[int], list[int]]:
-    """Bucket a batch and return (signed ids, counts), ids ascending."""
-    counts = Counter(bucket_index(v) for v in values)
-    ids = sorted(counts)
-    return ids, [counts[i] for i in ids]
+def accumulate(values) -> Counter:
+    """Bucket a batch of finite values: how many fall in each signed bucket id."""
+    return Counter(map(bucket_index, values))
 
 
 def bucket_bounds(signed_id: int) -> tuple[float, float]:

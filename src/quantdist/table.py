@@ -4,6 +4,9 @@ A table is built incrementally from co-occurrence records, merged with
 other tables produced under the same configuration, and finalized by
 dropping rare entries. Serialization is canonical: equal tables produce
 identical bytes regardless of build or merge order.
+A table file is a JSON header and one line per entry: four key columns
+(surface, head or empty, POS, dimension), then the sorted kept samples, or
+for a spilled entry its count, min, max, exact-sum parts and id:count buckets.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
 from .units import Dimension
 
-FORMAT_NAME = "quanttable/1"
+FORMAT_NAME = "quanttable/2"
 
 
 @dataclass(frozen=True)
@@ -222,31 +225,16 @@ class QuantTable:
             self.entries.items(),
             key=lambda kv: (kv[0][3].name, kv[0][1].name, kv[0][0], kv[0][2] or ""),
         ):
+            key = f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t"
+            if dist.exact is not None:
+                lines.append(key + " ".join(map(repr, dist.sorted_exact())))
+                continue
             buckets = " ".join(
                 f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets)
             )
-            partials = dist.sum_partials()
-            total = " ".join(repr(p) for p in partials) if partials else "0.0"
-            exact = (
-                "-"
-                if dist.exact is None
-                else " ".join(repr(v) for v in dist.sorted_exact())
-            )
+            total = " ".join(map(repr, dist.sum_partials())) or "0.0"
             lines.append(
-                "\t".join(
-                    (
-                        surface,
-                        head or "",
-                        pos.name,
-                        dimension.name,
-                        str(dist.count),
-                        repr(dist.minimum),
-                        repr(dist.maximum),
-                        total,
-                        buckets,
-                        exact,
-                    )
-                )
+                f"{key}{dist.count}\t{dist.minimum!r}\t{dist.maximum!r}\t{total}\t{buckets}"
             )
         return "\n".join(lines) + "\n"
 
@@ -256,17 +244,20 @@ class QuantTable:
 
 
 def _parse_entry(line: str, exact_cap: int):
-    """One entry line as ``(key, Distribution)``; ValueError if malformed."""
+    """One entry line, either shape, as ``(key, Distribution)``; ValueError if malformed."""
     parts = line.split("\t")
-    if len(parts) != 10:
-        raise ValueError(f"expected 10 columns, got {len(parts)}")
+    if len(parts) == 5:
+        samples = list(map(float, parts[4].split(" ")))
+        return parse_key(*parts[:4]), Distribution.of(samples, exact_cap)
+    if len(parts) != 9:
+        raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
     key = parse_key(*parts[:4])
-    count_s, min_s, max_s, sum_s, buckets_s, exact_s = parts[4:]
+    count_s, min_s, max_s, sum_s, buckets_s = parts[4:]
     floats = [float(min_s), float(max_s), *map(float, sum_s.split(" "))]
-    exact = None if exact_s == "-" else list(map(float, exact_s.split(" ")))
-    if not all(map(math.isfinite, floats)) or not all(map(math.isfinite, exact or ())):
+    if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite value")
     dist = Distribution(exact_cap)
+    dist.exact = None
     dist.count = int(count_s)
     if dist.count < 1:
         raise ValueError("entry count must be >= 1")
@@ -279,7 +270,6 @@ def _parse_entry(line: str, exact_cap: int):
         if bid in buckets:
             raise ValueError(f"bucket id {bid} repeated")
         buckets[bid] = int(n_s)
-    dist.exact = exact
     dist.validate()
     return key, dist
 

@@ -59,8 +59,10 @@ class UnitDef:
     def __post_init__(self):
         if not self.surface_forms:
             raise LexiconError("unit needs at least one surface form")
-        if not (self.scale > 0):
-            raise LexiconError(f"unit {self.name!r}: scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise LexiconError(f"unit {self.name!r}: scale must be positive and finite")
+        if not math.isfinite(self.offset):
+            raise LexiconError(f"unit {self.name!r}: offset must be finite")
         if self.offset != 0.0 and self.dimension is not Dimension.TEMPERATURE:
             raise LexiconError(
                 f"unit {self.name!r}: nonzero offset outside TEMPERATURE"
@@ -181,8 +183,8 @@ def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list[tuple[int
 
 def _rate_row(rates: dict, code: str, rate_field: str) -> None:
     rate = float(rate_field)
-    if not rate > 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
     code = code.upper()
     if code in rates:
         raise ValueError(f"duplicate currency code {code!r}")

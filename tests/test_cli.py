@@ -42,12 +42,12 @@ def corpus(tmp_path):
     return p
 
 
-def build_table(tmp_path, corpus, min_count=1):
+def build_table(tmp_path, corpus, min_count=1, exact_cap=4096):
     records = tmp_path / "records.tsv"
     part = tmp_path / "part.tsv"
     table = tmp_path / "table.tsv"
     assert main(["extract", str(corpus), "-o", str(records)]) == 0
-    assert main(["aggregate", str(records), "-o", str(part)]) == 0
+    assert main(["aggregate", str(records), "--exact-cap", str(exact_cap), "-o", str(part)]) == 0
     assert main(["finalize", str(part), "--min-count", str(min_count), "-o", str(table)]) == 0
     return table
 
@@ -285,7 +285,8 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2."""
     plain = tmp_path / "plain.txt"
     plain.write_bytes(_FUZZ_PLAIN)
-    table = build_table(tmp_path, plain)
+    table = build_table(tmp_path, plain, exact_cap=1)  # both entry shapes: samples and spilled
+    assert {len(line.split(b"\t")) for line in table.read_bytes().splitlines()[1:]} == {5, 9}
     data = resources.files("quantdist.data")
     valid = {
         "table": table.read_bytes(),
@@ -320,6 +321,26 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
             # a rate the units need but the rates file lost is reported at that unit
             named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
             assert code != 2 or named, (name, k, err)
+
+
+def test_table_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The CLI chain writes the same table, holding both entry shapes, under any string hash."""
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(_FUZZ_PLAIN)
+    tables = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        paths = [str(tmp_path / f"{name}.{seed}") for name in ("records", "part", "table")]
+        for argv in (
+            ["extract", str(plain), "-o", paths[0]],
+            ["aggregate", paths[0], "--exact-cap", "1", "-o", paths[1]],
+            ["finalize", paths[1], "--min-count", "1", "-o", paths[2]],
+        ):
+            subprocess.run([sys.executable, "-m", "quantdist.cli", *argv], env=env, check=True)
+        with open(paths[2], "rb") as fh:
+            tables.append(fh.read())
+    assert {len(line.split(b"\t")) for line in tables[0].splitlines()[1:]} == {5, 9}
+    assert tables[0] == tables[1]
 
 
 def test_crlf_line_ends_read_like_lf(tmp_path, corpus):
@@ -568,7 +589,9 @@ def test_finalize_threshold_drops_rare_objects(tmp_path, corpus, capsys):
     sub.mkdir()
     table2 = build_table(sub, single, min_count=2)
     assert main(["query", "--table", str(table2), "--object", "anvil", "--dim", "mass"]) == 2
-    capsys.readouterr()
+    assert f"error: {table2}: no entry for 'anvil' under MASS" in capsys.readouterr().err
+    assert main(["plot-export", "--table", str(table2), "--object", "anvil", "--dim", "mass"]) == 2
+    assert f"error: {table2}: no entry for 'anvil' under MASS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- compare
@@ -610,7 +633,7 @@ def test_compare_adjectives_via_annotated_corpus(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == ">"
     code = main(["compare", "--table", str(table), "--adj", "fast", "shiny", "--dim", "speed"])
     assert code == 2
-    assert "shiny" in capsys.readouterr().err
+    assert f"error: {table}: no shared-head evidence for 'fast' vs 'shiny'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- eval, audit, split

@@ -55,6 +55,13 @@ def build(values, cap=4096):
     return d
 
 
+def merged(a, b):
+    """``a`` and ``b`` folded into a copy, as ``QuantTable.merge`` folds an entry."""
+    out = a.copy()
+    out.update(b)
+    return out
+
+
 def test_basic_counters():
     d = build([5.0, 1.0, -2.0])
     assert d.count == 3
@@ -114,8 +121,9 @@ def test_histogram_order_statistics_within_one_bucket():
         d = build(values, cap=0)
         assert not d.is_exact
         s = sorted(values)
+        ranked = d._ranked()
         for rank in range(1, len(s) + 1):
-            est = d.order_statistic(rank)
+            est = ranked[rank - 1]
             ratio = est / s[rank - 1]
             assert 1 / BUCKET_WIDTH_RATIO * (1 - 1e-9) <= ratio <= BUCKET_WIDTH_RATIO * (1 + 1e-9)
 
@@ -143,11 +151,11 @@ def test_merge_monoid_laws():
         a = build(random_values(rng, rng.randint(0, 30)))
         b = build(random_values(rng, rng.randint(0, 30)))
         c = build(random_values(rng, rng.randint(0, 30)))
-        assert a.merge(b) == b.merge(a)
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
+        assert merged(a, b) == merged(b, a)
+        assert merged(merged(a, b), c) == merged(a, merged(b, c))
         empty = Distribution()
-        assert a.merge(empty) == a
-        assert empty.merge(a) == a
+        assert merged(a, empty) == a
+        assert merged(empty, a) == a
 
 
 def test_merge_shard_invariance():
@@ -160,26 +168,26 @@ def test_merge_shard_invariance():
         for v in values:
             shards[rng.randrange(k)].observe(v)
         rng.shuffle(shards)
-        merged = shards[0]
+        folded = shards[0].copy()
         for s in shards[1:]:
-            merged = merged.merge(s)
-        assert merged == whole
-        assert merged.sum_partials() == whole.sum_partials()
-        assert merged.median() == whole.median()
+            folded.update(s)
+        assert folded == whole
+        assert folded.sum_partials() == whole.sum_partials()
+        assert folded.median() == whole.median()
 
 
 def test_merge_does_not_mutate_inputs():
     a = build([1.0, 2.0])
     b = build([3.0])
     before_a, before_b = a.copy(), b.copy()
-    a.merge(b)
+    merged(a, b)
     assert a == before_a
     assert b == before_b
 
 
 def test_merge_cap_mismatch_rejected():
     with pytest.raises(ValueError):
-        Distribution(exact_cap=10).merge(Distribution(exact_cap=20))
+        Distribution(exact_cap=10).update(Distribution(exact_cap=20))
 
 
 def test_spill_drops_samples_keeps_histogram():
@@ -199,7 +207,7 @@ def test_spill_drops_samples_keeps_histogram():
 def test_spill_via_merge():
     a = build([1.0, 2.0], cap=3)
     b = build([3.0, 4.0], cap=3)
-    m = a.merge(b)
+    m = merged(a, b)
     assert not m.is_exact
     assert m.count == 4
 
@@ -217,6 +225,8 @@ def test_negative_zero_folds_to_zero():
     assert repr(d.minimum) == "0.0"
     assert d.sorted_exact() == [0.0]
     assert repr(d.sorted_exact()[0]) == "0.0"
+    batch = Distribution.of([1.0, -0.0], 4)  # as a table reader builds an entry
+    assert (repr(batch.minimum), repr(batch.sorted_exact()[0])) == ("0.0", "0.0")
 
 
 def test_empty_distribution_raises():
@@ -225,7 +235,7 @@ def test_empty_distribution_raises():
         with pytest.raises(ValueError):
             call()
     with pytest.raises(ValueError):
-        d.order_statistic(1)
+        d.quantile(0.5)
 
 
 def test_quantile_endpoints_and_order():
@@ -300,7 +310,7 @@ def test_sum_overflow_raises_and_leaves_state():
     assert d == build([1e308])
     a, b = build([1e308]), build([1e308])
     with pytest.raises(OverflowError):
-        a.merge(b)
+        merged(a, b)
     with pytest.raises(OverflowError):
         a.update(b)
     assert a == b == build([1e308])
@@ -318,14 +328,15 @@ def test_sum_overflow_threshold_is_round_to_nearest():
 
 
 def test_update_in_place_equals_merge():
+    """Folding ``b`` into ``a`` in place equals observing both value lists in one summary."""
     rng = random.Random(707)
     for _ in range(20):
-        a = build(random_values(rng, rng.randint(0, 20)), cap=16)
-        b = build(random_values(rng, rng.randint(0, 20)), cap=16)
-        merged = a.merge(b)
+        va = random_values(rng, rng.randint(0, 20))
+        vb = random_values(rng, rng.randint(0, 20))
+        a, b = build(va, cap=16), build(vb, cap=16)
         before_b = b.copy()
         a.update(b)
-        assert a == merged
+        assert a == build(va + vb, cap=16)
         assert b == before_b
 
 
@@ -340,7 +351,7 @@ def test_observed_and_merged_summaries_validate(a, b):
         left.observe(v)
     for v in b:
         right.observe(v)
-    for dist in (left, right, left.merge(right)):
+    for dist in (left, right, merged(left, right)):
         dist.validate()
 
 
@@ -366,3 +377,24 @@ def test_validate_rejects_inconsistent_fields():
     for message, dist in cases.items():
         with pytest.raises(ValueError, match=message):
             dist.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12))
+def test_of_equals_observing_each_sample(values):
+    """The batch constructor a table reader uses builds what observing builds, -0.0 folded."""
+    batch, observed = Distribution.of(list(values), 12), build(values, cap=12)
+    assert batch == observed
+    assert list(map(repr, batch.sorted_exact())) == list(map(repr, observed.sorted_exact()))
+    batch.validate()
+
+
+def test_of_rejects_a_bad_batch():
+    for samples, cap, error, message in [
+        ([1.0, math.nan], 4, ValueError, "non-finite sample"),
+        ([-math.inf], 4, ValueError, "non-finite sample"),
+        ([1.0, 2.0, 3.0], 2, ValueError, "3 samples exceed exact_cap 2"),
+        ([1e308, 1e308], 4, OverflowError, "overflowed"),
+    ]:
+        with pytest.raises(error, match=message):
+            Distribution.of(samples, cap)

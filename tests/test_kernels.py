@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -84,9 +85,8 @@ def test_bounds_shape():
 
 
 def test_accumulate_counts():
-    ids, counts = kernels.accumulate([1.0, 1.05, -1.0, 0.0, 1e6])
-    assert list(ids) == [-121, 0, 121, 181]
-    assert list(counts) == [1, 1, 2, 1]
+    counts = kernels.accumulate([1.0, 1.05, -1.0, 0.0, 1e6])
+    assert counts == Counter({-121: 1, 0: 1, 121: 2, 181: 1})
 
 
 def test_import_leaves_numpy_unloaded():

@@ -248,6 +248,7 @@ def test_bad_header_rejected(tmp_path, capsys):
         ("buckets_per_decade", 5),  # bucketing is fixed in kernels
         ("value_floor", 1e-9),
         ("max_phrase_len", 1),  # a key no build setting writes
+        ("format", "quanttable/1"),  # the layout with derived columns on every entry
     ]
     bad_headers = ["[1]", "[" * 100_000 + "]" * 100_000]  # not a JSON object
     for field, value in bad_values:
@@ -263,6 +264,8 @@ def test_bad_header_rejected(tmp_path, capsys):
         assert main(argv) == 2, bad_header
         err = capsys.readouterr().err
         assert str(p) in err and "Traceback" not in err
+        if '"quanttable/1"' in bad_header:
+            assert f"{p}:1: bad header (unsupported format 'quanttable/1')" in err
 
 
 _JSON = st.recursive(
@@ -295,39 +298,44 @@ def test_any_header_value_reads_or_is_rejected(data):
 
 
 def test_corrupt_entry_rejected(tmp_path, capsys):
-    t = build([record("car", Dimension.SPEED, 5.0), record("car", Dimension.SPEED, 7.0)])
+    t = build([record("car", Dimension.SPEED, v) for v in (5.0, 7.0)], exact_cap=1)
     path = tmp_path / "table.tsv"
     t.write(path)
     header, entry = path.read_text(encoding="utf-8").splitlines()
-    cols = entry.split("\t")
+    cols = entry.split("\t")  # a spilled entry: key, count, min, max, sum, buckets
     low, high = (int(pair.split(":")[0]) for pair in cols[8].split(" "))
 
     def with_column(i, text):
         return "\t".join(cols[:i] + [text] + cols[i + 1:])
 
+    def with_samples(text):  # a kept-samples entry: key, samples
+        return "\t".join(cols[:4] + [text])
+
+    cap_two = header.replace('"exact_cap": 1', '"exact_cap": 2')
     bad_entries = [
-        (header, entry.rsplit("\t", 1)[0]),  # drop a column
-        (header, with_column(0, "")),  # empty surface
-        (header, with_column(7, "inf")),  # sum part
-        (header, with_column(7, "1e308 1e308")),  # exact sum past the float range
-        (header, with_column(5, "nan")),  # min
-        (header, with_column(6, "-inf")),  # max
-        (header, with_column(8, f"{low}:1 999:1")),  # bucket id out of range
-        (header, with_column(8, f"-241:1 {high}:1")),
-        (header, with_column(5, "7.5")),  # min above max
-        (header, with_column(9, "5.0 8.0")),  # kept sample outside [min, max]
-        (header, with_column(9, "6.0 7.0")),  # no kept sample at min
-        (header, with_column(8, f"{low}:1 {low + 1}:0 {high}:1")),  # zero bucket count
-        (header, with_column(8, f"{low}:2 {low + 1}:-1 {high}:1")),  # negative bucket count
-        (header, with_column(8, f"{low}:1 {low}:1")),  # repeated bucket id
-        (header, with_column(8, f"{low + 1}:1 {high}:1")),  # min outside the lowest bucket
-        (header.replace('"exact_cap": 4096', '"exact_cap": 1'), entry),  # samples past the cap
-        (header, with_column(9, "nan")),  # sample
+        (header, entry.rsplit("\t", 1)[0], "expected 5 or 9 columns, got 8"),
+        (header, entry + "\t-", "expected 5 or 9 columns, got 10"),  # a quanttable/1 line
+        (header, with_column(0, ""), "empty object surface"),
+        (header, with_column(7, "inf"), "non-finite value"),  # sum part
+        (header, with_column(7, "1e308 1e308"), "overflowed"),  # exact sum past the float range
+        (header, with_column(5, "nan"), "non-finite value"),  # min
+        (header, with_column(6, "-inf"), "non-finite value"),  # max
+        (header, with_column(8, f"{low}:1 999:1"), "highest buckets"),  # bucket id out of range
+        (header, with_column(8, f"-241:1 {high}:1"), "lowest and highest"),
+        (header, with_column(5, "7.5"), "exceeds max"),  # min above max
+        (header, with_column(8, f"{low}:1 {low + 1}:0 {high}:1"), "positive"),  # zero count
+        (header, with_column(8, f"{low}:2 {low + 1}:-1 {high}:1"), "positive"),  # negative count
+        (header, with_column(8, f"{low}:1 {low}:1"), f"bucket id {low} repeated"),
+        (header, with_column(8, f"{low + 1}:1 {high}:1"), "lowest"),  # min outside its bucket
+        (header, with_samples("nan"), "non-finite sample"),
+        (header, with_samples("5.0 7.0"), "2 samples exceed exact_cap 1"),
+        (header, with_samples(""), "could not convert"),
+        (cap_two, with_samples("1e308 1e308"), "overflowed"),  # exact sum past the float range
     ]
     bad = tmp_path / "bad.tsv"
-    for bad_header, bad_entry in bad_entries:
+    for bad_header, bad_entry, message in bad_entries:
         bad.write_text(bad_header + "\n" + bad_entry + "\n", encoding="utf-8")
-        with pytest.raises(TableFormatError, match=f"{bad}:2: ") as err:
+        with pytest.raises(TableFormatError, match=f"^{bad}:2: .*{message}") as err:
             read_table(bad)
         assert (err.value.path, err.value.line_number) == (str(bad), 2)
         for command in ("query", "plot-export"):

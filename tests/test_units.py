@@ -256,6 +256,15 @@ def test_malformed_lexicon_file_rejected(tmp_path):
     with pytest.raises(LexiconError, match=f"^{bad}:4: duplicate unit alias 'kg'") as err:
         load_registry(units_path=bad)
     assert (err.value.path, err.value.line_number) == (str(bad), 4)
+    # a scale or offset that is not finite would drop every mention in its unit
+    for row, message in [
+        ("meter\tLENGTH\t1e400\t0\t0\n", "unit 'meter': scale must be positive and finite"),
+        ("celsius\tTEMPERATURE\t1\tnan\t1\n", "unit 'celsius': offset must be finite"),
+    ]:
+        bad.write_text(hour + row, "utf-8")
+        with pytest.raises(LexiconError, match=f"^{bad}:2: {message}") as err:
+            load_registry(units_path=bad)
+        assert (err.value.path, err.value.line_number) == (str(bad), 2)
     # clock times need an hour-of-day unit, so a lexicon without one fails at load
     bad.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=f"^{bad}: lexicon has no 'hour of day'") as err:
@@ -273,6 +282,10 @@ def test_unknown_currency_code_rejected(tmp_path):
     rates.write_text("USD\t0\n", encoding="utf-8")
     with pytest.raises(LexiconError, match=f"^{rates}:1: rate must be positive"):
         load_registry(rates_path=rates)
+    rates.write_text("EUR\t1.1\nUSD\tinf\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"^{rates}:2: rate must be positive and finite") as err:
+        load_registry(rates_path=rates)
+    assert (err.value.path, err.value.line_number) == (str(rates), 2)
     rates.write_text("USD\t1\nEUR\t1.1\nusd\t2\n", encoding="utf-8")  # codes are upper-cased
     with pytest.raises(LexiconError, match="duplicate currency code 'USD'") as err:
         load_registry(rates_path=rates)
