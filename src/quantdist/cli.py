@@ -43,7 +43,16 @@ from .pipeline import (
     read_plain,
 )
 from .pipeline import extract_records as _extract_records
-from .table import BuildConfig, QuantTable, parse_key, read_table
+from .table import (
+    BuildConfig,
+    QuantTable,
+    finalized_config,
+    iter_entries,
+    merged_config,
+    parse_key,
+    read_table,
+    write_merged,
+)
 from .units import Dimension, Quantity, load_registry
 
 RECORD_FORMAT = "quantrecords/1"
@@ -237,18 +246,18 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    first, *rest = [read_table(path) for path in args.tables]
+    """Stream the k-way merge of the tables' entries, so memory does not grow with them."""
+    configs, inputs = zip(*map(iter_entries, args.tables))
     try:
-        merged = first.merge(*rest)
+        write_merged(merged_config(configs), inputs, args.output)
     except (OverflowError, ConfigMismatchError) as exc:
         raise QuantdistError(f"merging {', '.join(args.tables)}: {exc}") from None
-    merged.write(args.output)
     return 0
 
 
 def _cmd_finalize(args) -> int:
-    table = read_table(args.table)
-    table.finalize(args.min_count).write(args.output)
+    config, entries = iter_entries(args.table)
+    write_merged(finalized_config(config, args.min_count), [entries], args.output)
     return 0
 
 

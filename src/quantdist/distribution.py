@@ -107,8 +107,10 @@ class Distribution:
         Bucket counts must be positive and add up to ``count``; min and max
         must be ordered and fall in the lowest and highest buckets; kept
         samples must number ``count``, fit under ``exact_cap`` and run from
-        min to max. The checks are C-level passes over the buckets and
-        samples: nothing is re-bucketed or re-summed.
+        min to max, and a summary without them must count more than
+        ``exact_cap``, since only a spill past the cap drops them. The
+        checks are C-level passes over the buckets and samples: nothing is
+        re-bucketed or re-summed.
         """
         count, lo, hi, buckets, exact = (
             self.count, self.minimum, self.maximum, self.buckets, self.exact
@@ -130,6 +132,10 @@ class Distribution:
         ):
             raise ValueError(
                 "kept samples must number the count, fit under exact_cap and run from min to max"
+            )
+        if exact is None and count <= self.exact_cap:
+            raise ValueError(
+                f"a spilled summary must count more than exact_cap {self.exact_cap}"
             )
 
     # ------------------------------------------------------------------

@@ -4,16 +4,30 @@ A table is built incrementally from co-occurrence records, merged with
 other tables produced under the same configuration, and finalized by
 dropping rare entries. Serialization is canonical: equal tables produce
 identical bytes regardless of build or merge order.
+
 A table file is a JSON header and one line per entry: four key columns
 (surface, head or empty, POS, dimension), then the sorted kept samples, or
 for a spilled entry its count, min, max, exact-sum parts and id:count buckets.
+Entry lines run in canonical order (dimension, POS, surface, head), each key
+once. ``iter_entries`` reads a file's entries one line at a time and rejects a
+line out of that order at its line; ``read_table`` collects them into a
+QuantTable. ``write_merged`` is the file-to-file path: it merges entry streams
+k-way, folds each key's entries with ``Distribution.update``, and writes each
+line as its key closes, so ``quantdist merge`` and ``finalize`` run in memory
+that does not grow with the tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, LocatedLines, TableFormatError
@@ -64,6 +78,47 @@ _HEADER_CONSTANTS = {
     "value_floor": 10.0**-DECADES_BELOW,
 }
 _HEADER_KEYS = {key for key, _, _ in _HEADER_FIELDS} | _HEADER_CONSTANTS.keys() | {"entries"}
+
+
+def merged_config(configs) -> BuildConfig:
+    """The config of a merge of tables built under ``configs``.
+
+    ConfigMismatchError unless every field but ``min_count`` agrees; the
+    merge takes the largest ``min_count``, so a merge of finalized tables
+    is again a valid finalized table.
+    """
+    first, *rest = configs
+    mergeable = replace(first, min_count=1)
+    for other in rest:
+        if replace(other, min_count=1) != mergeable:
+            raise ConfigMismatchError(f"incompatible table configs: {first} vs {other}")
+    return replace(first, min_count=max(config.min_count for config in (first, *rest)))
+
+
+def finalized_config(config: BuildConfig, min_count: int) -> BuildConfig:
+    """The config of a table finalized at ``min_count``; finalizing twice takes the larger."""
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    effective = max(min_count, config.min_count if config.finalized else 1)
+    return replace(config, min_count=effective, finalized=True)
+
+
+def _keeps(config: BuildConfig, key: tuple, dist: Distribution) -> bool:
+    """Whether an entry meets the count thresholds of a finalized table under ``config``."""
+    min_count = config.min_count
+    if " " in key[0]:
+        min_count = max(min_count, config.min_phrase_count)
+    return dist.count >= min_count
+
+
+def _order(key: tuple) -> tuple:
+    """The canonical position of an entry key: dimension, POS, surface, head.
+
+    Readers call this once per entry; ``_name_`` is the plain attribute
+    behind the slower ``name`` property of an Enum member.
+    """
+    surface, pos, head, dimension = key
+    return dimension._name_, pos._name_, surface, head or ""
 
 
 def parse_key(surface: str, head: str, pos: str, dimension: str):
@@ -144,16 +199,8 @@ class QuantTable:
         largest of the count thresholds so the result is again a valid
         finalized table.
         """
-        mergeable = replace(self.config, min_count=1)
-        for other in others:
-            if replace(other.config, min_count=1) != mergeable:
-                raise ConfigMismatchError(
-                    f"incompatible table configs: {self.config} vs {other.config}"
-                )
         tables = (self, *others)
-        merged = QuantTable(
-            replace(self.config, min_count=max(t.config.min_count for t in tables))
-        )
+        merged = QuantTable(merged_config([table.config for table in tables]))
         entries = merged.entries
         for table in tables:
             for key, dist in table.entries.items():
@@ -164,9 +211,7 @@ class QuantTable:
                     mine.update(dist)
         if merged.config.finalized:
             merged.entries = {
-                key: dist
-                for key, dist in entries.items()
-                if merged._keeps(key, dist, merged.config.min_count)
+                key: dist for key, dist in entries.items() if _keeps(merged.config, key, dist)
             }
         return merged
 
@@ -177,22 +222,13 @@ class QuantTable:
         phrases additionally need the build's ``min_phrase_count``.
         Finalizing twice composes to the larger threshold.
         """
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1")
-        effective = max(min_count, self.config.min_count if self.config.finalized else 1)
-        out = QuantTable(replace(self.config, min_count=effective, finalized=True))
+        out = QuantTable(finalized_config(self.config, min_count))
         out.entries = {
             key: dist.copy()
             for key, dist in self.entries.items()
-            if self._keeps(key, dist, effective)
+            if _keeps(out.config, key, dist)
         }
         return out
-
-    def _keeps(self, key: tuple, dist: Distribution, min_count: int) -> bool:
-        """Whether an entry meets the count threshold of a finalized table."""
-        if " " in key[0]:
-            min_count = max(min_count, self.config.min_phrase_count)
-        return dist.count >= min_count
 
     # ------------------------------------------------------------------
     # lookup
@@ -218,29 +254,30 @@ class QuantTable:
     # serialization
 
     def serialize(self) -> str:
-        header = {key: getattr(self.config, field) for key, field, _ in _HEADER_FIELDS}
-        header.update(_HEADER_CONSTANTS, entries=len(self.entries))
-        lines = [json.dumps(header, sort_keys=True)]
-        for (surface, pos, head, dimension), dist in sorted(
-            self.entries.items(),
-            key=lambda kv: (kv[0][3].name, kv[0][1].name, kv[0][0], kv[0][2] or ""),
-        ):
-            key = f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t"
-            if dist.exact is not None:
-                lines.append(key + " ".join(map(repr, dist.sorted_exact())))
-                continue
-            buckets = " ".join(
-                f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets)
-            )
-            total = " ".join(map(repr, dist.sum_partials())) or "0.0"
-            lines.append(
-                f"{key}{dist.count}\t{dist.minimum!r}\t{dist.maximum!r}\t{total}\t{buckets}"
-            )
+        lines = [_header_line(self.config, len(self.entries))]
+        lines += [_entry_line(key, self.entries[key]) for key in sorted(self.entries, key=_order)]
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.serialize())
+
+
+def _header_line(config: BuildConfig, entries: int) -> str:
+    header = {key: getattr(config, field) for key, field, _ in _HEADER_FIELDS}
+    header.update(_HEADER_CONSTANTS, entries=entries)
+    return json.dumps(header, sort_keys=True)
+
+
+def _entry_line(key: tuple, dist: Distribution) -> str:
+    """One entry line, without its line break: the kept samples, or the spilled summary."""
+    surface, pos, head, dimension = key
+    prefix = f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t"
+    if dist.exact is not None:
+        return prefix + " ".join(map(repr, dist.sorted_exact()))
+    buckets = " ".join(f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets))
+    total = " ".join(map(repr, dist.sum_partials())) or "0.0"
+    return f"{prefix}{dist.count}\t{dist.minimum!r}\t{dist.maximum!r}\t{total}\t{buckets}"
 
 
 def _parse_entry(line: str, exact_cap: int):
@@ -302,8 +339,21 @@ def _parse_header(line: str) -> tuple[BuildConfig, int]:
     return config, _header_value(header, "entries", (int,))
 
 
-def read_table(path) -> QuantTable:
-    """Parse a table file; malformed or truncated input raises TableFormatError."""
+def iter_entries(path):
+    """A table file's config, and an iterator over its ``(key, Distribution)`` entries.
+
+    The header is read at once and each entry line as the iterator reaches
+    it, in the file's canonical order. A malformed line, or one that does
+    not come after the line before it (a repeated key is one case), raises
+    a TableFormatError at its line; after the last line, an entry count
+    other than the header's is an error of the file.
+    """
+    entries = _read_entries(path)
+    return next(entries), entries
+
+
+def _read_entries(path):
+    """Yield a table file's BuildConfig, then its entries, as ``iter_entries`` describes."""
     with LocatedLines(path, TableFormatError) as lines:
         rows = iter(lines)
         header = next(rows, "")
@@ -313,16 +363,66 @@ def read_table(path) -> QuantTable:
             config, expected_entries = _parse_header(header)
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise ValueError(f"bad header ({exc})") from None
-        table = QuantTable(config)
+        yield config
+        found, last = 0, ()
         for line in rows:
             if line:
                 key, dist = _parse_entry(line, config.exact_cap)
-                if table.entries.setdefault(key, dist) is not dist:
-                    raise ValueError("duplicate entry")
-    if len(table.entries) != expected_entries:
+                order = _order(key)
+                if order <= last:
+                    raise ValueError(
+                        "repeated entry" if order == last else "entry out of canonical order"
+                    )
+                found, last = found + 1, order
+                yield key, dist
+    if found != expected_entries:
         raise TableFormatError(
-            f"header promises {expected_entries} entries, "
-            f"found {len(table.entries)} (truncated?)",
+            f"header promises {expected_entries} entries, found {found} (truncated?)",
             path=str(path),
         )
+
+
+def read_table(path) -> QuantTable:
+    """Parse a table file; malformed, out-of-order or truncated input raises TableFormatError."""
+    config, entries = iter_entries(path)
+    table = QuantTable(config)
+    table.entries = dict(entries)
     return table
+
+
+def write_merged(config: BuildConfig, inputs, path) -> None:
+    """Write the table of ``config`` holding the entries of ``inputs`` to ``path``.
+
+    ``inputs`` are entry iterators in canonical order, as ``iter_entries``
+    returns them. They are merged k-way; the entries of one key are folded
+    in place with ``update`` and, in a finalized table, kept only if they
+    meet its thresholds; each line is written as its key closes. The
+    header's entry count is known only at the end, so the body goes to a
+    temporary file beside ``path``, and ``path`` is replaced by the
+    complete table at once: a failure leaves ``path`` as it was, and
+    ``path`` may name an input.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    with tempfile.TemporaryFile(dir=directory) as body:
+        written = 0
+        merged = heapq.merge(*inputs, key=lambda entry: _order(entry[0]))
+        for key, group in groupby(merged, key=itemgetter(0)):
+            _, dist = next(group)
+            for _, other in group:
+                dist.update(other)
+            if not config.finalized or _keeps(config, key, dist):
+                body.write(f"{_entry_line(key, dist)}\n".encode("utf-8"))
+                written += 1
+        body.seek(0)
+        fd, temp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
+        try:
+            with open(fd, "wb") as out:
+                out.write(f"{_header_line(config, written)}\n".encode("utf-8"))
+                shutil.copyfileobj(body, out)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)  # the mode ``open(path, "w")`` would give
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise

@@ -1,18 +1,24 @@
 """End-to-end tests for the command-line front end."""
 
 import dataclasses
+import gc
+import itertools
+import math
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantdist.cli import _parse_record, _record_line, _stream_header, main
+from quantdist.errors import TableFormatError
 from quantdist.evaluation import detect_leakage, load_dataset
 from quantdist.pipeline import (
     CooccurrenceRecord,
@@ -281,8 +287,29 @@ def _mutant(rng: random.Random, data: bytes, donors: list) -> bytes:
     return b"\n".join(lines)
 
 
+def _first_changed_line(data: bytes, valid: bytes) -> float:
+    """The number of the first line where ``data`` differs from ``valid``; inf if none does."""
+    pairs = itertools.zip_longest(data.split(b"\n"), valid.split(b"\n"))
+    return next((i for i, (a, b) in enumerate(pairs, 1) if a != b), math.inf)
+
+
+def _cites_no_earlier_line(err: str, path: str, first: float) -> bool:
+    """Whether ``err`` locates its error in ``path`` at line ``first`` or later, or names
+    ``path`` alone for an error of the whole file (its header missing, its entry count
+    broken, or a merge of it failing)."""
+    located = re.search(re.escape(path) + r":(\d+): ", err)
+    if located:
+        return int(located.group(1)) >= first
+    whole_file = (f"{path}: missing header", f"{path}: header promises", f"merging {path}, ")
+    return any(text in err for text in whole_file)
+
+
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
-    """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2."""
+    """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2.
+
+    A mutated table goes to ``merge`` and to ``finalize``, which must locate an
+    error no earlier than the mutant's first changed line.
+    """
     plain = tmp_path / "plain.txt"
     plain.write_bytes(_FUZZ_PLAIN)
     table = build_table(tmp_path, plain, exact_cap=1)  # both entry shapes: samples and spilled
@@ -299,45 +326,62 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     }
     mutant, out = tmp_path / "mutant", str(tmp_path / "out.tsv")
     commands = {
-        "table": ["merge", str(mutant), str(table), "-o", out],
-        "stream": ["aggregate", str(mutant), "-o", out],
-        "annotated": ["extract", "--annotated", str(mutant), "-o", out],
-        "plain": ["extract", str(mutant), "-o", out],
-        "dataset": ["eval", str(mutant), "--table", str(table)],
-        "units": ["extract", "--units", str(mutant), str(plain), "-o", out],
-        "rates": ["extract", "--rates", str(mutant), str(plain), "-o", out],
+        "table": (
+            ["merge", str(mutant), str(table), "-o", out],
+            ["finalize", str(mutant), "--min-count", "2", "-o", out],
+        ),
+        "stream": (["aggregate", str(mutant), "-o", out],),
+        "annotated": (["extract", "--annotated", str(mutant), "-o", out],),
+        "plain": (["extract", str(mutant), "-o", out],),
+        "dataset": (["eval", str(mutant), "--table", str(table)],),
+        "units": (["extract", "--units", str(mutant), str(plain), "-o", out],),
+        "rates": (["extract", "--rates", str(mutant), str(plain), "-o", out],),
     }
     rng = random.Random(9)
-    for name, argv in commands.items():
+    for name, argvs in commands.items():
         donors = [other for key, other in valid.items() if key != name]
         for k in range(60):
-            mutant.write_bytes(_mutant(rng, valid[name], donors))
-            try:
-                code = main(argv)
-            except Exception as exc:
-                pytest.fail(f"mutant {k} of the {name} input: {exc!r}")
-            err = capsys.readouterr().err
-            assert code in (0, 1, 2), (name, k)
-            # a rate the units need but the rates file lost is reported at that unit
-            named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
-            assert code != 2 or named, (name, k, err)
+            mutated = _mutant(rng, valid[name], donors)
+            mutant.write_bytes(mutated)
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    pytest.fail(f"mutant {k} of the {name} input, {argv[0]}: {exc!r}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (name, k, argv[0])
+                # a rate the units need but the rates file lost is reported at that unit
+                named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
+                assert code != 2 or named, (name, k, argv[0], err)
+                if name == "table" and code == 2:
+                    first = _first_changed_line(mutated, valid[name])
+                    assert _cites_no_earlier_line(err, str(mutant), first), (k, argv[0], err)
 
 
 def test_table_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    """The CLI chain writes the same table, holding both entry shapes, under any string hash."""
-    plain = tmp_path / "plain.txt"
-    plain.write_bytes(_FUZZ_PLAIN)
+    """The CLI chain, through a two-shard merge, writes the same table under any string hash.
+
+    The table holds both entry shapes.
+    """
+    shards = []
+    for i, text in enumerate(_FUZZ_PLAIN.split(b"\n", 1)):
+        shards.append(tmp_path / f"plain{i}.txt")
+        shards[-1].write_bytes(text + b"\n")
     tables = []
     for seed in ("0", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=seed)
-        paths = [str(tmp_path / f"{name}.{seed}") for name in ("records", "part", "table")]
+        records, parts = (
+            [str(tmp_path / f"{name}{i}.{seed}") for i in range(2)] for name in ("records", "part")
+        )
+        merged, final = (str(tmp_path / f"{name}.{seed}") for name in ("merged", "table"))
         for argv in (
-            ["extract", str(plain), "-o", paths[0]],
-            ["aggregate", paths[0], "--exact-cap", "1", "-o", paths[1]],
-            ["finalize", paths[1], "--min-count", "1", "-o", paths[2]],
+            *(["extract", str(shard), "-o", out] for shard, out in zip(shards, records)),
+            *(["aggregate", r, "--exact-cap", "1", "-o", part] for r, part in zip(records, parts)),
+            ["merge", *parts, "-o", merged],
+            ["finalize", merged, "--min-count", "1", "-o", final],
         ):
             subprocess.run([sys.executable, "-m", "quantdist.cli", *argv], env=env, check=True)
-        with open(paths[2], "rb") as fh:
+        with open(final, "rb") as fh:
             tables.append(fh.read())
     assert {len(line.split(b"\t")) for line in tables[0].splitlines()[1:]} == {5, 9}
     assert tables[0] == tables[1]
@@ -473,6 +517,116 @@ def test_aggregate_multiple_streams_equals_merge(tmp_path, corpus):
     merged = tmp_path / "merged.tsv"
     assert main(["merge", str(one), str(one), "-o", str(merged)]) == 0
     assert both.read_bytes() == merged.read_bytes()
+
+
+def test_entry_lines_out_of_order_are_located(tmp_path, corpus, capsys):
+    """A swapped or repeated entry line is a data error at the later of the two lines."""
+    table = build_table(tmp_path, corpus)
+    header, *entries = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(entries) >= 3
+    bad = tmp_path / "bad.tsv"
+    out = tmp_path / "out.tsv"
+    for lines, line, message in (
+        ([entries[1], entries[0], *entries[2:]], 3, "entry out of canonical order"),
+        ([entries[0], entries[2], entries[1], *entries[3:]], 4, "entry out of canonical order"),
+        ([entries[0], entries[0], *entries[1:]], 3, "repeated entry"),
+    ):
+        bad.write_text(header + "".join(lines), encoding="utf-8")
+        with pytest.raises(TableFormatError, match=f"^{bad}:{line}: {message}$") as err:
+            read_table(bad)
+        assert (err.value.path, err.value.line_number) == (str(bad), line)
+        for argv in (
+            ["merge", str(table), str(bad), "-o", str(out)],
+            ["finalize", str(bad), "--min-count", "1", "-o", str(out)],
+            ["query", "--table", str(bad), "--object", "car", "--dim", "speed"],
+        ):
+            assert main(argv) == 2, argv
+            assert f"error: {bad}:{line}: {message}\n" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+
+def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, monkeypatch):
+    """A data error, found early or late, or a failed write leaves no ``-o`` file and no
+    temporary file beside it."""
+    table = build_table(tmp_path, corpus)
+    header, *entries = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    truncated = tmp_path / "truncated.tsv"  # fails only once its last line is read
+    truncated.write_text(header + "".join(entries[:-1]), encoding="utf-8")
+    huge = []  # fails folding its only entries
+    stream_header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
+    for name in ("a.tsv", "b.tsv"):
+        stream = tmp_path / "huge.records"
+        stream.write_text(stream_header + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
+        huge.append(str(tmp_path / name))
+        assert main(["aggregate", str(stream), "-o", huge[-1]]) == 0
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    out = outputs / "out.tsv"
+    for argv, message in (
+        (["merge", str(table), str(truncated)], f"{truncated}: header promises"),
+        (["merge", str(table), str(tmp_path / "missing.tsv")], "missing.tsv"),
+        (["finalize", str(truncated), "--min-count", "1"], f"{truncated}: header promises"),
+        (["merge", *huge], f"merging {huge[0]}, {huge[1]}: running sum overflowed"),
+    ):
+        assert main([*argv, "-o", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err
+        assert os.listdir(outputs) == [], argv
+        out.write_text("kept\n", encoding="utf-8")  # and an existing -o file stays as it was
+        assert main([*argv, "-o", str(out)]) == 2, argv
+        assert os.listdir(outputs) == ["out.tsv"] and out.read_text(encoding="utf-8") == "kept\n"
+        out.unlink()
+    assert "Traceback" not in capsys.readouterr().err
+
+    def full_disk(*_):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(shutil, "copyfileobj", full_disk)  # fails writing the complete table
+    for argv in (["merge", str(table)], ["finalize", str(table), "--min-count", "1"]):
+        assert main([*argv, "-o", str(out)]) == 2, argv
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(outputs) == [], argv
+
+
+def test_merge_and_finalize_write_over_an_input(tmp_path, corpus):
+    """``-o`` may name an input: it is replaced only once the new table is complete."""
+    build_table(tmp_path, corpus)
+    part = tmp_path / "part.tsv"
+    other = tmp_path / "other.tsv"
+    assert main(["merge", str(part), str(part), "-o", str(other)]) == 0
+    assert main(["merge", str(part), str(part), "-o", str(part)]) == 0
+    assert part.read_bytes() == other.read_bytes()
+    assert main(["finalize", str(part), "--min-count", "2", "-o", str(other)]) == 0
+    assert main(["finalize", str(part), "--min-count", "2", "-o", str(part)]) == 0
+    assert part.read_bytes() == other.read_bytes()
+    names = ["corpus.txt", "other.tsv", "part.tsv", "records.tsv", "table.tsv"]
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary file left
+
+
+def test_merge_memory_does_not_grow_with_its_inputs(tmp_path):
+    """``merge`` streams its inputs: its peak allocation stays flat when they grow 4x."""
+    inputs = {}
+    for n in (500, 2000):
+        inputs[n] = []
+        for shard in range(2):
+            table = QuantTable(BuildConfig(exact_cap=4))
+            for i in range(shard * n // 2, shard * n // 2 + n):  # half the keys in both shards
+                key = ObjectKey(f"object{i}", Pos.NOUN, None)
+                for k in range(1 + i % 7):  # kept samples, and spilled past 4
+                    table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.5**k), 0))
+            inputs[n].append(str(tmp_path / f"{n}.{shard}.tsv"))
+            table.write(inputs[n][-1])
+    out = str(tmp_path / "merged.tsv")
+    assert main(["merge", *inputs[500], "-o", out]) == 0  # one-time allocations, untraced
+    peaks = []
+    for n in (500, 2000):
+        gc.collect()  # no earlier test's garbage is finalized while tracing
+        tracemalloc.start()
+        try:
+            assert main(["merge", *inputs[n], "-o", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
 
 
 def test_aggregate_rejects_mixed_headers(tmp_path, corpus, capsys):

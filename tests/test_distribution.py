@@ -373,6 +373,7 @@ def test_validate_rejects_inconsistent_fields():
         "lowest and highest": broken(minimum=1.0, exact=[1.0, 3.0, 30.0]),
         "add up to the count": broken(count=4),
         "empty": broken(count=0, buckets=Counter(), exact=[]),
+        "spilled summary must count more than exact_cap 4": broken(exact=None),
     }
     for message, dist in cases.items():
         with pytest.raises(ValueError, match=message):

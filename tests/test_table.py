@@ -312,6 +312,7 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         return "\t".join(cols[:4] + [text])
 
     cap_two = header.replace('"exact_cap": 1', '"exact_cap": 2')
+    cap_4096 = header.replace('"exact_cap": 1', '"exact_cap": 4096')
     bad_entries = [
         (header, entry.rsplit("\t", 1)[0], "expected 5 or 9 columns, got 8"),
         (header, entry + "\t-", "expected 5 or 9 columns, got 10"),  # a quanttable/1 line
@@ -331,6 +332,9 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         (header, with_samples("5.0 7.0"), "2 samples exceed exact_cap 1"),
         (header, with_samples(""), "could not convert"),
         (cap_two, with_samples("1e308 1e308"), "overflowed"),  # exact sum past the float range
+        # a spilled summary of 2 values under a cap that keeps them: no build writes one
+        (cap_4096, entry, "spilled summary must count more than exact_cap 4096"),
+        (cap_two, entry, "spilled summary must count more than exact_cap 2"),
     ]
     bad = tmp_path / "bad.tsv"
     for bad_header, bad_entry, message in bad_entries:
@@ -458,7 +462,8 @@ N_SHARDS = 4
     st.permutations(range(N_SHARDS)),
 )
 def test_any_sharding_serializes_like_one_pass(tagged, order):
-    whole = build([r for r, _ in tagged], exact_cap=3).serialize()
+    one_pass = build([r for r, _ in tagged], exact_cap=3)
+    whole = one_pass.serialize()
     shards = [
         build([r for r, shard in tagged if shard == i], exact_cap=3) for i in order
     ]
@@ -477,3 +482,11 @@ def test_any_sharding_serializes_like_one_pass(tagged, order):
             shard.write(path)
         first, *rest = [read_table(path) for path in paths]
         assert first.merge(*rest).serialize() == whole
+        # and file to file, as the CLI streams them
+        merged, final = os.path.join(d, "merged.table"), os.path.join(d, "final.table")
+        assert main(["merge", *paths, "-o", merged]) == 0
+        assert main(["finalize", merged, "--min-count", "2", "-o", final]) == 0
+        with open(merged, "rb") as fh:
+            assert fh.read() == whole.encode("utf-8")
+        with open(final, "rb") as fh:
+            assert fh.read() == one_pass.finalize(2).serialize().encode("utf-8")
