@@ -5,16 +5,15 @@ or annotated text, aggregate records into partial tables, merge and
 finalize them, then query, compare, evaluate, audit, split, and export
 plot data. Exit codes: 0 success, 1 usage error, 2 data error.
 
-Between `extract` and `aggregate` records travel as a tab-separated
-stream whose header line pins the registry version, distance preset, and
-phrase threshold, so sharded builds cannot silently mix configurations.
+This module only wires subcommands: the record stream that travels
+between `extract` and `aggregate`, and the table files, are read and
+written by `table`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import sys
 
@@ -25,6 +24,7 @@ from .evaluation import (
     evaluate,
     load_dataset,
     make_clean_split,
+    write_dataset,
 )
 from .inference import (
     CompareConfig,
@@ -34,14 +34,7 @@ from .inference import (
     relax_hour_window,
     relax_to_decade,
 )
-from .pipeline import (
-    CooccurrenceRecord,
-    ExtractionConfig,
-    ObjectKey,
-    Pos,
-    read_annotated,
-    read_plain,
-)
+from .pipeline import ExtractionConfig, ObjectKey, Pos, read_annotated, read_plain
 from .pipeline import extract_records as _extract_records
 from .table import (
     BuildConfig,
@@ -49,14 +42,14 @@ from .table import (
     finalized_config,
     iter_entries,
     merged_config,
-    parse_key,
+    parse_record,
     read_table,
+    record_line,
+    stream_config,
+    stream_header,
     write_merged,
 )
 from .units import Dimension, Quantity, load_registry
-
-RECORD_FORMAT = "quantrecords/1"
-_STREAM_FIELDS = ("registry", "distance", "min_phrase_count")
 
 
 class _UsageError(Exception):
@@ -152,75 +145,20 @@ def _object_key(args) -> ObjectKey:
     return ObjectKey(args.object.lower(), pos, head)
 
 
-# --------------------------------------------------------- record streams
-
-
-def _record_line(record: CooccurrenceRecord) -> str:
-    (surface, pos, head), (dimension, value_std), gap = record
-    return f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t{value_std!r}\t{gap}"
-
-
-def _stream_header(registry_version: str, distance, min_phrase_count: int) -> str:
-    preset = "sentence" if distance is None else str(distance)
-    return (
-        f"#{RECORD_FORMAT}\tregistry={registry_version}"
-        f"\tdistance={preset}\tmin_phrase_count={min_phrase_count}"
-    )
-
-
-def _read_stream_header(line: str, exact_cap: int) -> BuildConfig:
-    """The BuildConfig a stream's header line pins, with aggregate's ``exact_cap``."""
-    try:
-        fields = line.split("\t")
-        if fields[0] != f"#{RECORD_FORMAT}":
-            raise ValueError(f"missing {RECORD_FORMAT} header")
-        meta = {}
-        for field in fields[1:]:
-            name, eq, value = field.partition("=")
-            if not eq or name not in _STREAM_FIELDS or name in meta:
-                raise ValueError(f"unknown, repeated or malformed field {field!r}")
-            meta[name] = value
-        for name in _STREAM_FIELDS:
-            if name not in meta:
-                raise ValueError(f"missing {name!r}")
-        return BuildConfig(
-            registry_version=meta["registry"],
-            distance=_distance(meta["distance"]),
-            min_phrase_count=int(meta["min_phrase_count"]),
-            exact_cap=exact_cap,
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad stream header: {exc}") from None
-
-
-def _parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
-    """One record line; ValueError if malformed or its gap is outside ``distance``."""
-    parts = line.split("\t")
-    if len(parts) != 6:
-        raise ValueError(f"expected 6 columns, got {len(parts)}")
-    surface, pos, head, dimension = parse_key(*parts[:4])
-    value = float(parts[4])
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {parts[4]!r}")
-    gap = int(parts[5])
-    if gap < 0 or (distance is not None and gap >= distance):
-        raise ValueError(f"token gap {gap} outside the extraction window")
-    return CooccurrenceRecord(ObjectKey(surface, pos, head), Quantity(dimension, value), gap)
-
-
 # ------------------------------------------------------------ subcommands
 
 
 def _cmd_extract(args) -> int:
     registry = _registry_for(args)
     config = ExtractionConfig(max_distance=args.distance)
+    pinned = BuildConfig(registry.version, args.distance, args.min_phrase_count)
     with _output(args.output) as out:
-        print(_stream_header(registry.version, args.distance, args.min_phrase_count), file=out)
+        print(stream_header(pinned), file=out)
         for path in args.inputs:
             sentences = read_annotated(path) if args.annotated else read_plain(path)
             for sentence in sentences:
                 for record in _extract_records(sentence, config, registry):
-                    print(_record_line(record), file=out)
+                    print(record_line(record), file=out)
     return 0
 
 
@@ -230,7 +168,7 @@ def _cmd_aggregate(args) -> int:
     for path in args.records:
         with LocatedLines(path, RecordFormatError) as lines:
             rows = iter(lines)
-            config = _read_stream_header(next(rows, ""), args.exact_cap)
+            config = stream_config(next(rows, ""), args.exact_cap)
             if table is None:
                 table = QuantTable(config)
             elif config != table.config:
@@ -240,7 +178,7 @@ def _cmd_aggregate(args) -> int:
                 )
             for line in rows:
                 if line:
-                    table.observe(_parse_record(line, config.distance))
+                    table.observe(parse_record(line, config.distance))
     table.write(args.output)
     return 0
 
@@ -282,8 +220,7 @@ def _cmd_query(args) -> int:
         registry = _registry_for(args)
         unit = registry.lookup_unit(args.unit, marker_present=True)
         if unit is None:
-            print(f"unknown unit {args.unit!r}", file=sys.stderr)
-            return 2
+            raise QuantdistError(f"unknown unit {args.unit!r}")
         for field in ("median", "mean", "p5", "p95", "min", "max"):
             stats[field] = registry.denormalize(Quantity(args.dim, stats[field]), unit)
         unit_label = args.unit
@@ -386,19 +323,15 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-_LABEL_TEXT = {None: "NA"}
-
-
 def _cmd_split(args) -> int:
     examples = load_dataset(args.dataset)
-    train, dev, test = make_clean_split(examples, ratios=args.ratios, seed=args.seed)
+    try:
+        train, dev, test = make_clean_split(examples, ratios=args.ratios, seed=args.seed)
+    except QuantdistError as exc:  # no leakage-free split exists
+        raise QuantdistError(f"{args.dataset}: {exc}") from None
     for name, rows in (("train", train), ("dev", dev), ("test", test)):
         path = f"{args.output_prefix}.{name}.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("object1\tobject2\tdimension\tlabel\n")
-            for row in rows:
-                label = _LABEL_TEXT.get(row.gold) or row.gold.value
-                fh.write(f"{row.object1}\t{row.object2}\t{row.scale}\t{label}\n")
+        write_dataset(path, rows)
         print(f"{name}: {len(rows)} examples -> {path}")
     return 0
 
@@ -513,10 +446,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (None, 0) else 1
     try:
         return args.func(args)
-    except QuantdistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QuantdistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

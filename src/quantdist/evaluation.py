@@ -28,7 +28,7 @@ SCALE_MAP = {
     "speed": Dimension.SPEED,
 }
 
-_LABELS = {"<": ComparisonLabel.LESS, "=": ComparisonLabel.EQUAL, ">": ComparisonLabel.GREATER}
+_LABELS = {"NA": None, **{label.value: label for label in ComparisonLabel}}
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,9 @@ def _parse_example(line: str, first: bool) -> ComparisonExample | None:
     o1, o2, scale_s, label_s = (p.strip() for p in parts)
     if first and label_s.lower() == "label":
         return None
-    if label_s == "NA":
-        gold = None
-    elif label_s in _LABELS:
-        gold = _LABELS[label_s]
-    else:
+    if label_s not in _LABELS:
         raise ValueError(f"unknown label {label_s!r}")
+    gold = _LABELS[label_s]
     if not o1 or not o2:
         raise ValueError("empty object name")
     o1, o2 = o1.lower(), o2.lower()
@@ -96,6 +93,15 @@ def load_dataset(path) -> list[ComparisonExample]:
                 if example is not None:
                     examples.append(example)
     return examples
+
+
+def write_dataset(path, examples) -> None:
+    """Write ``examples`` under a header line, as rows that ``load_dataset`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("object1\tobject2\tdimension\tlabel\n")
+        for ex in examples:
+            label = ex.gold.value if ex.gold else "NA"
+            fh.write(f"{ex.object1}\t{ex.object2}\t{ex.scale}\t{label}\n")
 
 
 def evaluate(

@@ -15,6 +15,10 @@ QuantTable. ``write_merged`` is the file-to-file path: it merges entry streams
 k-way, folds each key's entries with ``Distribution.update``, and writes each
 line as its key closes, so ``quantdist merge`` and ``finalize`` run in memory
 that does not grow with the tables.
+
+The record stream from ``extract`` to ``aggregate`` is here too: a JSON header
+read like a table's, pinning the three settings extraction knows, then per
+record its four key columns, value and token gap.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_un
 from .errors import ConfigMismatchError, LocatedLines, TableFormatError
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
-from .units import Dimension
+from .units import Dimension, Quantity
 
 FORMAT_NAME = "quanttable/2"
+RECORD_FORMAT = "quantrecords/2"
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,8 @@ class BuildConfig:
             raise ValueError("min_count must be >= 1")
 
 
-# (header key, BuildConfig field, accepted JSON types); a bool is no int here
+# (header key, BuildConfig field, accepted JSON types); a bool is no int here.
+# A record stream's header pins the first three; aggregating sets the rest.
 _HEADER_FIELDS = (
     ("registry", "registry_version", (str,)),
     ("distance", "distance", (int, type(None))),
@@ -71,13 +77,13 @@ _HEADER_FIELDS = (
     ("min_count", "min_count", (int,)),
     ("finalized", "finalized", (bool,)),
 )
+_STREAM_FIELDS = _HEADER_FIELDS[:3]
 # header values every table carries: the bucketing is fixed in ``kernels``
 _HEADER_CONSTANTS = {
     "format": FORMAT_NAME,
     "buckets_per_decade": BUCKETS_PER_DECADE,
     "value_floor": 10.0**-DECADES_BELOW,
 }
-_HEADER_KEYS = {key for key, _, _ in _HEADER_FIELDS} | _HEADER_CONSTANTS.keys() | {"entries"}
 
 
 def merged_config(configs) -> BuildConfig:
@@ -254,7 +260,7 @@ class QuantTable:
     # serialization
 
     def serialize(self) -> str:
-        lines = [_header_line(self.config, len(self.entries))]
+        lines = [_header_line(self.config, entries=len(self.entries))]
         lines += [_entry_line(key, self.entries[key]) for key in sorted(self.entries, key=_order)]
         return "\n".join(lines) + "\n"
 
@@ -263,16 +269,21 @@ class QuantTable:
             fh.write(self.serialize())
 
 
-def _header_line(config: BuildConfig, entries: int) -> str:
-    header = {key: getattr(config, field) for key, field, _ in _HEADER_FIELDS}
-    header.update(_HEADER_CONSTANTS, entries=entries)
+def _header_line(config: BuildConfig, fields=_HEADER_FIELDS, constants=_HEADER_CONSTANTS, **extra):
+    """A JSON header line: a table's by default, a record stream's with its fields and format."""
+    header = {key: getattr(config, field) for key, field, _ in fields}
+    header.update(constants, **extra)
     return json.dumps(header, sort_keys=True)
+
+
+def _key_columns(surface: str, pos: Pos, head: str | None, dimension: Dimension) -> str:
+    """The four key columns that start every entry and record line."""
+    return f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}"
 
 
 def _entry_line(key: tuple, dist: Distribution) -> str:
     """One entry line, without its line break: the kept samples, or the spilled summary."""
-    surface, pos, head, dimension = key
-    prefix = f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}\t"
+    prefix = _key_columns(*key) + "\t"
     if dist.exact is not None:
         return prefix + " ".join(map(repr, dist.sorted_exact()))
     buckets = " ".join(f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets))
@@ -321,21 +332,39 @@ def _header_value(header: dict, key: str, types: tuple):
     return value
 
 
-def _parse_header(line: str) -> tuple[BuildConfig, int]:
-    """A header line as ``(config, promised entry count)``; ValueError if malformed."""
-    header = json.loads(line)
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its ``(key, value)`` pairs; ValueError for a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _read_header(line: str, fields, constants: dict, others=(), **settings):
+    """A header line's JSON object, and the BuildConfig of its ``fields`` and ``settings``.
+
+    ValueError unless it is one JSON object with no key repeated and none but
+    ``fields``, ``constants`` and ``others``, each constant at its value.
+    """
+    header = json.loads(line, object_pairs_hook=_unique_keys)
     if not isinstance(header, dict):
         raise ValueError("not a JSON object")
-    unknown = header.keys() - _HEADER_KEYS
+    unknown = header.keys() - {key for key, _, _ in fields} - constants.keys() - set(others)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
-    for key, value in _HEADER_CONSTANTS.items():
+    for key, value in constants.items():
         found = header.get(key)
         if type(found) is not type(value) or found != value:
             raise ValueError(f"unsupported {key} {found!r}")
-    config = BuildConfig(
-        **{field: _header_value(header, key, types) for key, field, types in _HEADER_FIELDS}
-    )
+    settings.update((field, _header_value(header, key, types)) for key, field, types in fields)
+    return header, BuildConfig(**settings)
+
+
+def _parse_header(line: str) -> tuple[BuildConfig, int]:
+    """A header line as ``(config, promised entry count)``; ValueError if malformed."""
+    header, config = _read_header(line, _HEADER_FIELDS, _HEADER_CONSTANTS, ("entries",))
     return config, _header_value(header, "entries", (int,))
 
 
@@ -417,7 +446,7 @@ def write_merged(config: BuildConfig, inputs, path) -> None:
         fd, temp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
         try:
             with open(fd, "wb") as out:
-                out.write(f"{_header_line(config, written)}\n".encode("utf-8"))
+                out.write(f"{_header_line(config, entries=written)}\n".encode("utf-8"))
                 shutil.copyfileobj(body, out)
             umask = os.umask(0)
             os.umask(umask)
@@ -426,3 +455,37 @@ def write_merged(config: BuildConfig, inputs, path) -> None:
         except BaseException:
             os.unlink(temp)
             raise
+
+
+def stream_header(config: BuildConfig) -> str:
+    """The header line of a record stream extracted under ``config``'s settings."""
+    return _header_line(config, _STREAM_FIELDS, {"format": RECORD_FORMAT})
+
+
+def stream_config(line: str, exact_cap: int) -> BuildConfig:
+    """The BuildConfig that a stream's header line pins, with aggregate's ``exact_cap``."""
+    try:
+        return _read_header(line, _STREAM_FIELDS, {"format": RECORD_FORMAT}, exact_cap=exact_cap)[1]
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValueError(f"bad stream header ({exc}); re-run extract") from None
+
+
+def record_line(record: CooccurrenceRecord) -> str:
+    """One record stream line, without its line break: key columns, value and token gap."""
+    (surface, pos, head), (dimension, value_std), gap = record
+    return f"{_key_columns(surface, pos, head, dimension)}\t{value_std!r}\t{gap}"
+
+
+def parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
+    """One record line; ValueError if malformed or its gap is outside ``distance``."""
+    parts = line.split("\t")
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 columns, got {len(parts)}")
+    surface, pos, head, dimension = parse_key(*parts[:4])
+    value = float(parts[4])
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {parts[4]!r}")
+    gap = int(parts[5])
+    if gap < 0 or (distance is not None and gap >= distance):
+        raise ValueError(f"token gap {gap} outside the extraction window")
+    return CooccurrenceRecord(ObjectKey(surface, pos, head), Quantity(dimension, value), gap)

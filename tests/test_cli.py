@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -17,7 +18,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantdist.cli import _parse_record, _record_line, _stream_header, main
+from quantdist.cli import main
 from quantdist.errors import TableFormatError
 from quantdist.evaluation import detect_leakage, load_dataset
 from quantdist.pipeline import (
@@ -28,7 +29,14 @@ from quantdist.pipeline import (
     read_annotated,
     read_plain,
 )
-from quantdist.table import BuildConfig, QuantTable, read_table
+from quantdist.table import (
+    BuildConfig,
+    QuantTable,
+    parse_record,
+    read_table,
+    record_line,
+    stream_header,
+)
 from quantdist.units import Dimension, Quantity, load_registry
 
 
@@ -46,6 +54,11 @@ def corpus(tmp_path):
         encoding="utf-8",
     )
     return p
+
+
+_STREAM_HEADER = (
+    '{"distance": null, "format": "quantrecords/2", "min_phrase_count": 5, "registry": "r"}\n'
+)
 
 
 def build_table(tmp_path, corpus, min_count=1, exact_cap=4096):
@@ -111,7 +124,7 @@ def test_data_errors_exit_2(tmp_path, corpus, capsys):
     )
     err = capsys.readouterr().err
     assert "error:" in err
-    header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
+    header = _STREAM_HEADER
     for value in ("nan", "inf", "-inf"):
         bad.write_text(header + f"car\t\tNOUN\tMASS\t{value}\t0\n", encoding="utf-8")
         assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
@@ -121,24 +134,27 @@ def test_data_errors_exit_2(tmp_path, corpus, capsys):
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"{bad}:2: " in capsys.readouterr().err
     bad_headers = (
-        header.replace("=5", "=0"),
-        header.replace("=sentence", "=0"),
-        header.replace("\n", "\tmax_phrase_len=2\n"),  # a setting no stream pins
-        header.replace("\n", "\tsentence\n"),  # a field with no "="
-        header.replace("\n", "\tregistry=r\n"),  # a field given twice
-        header.replace("\tmin_phrase_count=5", ""),  # a field missing
+        (header.replace(": 5", ": 0"), "min_phrase_count must be >= 1"),
+        (header.replace("null", "0"), "distance"),
+        (header.replace("}", ', "max_phrase_len": 2}'), "unknown keys ['max_phrase_len']"),
+        (header.replace("}", ""), "Expecting"),  # not JSON
+        (header.replace("}", ', "registry": "s"}'), "repeated key 'registry'"),
+        (header.replace(', "min_phrase_count": 5', ""), "missing 'min_phrase_count'"),
+        (header.replace("/2", "/1"), "unsupported format 'quantrecords/1'"),
+        # the tab-separated header that format 1 wrote
+        ("#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n", "Expecting"),
     )
-    for bad_header in bad_headers:
+    for bad_header, message in bad_headers:
         bad.write_text(bad_header + "car\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")
         assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2, bad_header
         err = capsys.readouterr().err
-        assert f"{bad}:1: bad stream header" in err
-    assert "bad stream header: missing 'min_phrase_count'" in err  # the last: a field missing
+        assert f"error: {bad}:1: bad stream header (" in err and message in err, err
+        assert err.rstrip().endswith("; re-run extract"), err
     bad.write_bytes(b"")  # an empty stream has no line to name, as an empty table has none
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"error: {bad}: bad stream header" in capsys.readouterr().err
     # a token gap below 0, or at or past the pinned window, is no record extract writes
-    near = header.replace("=sentence", "=3")
+    near = header.replace("null", "3")
     for stream_header, gap in ((header, -3), (near, 7), (near, 3)):
         bad.write_text(
             stream_header + f"car\t\tNOUN\tMASS\t5.0\t2\ncar\t\tNOUN\tMASS\t5.0\t{gap}\n",
@@ -190,14 +206,14 @@ _RECORDS = st.builds(
 def test_record_lines_round_trip(records):
     """A record reads back from its stream line, and aggregating the stream equals observing."""
     for record in records:
-        line = _record_line(record)
-        assert _parse_record(line) == record
-        assert _record_line(_parse_record(line)) == line  # keeps the sign of -0.0
+        line = record_line(record)
+        assert parse_record(line) == record
+        assert record_line(parse_record(line)) == line  # keeps the sign of -0.0
     with tempfile.TemporaryDirectory() as d:
         stream, part = os.path.join(d, "records.tsv"), os.path.join(d, "part.tsv")
         with open(stream, "w", encoding="utf-8") as fh:
-            fh.write(_stream_header("r", None, 5) + "\n")
-            fh.writelines(_record_line(record) + "\n" for record in records)
+            fh.write(stream_header(BuildConfig(registry_version="r")) + "\n")
+            fh.writelines(record_line(record) + "\n" for record in records)
         assert main(["aggregate", stream, "--exact-cap", "4", "-o", part]) == 0
         with open(part, "rb") as fh:
             aggregated = fh.read()
@@ -295,20 +311,28 @@ def _first_changed_line(data: bytes, valid: bytes) -> float:
 
 def _cites_no_earlier_line(err: str, path: str, first: float) -> bool:
     """Whether ``err`` locates its error in ``path`` at line ``first`` or later, or names
-    ``path`` alone for an error of the whole file (its header missing, its entry count
-    broken, or a merge of it failing)."""
+    ``path`` alone for an error of the whole file: a table's header missing, its entry
+    count broken, a merge of it failing or no entry for the queried key, an empty
+    record stream, or a dataset with no leakage-free split."""
     located = re.search(re.escape(path) + r":(\d+): ", err)
     if located:
         return int(located.group(1)) >= first
-    whole_file = (f"{path}: missing header", f"{path}: header promises", f"merging {path}, ")
+    whole_file = (
+        f"{path}: missing header",
+        f"{path}: header promises",
+        f"merging {path}, ",
+        f"{path}: no entry for ",
+        f"{path}: bad stream header (Expecting value: line 1 column 1 (char 0))",
+        f"{path}: object graph is a single connected component",
+    )
     return any(text in err for text in whole_file)
 
 
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2.
 
-    A mutated table goes to ``merge`` and to ``finalize``, which must locate an
-    error no earlier than the mutant's first changed line.
+    A mutated table, record stream or dataset is an error no earlier than the
+    mutant's first changed line, or one of the whole file.
     """
     plain = tmp_path / "plain.txt"
     plain.write_bytes(_FUZZ_PLAIN)
@@ -329,11 +353,18 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
         "table": (
             ["merge", str(mutant), str(table), "-o", out],
             ["finalize", str(mutant), "--min-count", "2", "-o", out],
+            ["query", "--table", str(mutant), "--object", "car", "--dim", "speed"],
+            ["compare", "--table", str(mutant), "--noun", "elephant", "cat", "--dim", "mass"],
+            ["plot-export", "--table", str(mutant), "--object", "car", "--dim", "speed"],
         ),
         "stream": (["aggregate", str(mutant), "-o", out],),
         "annotated": (["extract", "--annotated", str(mutant), "-o", out],),
         "plain": (["extract", str(mutant), "-o", out],),
-        "dataset": (["eval", str(mutant), "--table", str(table)],),
+        "dataset": (
+            ["eval", str(mutant), "--table", str(table)],
+            ["audit", str(mutant), str(mutant)],
+            ["split", str(mutant), "--output-prefix", str(tmp_path / "split")],
+        ),
         "units": (["extract", "--units", str(mutant), str(plain), "-o", out],),
         "rates": (["extract", "--rates", str(mutant), str(plain), "-o", out],),
     }
@@ -353,7 +384,7 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
                 # a rate the units need but the rates file lost is reported at that unit
                 named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
                 assert code != 2 or named, (name, k, argv[0], err)
-                if name == "table" and code == 2:
+                if name in ("table", "stream", "dataset") and code == 2:
                     first = _first_changed_line(mutated, valid[name])
                     assert _cites_no_earlier_line(err, str(mutant), first), (k, argv[0], err)
 
@@ -429,8 +460,9 @@ def test_missing_object_exits_2(tmp_path, corpus, capsys):
 def test_extract_stream_shape(tmp_path, corpus, capsys):
     assert main(["extract", str(corpus)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0].startswith("#quantrecords/1\t")
-    assert "distance=sentence" in lines[0]
+    header = json.loads(lines[0])
+    assert header["format"] == "quantrecords/2" and header["distance"] is None
+    assert sorted(header) == ["distance", "format", "min_phrase_count", "registry"]
     body = [ln.split("\t") for ln in lines[1:]]
     assert all(len(cols) == 6 for cols in body)
     surfaces = {cols[0] for cols in body}
@@ -442,7 +474,7 @@ def test_extract_stream_shape(tmp_path, corpus, capsys):
 def test_extract_distance_flag(tmp_path, corpus, capsys):
     assert main(["extract", str(corpus), "--distance", "3"]) == 0
     head = capsys.readouterr().out.split("\n", 1)[0]
-    assert "distance=3" in head
+    assert json.loads(head)["distance"] == 3
 
 
 def test_extract_annotated(tmp_path, capsys):
@@ -553,10 +585,9 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
     truncated = tmp_path / "truncated.tsv"  # fails only once its last line is read
     truncated.write_text(header + "".join(entries[:-1]), encoding="utf-8")
     huge = []  # fails folding its only entries
-    stream_header = "#quantrecords/1\tregistry=r\tdistance=sentence\tmin_phrase_count=5\n"
     for name in ("a.tsv", "b.tsv"):
         stream = tmp_path / "huge.records"
-        stream.write_text(stream_header + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
+        stream.write_text(_STREAM_HEADER + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
         huge.append(str(tmp_path / name))
         assert main(["aggregate", str(stream), "-o", huge[-1]]) == 0
     outputs = tmp_path / "outputs"
@@ -661,14 +692,14 @@ def test_every_build_setting_is_pinned(tmp_path, corpus, capsys):
     QuantTable(config).write(path)
     assert read_table(path).config == config
     # each ExtractionConfig field: (extract flag, value, stream header field)
-    stream_fields = {"max_distance": ("--distance", "3", "distance=3")}
+    stream_fields = {"max_distance": ("--distance", "3", ("distance", 3))}
     assert {f.name for f in dataclasses.fields(ExtractionConfig)} == set(stream_fields)
     argv = ["extract", str(corpus)]
     for flag, value, _ in stream_fields.values():
         argv += [flag, value]
     assert main(argv) == 0
-    header = capsys.readouterr().out.split("\n", 1)[0].split("\t")
-    assert all(pinned in header for _, _, pinned in stream_fields.values())
+    header = json.loads(capsys.readouterr().out.split("\n", 1)[0])
+    assert all(header[key] == value for _, _, (key, value) in stream_fields.values())
     assert main(["extract", str(corpus), "--max-phrase-len", "2"]) == 1
     capsys.readouterr()
 
@@ -720,7 +751,7 @@ def test_query_unknown_unit_exits_2(tmp_path, corpus, capsys):
         ["query", "--table", str(table), "--object", "car", "--dim", "speed", "--unit", "zorps"]
     )
     assert code == 2
-    assert "zorps" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown unit 'zorps'\n"
 
 
 def test_query_wrong_dimension_unit_exits_2(tmp_path, corpus, capsys):
@@ -862,13 +893,17 @@ def test_split_cli_roundtrip(tmp_path, capsys):
 
 
 def test_split_single_component_exits_2(tmp_path, capsys):
-    data = _dataset(
-        tmp_path / "one.tsv",
+    """A dataset with no leakage-free split is a data error of its file."""
+    for rows in (
         [("a", "b", "size", "<"), ("b", "c", "size", "<")],
-    )
-    code = main(["split", str(data), "--output-prefix", str(tmp_path / "o")])
-    assert code == 2
-    assert "component" in capsys.readouterr().err
+        [("car", "cat", "speed", ">"), ("cat", "elephant", "weight", "<")],
+    ):
+        data = _dataset(tmp_path / "one.tsv", rows)
+        code = main(["split", str(data), "--output-prefix", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: object graph is a single connected component")
+    assert not list(tmp_path.glob("o.*"))
 
 
 # ------------------------------------------------------------ plot-export

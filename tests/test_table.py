@@ -251,6 +251,7 @@ def test_bad_header_rejected(tmp_path, capsys):
         ("format", "quanttable/1"),  # the layout with derived columns on every entry
     ]
     bad_headers = ["[1]", "[" * 100_000 + "]" * 100_000]  # not a JSON object
+    bad_headers.append(header_line[:-1] + ', "registry": "other"}')  # a key given twice
     for field, value in bad_values:
         header = json.loads(header_line)
         header[field] = value
@@ -266,6 +267,8 @@ def test_bad_header_rejected(tmp_path, capsys):
         assert str(p) in err and "Traceback" not in err
         if '"quanttable/1"' in bad_header:
             assert f"{p}:1: bad header (unsupported format 'quanttable/1')" in err
+        if '"other"' in bad_header:
+            assert f"{p}:1: bad header (repeated key 'registry')" in err
 
 
 _JSON = st.recursive(
