@@ -22,7 +22,6 @@ from .evaluation import (
 )
 from .inference import (
     ComparisonLabel,
-    CompareConfig,
     compare_adjectives,
     compare_nouns,
     query_distribution,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedSentence",
     "BuildConfig",
-    "CompareConfig",
     "ComparisonExample",
     "ComparisonLabel",
     "ConfigMismatchError",

@@ -17,7 +17,7 @@ import contextlib
 import os
 import sys
 
-from .errors import ConfigMismatchError, LocatedLines, QuantdistError, RecordFormatError
+from .errors import ConfigMismatchError, LocatedLines, QuantdistError, RecordFormatError, replaced
 from .evaluation import (
     detect_leakage,
     dimension_named,
@@ -27,7 +27,6 @@ from .evaluation import (
     write_dataset,
 )
 from .inference import (
-    CompareConfig,
     compare_adjectives,
     compare_nouns,
     query_distribution,
@@ -129,14 +128,9 @@ def _registry_for(args):
     return load_registry(units, rates)
 
 
-@contextlib.contextmanager
 def _output(path):
-    """The ``-o`` file, opened for writing and closed on exit, or stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    """The ``-o`` file, replaced only when the command succeeds, or stdout without one."""
+    return replaced(path) if path else contextlib.nullcontext(sys.stdout)
 
 
 def _object_key(args) -> ObjectKey:
@@ -251,11 +245,10 @@ def _cmd_query(args) -> int:
 
 def _cmd_compare(args) -> int:
     table = read_table(args.table)
-    cfg = CompareConfig(equality_ratio=args.tau, min_count=args.min_count)
     if args.noun:
-        label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, cfg)
+        label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
     else:
-        label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, cfg)
+        label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
         if label is None:
             raise QuantdistError(
                 f"{args.table}: no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
@@ -268,8 +261,7 @@ def _cmd_compare(args) -> int:
 def _cmd_eval(args) -> int:
     table = read_table(args.table)
     examples = load_dataset(args.dataset)
-    cfg = CompareConfig(equality_ratio=args.tau, min_count=args.min_count)
-    report = evaluate(table, examples, cfg)
+    report = evaluate(table, examples, args.tau)
     if args.format == "records":
         for field in (
             "accuracy",
@@ -403,14 +395,12 @@ def _build_parser() -> _Parser:
     group.add_argument("--adj", nargs=2, type=_name, metavar=("ADJ1", "ADJ2"))
     p.add_argument("--dim", required=True, type=_dimension)
     p.add_argument("--tau", type=_tau, default=1.1, help="equality ratio (default 1.1)")
-    p.add_argument("--min-count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="score a comparison dataset against a table")
     p.add_argument("dataset")
     p.add_argument("--table", required=True)
     p.add_argument("--tau", type=_tau, default=1.1)
-    p.add_argument("--min-count", type=_positive_int, default=1)
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package, and the one reader of located lines."""
+"""Exception types shared across the package, the one reader of located lines, and the
+one writer that replaces an output file only once it is complete."""
+
+import contextlib
+import os
+import tempfile
 
 
 class QuantdistError(Exception):
@@ -51,6 +56,30 @@ class LocatedLines:
         self._file.close()
         if isinstance(exc, (ValueError, OverflowError)):
             raise self.error(str(exc), self.line_number or None, str(self.path)) from None
+
+
+@contextlib.contextmanager
+def replaced(path, mode="w"):
+    """A file, opened in ``mode`` (text is UTF-8), that replaces ``path`` when the block ends.
+
+    It is written beside ``path`` under a temporary name, so an error in the block
+    leaves ``path`` as it was and no other file, and ``path`` may name an input.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, temp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
+    except OSError as exc:  # say which output could not be written, not the temporary name
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as out:
+            yield out
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)  # the mode ``open(path, "w")`` would give
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 class LexiconError(LocatedInputError):

@@ -1,8 +1,10 @@
 """Comparison-dataset scoring, leakage auditing, and clean splitting.
 
-Datasets are TSV files of object pairs with gold order labels. Besides
-accuracy scoring, the harness can audit a train/eval split for two kinds
-of contamination: transitive leakage (the eval pair is derivable by
+Datasets are TSV files of object pairs with gold order labels. Scoring
+labels each pair by the rule of ``compare_nouns``, with the same ``tau``;
+which entries count as evidence was fixed when the table was finalized.
+The harness can also audit a train/eval split for two kinds of
+contamination: transitive leakage (the eval pair is derivable by
 chaining train pairs of the same scale) and object leakage (an eval
 object already appears in train), and can rebuild splits that are free
 of both by keeping each connected component of the object graph inside
@@ -15,8 +17,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 import random
 
-from .errors import DatasetFormatError, LocatedLines, SplitInfeasibleError
-from .inference import ComparisonLabel, CompareConfig, compare_nouns, query_distribution
+from .errors import DatasetFormatError, LocatedLines, SplitInfeasibleError, replaced
+from .inference import ComparisonLabel, _check_tau, _label, query_distribution
 from .table import QuantTable
 from .units import Dimension
 
@@ -97,22 +99,22 @@ def load_dataset(path) -> list[ComparisonExample]:
 
 def write_dataset(path, examples) -> None:
     """Write ``examples`` under a header line, as rows that ``load_dataset`` reads back."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replaced(path) as fh:
         fh.write("object1\tobject2\tdimension\tlabel\n")
         for ex in examples:
             label = ex.gold.value if ex.gold else "NA"
             fh.write(f"{ex.object1}\t{ex.object2}\t{ex.scale}\t{label}\n")
 
 
-def evaluate(
-    table: QuantTable, examples, cfg: CompareConfig = CompareConfig()
-) -> dict:
+def evaluate(table: QuantTable, examples, tau: float = 1.1) -> dict:
     """Accuracy of median comparison against gold labels.
 
     Only rows with a usable gold label and an in-coverage dimension are
-    scored; unknown objects fall back to the 0-median rule inside
-    compare_nouns rather than being skipped.
+    scored. Each object is looked up once: an unknown one falls back to
+    the 0-median rule of ``compare_nouns`` rather than being skipped, and
+    a row is covered when both objects have an entry.
     """
+    _check_tau(tau)
     scored = 0
     correct = 0
     covered = 0
@@ -128,17 +130,15 @@ def evaluate(
         if ex.dimension is None:
             out_of_coverage += 1
             continue
-        predicted = compare_nouns(table, ex.object1, ex.object2, ex.dimension, cfg)
+        d1 = query_distribution(table, ex.object1, ex.dimension)
+        d2 = query_distribution(table, ex.object2, ex.dimension)
         scored += 1
         gold_counts[ex.gold] += 1
         per_scale_total[ex.scale] += 1
-        if predicted is ex.gold:
+        if _label(d1, d2, tau) is ex.gold:
             correct += 1
             per_scale_correct[ex.scale] += 1
-        if (
-            query_distribution(table, ex.object1, ex.dimension) is not None
-            and query_distribution(table, ex.object2, ex.dimension) is not None
-        ):
+        if d1 is not None and d2 is not None:
             covered += 1
     return {
         "accuracy": correct / scored if scored else 0.0,

@@ -1,17 +1,17 @@
 """Query answering over finalized tables.
 
 Nouns are compared by the medians of their value distributions, with a
-missing object contributing a 0 median. Adjectives are compared per
-shared head noun and decided by majority vote over those verdicts.
-Medians can also be relaxed to their bracketing powers of ten for
-range-style answers.
+missing object contributing a 0 median; medians within a ratio of ``tau``
+are equal. Adjectives are compared per shared head noun and decided by
+majority vote over those verdicts. Every entry of the table is evidence:
+count thresholds are the table's, applied by ``finalize``. Medians can
+also be relaxed to their bracketing powers of ten for range-style answers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
 from .distribution import Distribution
@@ -25,25 +25,10 @@ class ComparisonLabel(Enum):
     EQUAL = "="
     GREATER = ">"
 
-    @property
-    def inverse(self) -> "ComparisonLabel":
-        if self is ComparisonLabel.LESS:
-            return ComparisonLabel.GREATER
-        if self is ComparisonLabel.GREATER:
-            return ComparisonLabel.LESS
-        return ComparisonLabel.EQUAL
 
-
-@dataclass(frozen=True)
-class CompareConfig:
-    equality_ratio: float = 1.1  # medians within this ratio count as equal
-    min_count: int = 1
-
-    def __post_init__(self):
-        if not self.equality_ratio >= 1.0:  # written so that NaN fails too
-            raise ValueError("equality_ratio must be >= 1")
-        if self.min_count < 1:
-            raise ValueError("min_count must be >= 1")
+def _check_tau(tau: float) -> None:
+    if not tau >= 1.0:  # written so that NaN fails too
+        raise ValueError("tau must be >= 1")
 
 
 def _coerce_key(obj, pos: Pos) -> ObjectKey:
@@ -67,52 +52,48 @@ def query_distribution(
     return found
 
 
-def _median_or_zero(table, obj, dimension, cfg: CompareConfig) -> float:
-    dist = query_distribution(table, obj, dimension)
-    if dist is None or dist.count < cfg.min_count:
-        return 0.0
-    return dist.median()
+def _label(d1: Distribution | None, d2: Distribution | None, tau: float) -> ComparisonLabel:
+    """Order two entries by their medians, a missing one (None) counting as 0.
 
-
-def _compare_medians(m1: float, m2: float, cfg: CompareConfig) -> ComparisonLabel:
-    if m1 == m2:
-        return ComparisonLabel.EQUAL
-    if m1 > 0 and m2 > 0 and max(m1, m2) / min(m1, m2) <= cfg.equality_ratio:
+    Positive medians within a ratio of ``tau`` are EQUAL.
+    """
+    m1 = 0.0 if d1 is None else d1.median()
+    m2 = 0.0 if d2 is None else d2.median()
+    if m1 == m2 or (m1 > 0 and m2 > 0 and max(m1, m2) / min(m1, m2) <= tau):
         return ComparisonLabel.EQUAL
     return ComparisonLabel.LESS if m1 < m2 else ComparisonLabel.GREATER
 
 
 def compare_nouns(
-    table: QuantTable, obj1, obj2, dimension: Dimension, cfg: CompareConfig = CompareConfig()
+    table: QuantTable, obj1, obj2, dimension: Dimension, tau: float = 1.1
 ) -> ComparisonLabel:
     """Three-way comparison of two objects along one dimension.
 
     Missing objects get a 0 median, so two unknowns compare EQUAL and an
     unknown loses to anything with a positive median.
     """
-    m1 = _median_or_zero(table, obj1, dimension, cfg)
-    m2 = _median_or_zero(table, obj2, dimension, cfg)
-    return _compare_medians(m1, m2, cfg)
+    _check_tau(tau)
+    return _label(
+        query_distribution(table, obj1, dimension), query_distribution(table, obj2, dimension), tau
+    )
 
 
 def compare_adjectives(
-    table: QuantTable, adj1, adj2, dimension: Dimension, cfg: CompareConfig = CompareConfig()
+    table: QuantTable, adj1, adj2, dimension: Dimension, tau: float = 1.1
 ) -> ComparisonLabel | None:
     """Majority vote over shared-head median comparisons; None = no evidence.
 
-    Only heads where both modifiers have entries with at least
-    cfg.min_count observations may vote. A tie at the top is EQUAL.
+    Every head where both modifiers have an entry votes. A tie at the top
+    is EQUAL.
     """
+    _check_tau(tau)
     key1 = _coerce_key(adj1, Pos.ADJ)
     key2 = _coerce_key(adj2, Pos.ADJ)
     heads1 = table.heads_for(key1.surface, key1.pos, dimension)
     heads2 = table.heads_for(key2.surface, key2.pos, dimension)
     votes: Counter = Counter()
     for head in heads1.keys() & heads2.keys():
-        d1, d2 = heads1[head], heads2[head]
-        if d1.count < cfg.min_count or d2.count < cfg.min_count:
-            continue
-        votes[_compare_medians(d1.median(), d2.median(), cfg)] += 1
+        votes[_label(heads1[head], heads2[head], tau)] += 1
     if not votes:
         return None
     best = max(votes.values())

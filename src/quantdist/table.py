@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
-from .errors import ConfigMismatchError, LocatedLines, TableFormatError
+from .errors import ConfigMismatchError, LocatedLines, TableFormatError, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
 from .units import Dimension, Quantity
@@ -265,7 +265,7 @@ class QuantTable:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with replaced(path) as fh:
             fh.write(self.serialize())
 
 
@@ -387,7 +387,7 @@ def _read_entries(path):
         rows = iter(lines)
         header = next(rows, "")
         if not header.strip():
-            raise TableFormatError("missing header", path=str(path))
+            raise ValueError("missing header")
         try:
             config, expected_entries = _parse_header(header)
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
@@ -427,12 +427,12 @@ def write_merged(config: BuildConfig, inputs, path) -> None:
     in place with ``update`` and, in a finalized table, kept only if they
     meet its thresholds; each line is written as its key closes. The
     header's entry count is known only at the end, so the body goes to a
-    temporary file beside ``path``, and ``path`` is replaced by the
-    complete table at once: a failure leaves ``path`` as it was, and
+    temporary file beside ``path`` and then follows the header into
+    ``errors.replaced(path)``: a failure leaves ``path`` as it was, and
     ``path`` may name an input.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    with tempfile.TemporaryFile(dir=directory) as body:
+    with replaced(path, "wb") as out, tempfile.TemporaryFile(dir=directory) as body:
         written = 0
         merged = heapq.merge(*inputs, key=lambda entry: _order(entry[0]))
         for key, group in groupby(merged, key=itemgetter(0)):
@@ -443,18 +443,8 @@ def write_merged(config: BuildConfig, inputs, path) -> None:
                 body.write(f"{_entry_line(key, dist)}\n".encode("utf-8"))
                 written += 1
         body.seek(0)
-        fd, temp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
-        try:
-            with open(fd, "wb") as out:
-                out.write(f"{_header_line(config, entries=written)}\n".encode("utf-8"))
-                shutil.copyfileobj(body, out)
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(temp, 0o666 & ~umask)  # the mode ``open(path, "w")`` would give
-            os.replace(temp, path)
-        except BaseException:
-            os.unlink(temp)
-            raise
+        out.write(f"{_header_line(config, entries=written)}\n".encode("utf-8"))
+        shutil.copyfileobj(body, out)
 
 
 def stream_header(config: BuildConfig) -> str:
@@ -464,6 +454,8 @@ def stream_header(config: BuildConfig) -> str:
 
 def stream_config(line: str, exact_cap: int) -> BuildConfig:
     """The BuildConfig that a stream's header line pins, with aggregate's ``exact_cap``."""
+    if not line.strip():
+        raise ValueError("missing header")
     try:
         return _read_header(line, _STREAM_FIELDS, {"format": RECORD_FORMAT}, exact_cap=exact_cap)[1]
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep

@@ -191,7 +191,9 @@ def _rate_row(rates: dict, code: str, rate_field: str) -> None:
     rates[code] = rate
 
 
-def _unit_row(rates, alias_field, dim_field, scale_field, offset_field, marker_field) -> UnitDef:
+def _unit_row(
+    rates, rates_name, alias_field, dim_field, scale_field, offset_field, marker_field
+) -> UnitDef:
     try:
         dimension = Dimension[dim_field.upper()]
     except KeyError:
@@ -203,7 +205,7 @@ def _unit_row(rates, alias_field, dim_field, scale_field, offset_field, marker_f
             raise ValueError(f"non-numeric scale {scale_field!r} outside CURRENCY") from None
         code = scale_field.upper()
         if code not in rates:
-            raise ValueError(f"no rate for currency {code!r}") from None
+            raise ValueError(f"no rate for currency {code!r} in {rates_name}") from None
         scale = rates[code]
     if marker_field not in ("0", "1"):
         raise ValueError("requires_marker must be 0 or 1")
@@ -238,7 +240,7 @@ def load_registry(units_path=None, rates_path=None) -> UnitRegistry:
     rates_data, rates_name = _lexicon_bytes(rates_path, "currency.tsv")
     rates: dict[str, float] = {}
     _parse_rows(rates_data, rates_name, 2, lambda *row: _rate_row(rates, *row))
-    rows = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, *row))
+    rows = _parse_rows(units_data, units_name, 5, lambda *row: _unit_row(rates, rates_name, *row))
     digest = hashlib.sha256(units_data + b"\x00" + rates_data).hexdigest()[:12]
     return UnitRegistry(
         [unit for _, unit in rows], digest, path=units_name, lines=[line for line, _ in rows]

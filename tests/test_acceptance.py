@@ -25,7 +25,6 @@ from quantdist.evaluation import (
 )
 from quantdist.inference import (
     ComparisonLabel,
-    CompareConfig,
     compare_adjectives,
     compare_nouns,
     relax_to_decade,
@@ -434,5 +433,5 @@ def test_criterion_9_external_evaluation():
     with criterion(9, "external dataset accuracy within 3 points of 0.872"):
         table = read_table(os.path.join(root, "table.tsv"))
         examples = load_dataset(os.path.join(root, "relative.tsv"))
-        report = evaluate(table, examples, CompareConfig())
+        report = evaluate(table, examples)
         assert abs(report["accuracy"] - 0.872) <= 0.03, report["accuracy"]

@@ -102,6 +102,19 @@ def test_usage_errors_exit_1(capsys):
             assert "nonempty name" in err and "Traceback" not in err, argv
 
 
+def test_compare_and_eval_take_no_min_count(tmp_path, corpus, capsys):
+    """Count thresholds are the table's, set by ``finalize``; no query takes its own."""
+    table = str(build_table(tmp_path, corpus))
+    data = _dataset(tmp_path / "pairs.tsv", [("elephant", "cat", "weight", ">")])
+    for argv in (
+        ["compare", "--table", table, "--noun", "elephant", "cat", "--dim", "mass"],
+        ["eval", str(data), "--table", table],
+    ):
+        assert main(argv) == 0, argv
+        assert main([*argv, "--min-count", "2"]) == 1, argv
+        assert "unrecognized arguments: --min-count 2" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["query", "--help"]) == 0
@@ -152,7 +165,7 @@ def test_data_errors_exit_2(tmp_path, corpus, capsys):
         assert err.rstrip().endswith("; re-run extract"), err
     bad.write_bytes(b"")  # an empty stream has no line to name, as an empty table has none
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
-    assert f"error: {bad}: bad stream header" in capsys.readouterr().err
+    assert f"error: {bad}: missing header\n" in capsys.readouterr().err
     # a token gap below 0, or at or past the pinned window, is no record extract writes
     near = header.replace("null", "3")
     for stream_header, gap in ((header, -3), (near, 7), (near, 3)):
@@ -311,9 +324,9 @@ def _first_changed_line(data: bytes, valid: bytes) -> float:
 
 def _cites_no_earlier_line(err: str, path: str, first: float) -> bool:
     """Whether ``err`` locates its error in ``path`` at line ``first`` or later, or names
-    ``path`` alone for an error of the whole file: a table's header missing, its entry
-    count broken, a merge of it failing or no entry for the queried key, an empty
-    record stream, or a dataset with no leakage-free split."""
+    ``path`` alone for an error of the whole file: an empty table or record stream, a
+    table's entry count broken, a merge of it failing or no entry for the queried key,
+    or a dataset with no leakage-free split."""
     located = re.search(re.escape(path) + r":(\d+): ", err)
     if located:
         return int(located.group(1)) >= first
@@ -322,17 +335,27 @@ def _cites_no_earlier_line(err: str, path: str, first: float) -> bool:
         f"{path}: header promises",
         f"merging {path}, ",
         f"{path}: no entry for ",
-        f"{path}: bad stream header (Expecting value: line 1 column 1 (char 0))",
         f"{path}: object graph is a single connected component",
     )
     return any(text in err for text in whole_file)
 
 
+def _contents(path):
+    """The bytes of the file at ``path``, or None if there is none."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2.
 
-    A mutated table, record stream or dataset is an error no earlier than the
-    mutant's first changed line, or one of the whole file.
+    A mutated table, record stream, dataset or corpus is an error no earlier than the
+    mutant's first changed line, or one of the whole file. A head index is checked as its
+    sentence closes, at the sentence's last line: that may be the line just above a change.
+    An exit 2 leaves the ``-o`` file as it was.
     """
     plain = tmp_path / "plain.txt"
     plain.write_bytes(_FUZZ_PLAIN)
@@ -349,6 +372,7 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
         "rates": data.joinpath("currency.tsv").read_bytes(),
     }
     mutant, out = tmp_path / "mutant", str(tmp_path / "out.tsv")
+    located = ("table", "stream", "dataset", "plain", "annotated")
     commands = {
         "table": (
             ["merge", str(mutant), str(table), "-o", out],
@@ -375,17 +399,21 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
             mutated = _mutant(rng, valid[name], donors)
             mutant.write_bytes(mutated)
             for argv in argvs:
+                before = _contents(out)
                 try:
                     code = main(argv)
                 except Exception as exc:
                     pytest.fail(f"mutant {k} of the {name} input, {argv[0]}: {exc!r}")
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2), (name, k, argv[0])
-                # a rate the units need but the rates file lost is reported at that unit
-                named = str(mutant) in err or (name == "rates" and "units.tsv:" in err)
-                assert code != 2 or named, (name, k, argv[0], err)
-                if name in ("table", "stream", "dataset") and code == 2:
+                if code != 2:
+                    continue
+                assert str(mutant) in err, (name, k, argv[0], err)
+                assert _contents(out) == before, (name, k, argv[0])
+                if name in located:
                     first = _first_changed_line(mutated, valid[name])
+                    if re.search(r"head index \S+ invalid", err):
+                        first -= 1
                     assert _cites_no_earlier_line(err, str(mutant), first), (k, argv[0], err)
 
 
@@ -579,8 +607,14 @@ def test_entry_lines_out_of_order_are_located(tmp_path, corpus, capsys):
 
 def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, monkeypatch):
     """A data error, found early or late, or a failed write leaves no ``-o`` file and no
-    temporary file beside it."""
+    temporary file beside it. So it does for every command that writes a file."""
     table = build_table(tmp_path, corpus)
+    records = tmp_path / "records.tsv"
+    bad_corpus = tmp_path / "bad.txt"  # lines 1 and 2 give records before line 3 fails
+    bad_corpus.write_bytes(_with_bad_byte(corpus.read_bytes(), 3))
+    bad_stream = tmp_path / "bad.records"
+    bad_stream.write_bytes(records.read_bytes() + b"car\t\tNOUN\tMASS\tnan\t0\n")
+    last = len(bad_stream.read_bytes().splitlines())
     header, *entries = table.read_text(encoding="utf-8").splitlines(keepends=True)
     truncated = tmp_path / "truncated.tsv"  # fails only once its last line is read
     truncated.write_text(header + "".join(entries[:-1]), encoding="utf-8")
@@ -598,6 +632,9 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
         (["merge", str(table), str(tmp_path / "missing.tsv")], "missing.tsv"),
         (["finalize", str(truncated), "--min-count", "1"], f"{truncated}: header promises"),
         (["merge", *huge], f"merging {huge[0]}, {huge[1]}: running sum overflowed"),
+        (["extract", str(bad_corpus)], f"{bad_corpus}:3: "),
+        (["extract", "--annotated", str(corpus)], f"{corpus}:1: "),
+        (["aggregate", str(bad_stream)], f"{bad_stream}:{last}: "),
     ):
         assert main([*argv, "-o", str(out)]) == 2, argv
         assert message in capsys.readouterr().err
@@ -607,6 +644,10 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
         assert os.listdir(outputs) == ["out.tsv"] and out.read_text(encoding="utf-8") == "kept\n"
         out.unlink()
     assert "Traceback" not in capsys.readouterr().err
+    nowhere = str(tmp_path / "no-such-directory" / "out.tsv")  # the error names -o
+    for argv in (["extract", str(corpus)], ["merge", str(table)]):
+        assert main([*argv, "-o", nowhere]) == 2, argv
+        assert f"No such file or directory: '{nowhere}'" in capsys.readouterr().err, argv
 
     def full_disk(*_):
         raise OSError(28, "No space left on device")
@@ -614,6 +655,17 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
     monkeypatch.setattr(shutil, "copyfileobj", full_disk)  # fails writing the complete table
     for argv in (["merge", str(table)], ["finalize", str(table), "--min-count", "1"]):
         assert main([*argv, "-o", str(out)]) == 2, argv
+        assert "No space left on device" in capsys.readouterr().err
+        assert os.listdir(outputs) == [], argv
+    monkeypatch.setattr(os, "replace", full_disk)  # fails putting any complete file in place
+    dataset = _dataset(tmp_path / "pairs.tsv", [("a", "b", "size", "<"), ("c", "d", "size", ">")])
+    for argv in (
+        ["extract", str(corpus), "-o", str(out)],
+        ["aggregate", str(records), "-o", str(out)],
+        ["plot-export", "--table", str(table), "--object", "car", "--dim", "speed", "-o", str(out)],
+        ["split", str(dataset), "--output-prefix", str(outputs / "split")],
+    ):
+        assert main(argv) == 2, argv
         assert "No space left on device" in capsys.readouterr().err
         assert os.listdir(outputs) == [], argv
 

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
+from quantdist.evaluation import evaluate
 from quantdist.inference import (
     ComparisonLabel,
-    CompareConfig,
     compare_adjectives,
     compare_nouns,
     query_distribution,
@@ -45,18 +45,15 @@ def planted_table():
     return build(rows)
 
 
-def test_labels_inverse():
-    assert LESS.inverse is GREATER
-    assert GREATER.inverse is LESS
-    assert EQUAL.inverse is EQUAL
-
-
 def test_config_validation():
-    for ratio in (0.9, float("nan")):
+    t = planted_table()
+    for tau in (0.9, float("nan")):
         with pytest.raises(ValueError):
-            CompareConfig(equality_ratio=ratio)
-    with pytest.raises(ValueError):
-        CompareConfig(min_count=0)
+            compare_nouns(t, "elephant", "cat", Dimension.MASS, tau=tau)
+        with pytest.raises(ValueError):
+            compare_adjectives(t, "fast", "slow", Dimension.SPEED, tau=tau)
+        with pytest.raises(ValueError):
+            evaluate(t, [], tau=tau)
 
 
 def test_query_distribution_hits_and_misses():
@@ -102,15 +99,13 @@ def test_equality_ratio_band():
         [record("a", Dimension.LENGTH, 100.0), record("b", Dimension.LENGTH, 115.0)]
     )
     assert compare_nouns(t2, "a", "b", Dimension.LENGTH) is LESS
-    wide = CompareConfig(equality_ratio=1.2)
-    assert compare_nouns(t2, "a", "b", Dimension.LENGTH, wide) is EQUAL
+    assert compare_nouns(t2, "a", "b", Dimension.LENGTH, tau=1.2) is EQUAL
 
 
 def test_min_count_gate():
-    t = planted_table()
-    strict = CompareConfig(min_count=5)
-    # under the gate both fall back to 0 medians
-    assert compare_nouns(t, "elephant", "cat", Dimension.MASS, strict) is EQUAL
+    t = planted_table().finalize(5)
+    # under the table's gate both are missing, so both fall back to 0 medians
+    assert compare_nouns(t, "elephant", "cat", Dimension.MASS) is EQUAL
 
 
 def random_table(rng):
@@ -131,6 +126,7 @@ def random_table(rng):
 
 def test_antisymmetry_randomized():
     rng = random.Random(1234)
+    inverse = {LESS: GREATER, EQUAL: EQUAL, GREATER: LESS}
     objects = ["car", "truck", "goose", "fence", "ghost"]
     for _ in range(60):
         t = random_table(rng)
@@ -138,14 +134,14 @@ def test_antisymmetry_randomized():
             for _ in range(10):
                 o1, o2 = rng.choice(objects), rng.choice(objects)
                 fwd = compare_nouns(t, o1, o2, dim)
-                assert fwd is compare_nouns(t, o2, o1, dim).inverse
+                assert fwd is inverse[compare_nouns(t, o2, o1, dim)]
         x, z = rng.sample(["fast", "slow", "big"], 2)
         fwd = compare_adjectives(t, x, z, Dimension.SPEED)
         back = compare_adjectives(t, z, x, Dimension.SPEED)
         if fwd is None:
             assert back is None
         else:
-            assert fwd is back.inverse
+            assert fwd is inverse[back]
 
 
 def test_scale_equivariance_of_labels():
@@ -216,9 +212,8 @@ def test_adjective_min_count_excludes_heads():
             ("fast", "bike", 5.0), ("slow", "bike", 9.0),  # single observations
         ]
     )
-    t = build(rows)
-    cfg = CompareConfig(min_count=2)
-    assert compare_adjectives(t, "fast", "slow", Dimension.SPEED, cfg) is GREATER
+    t = build(rows).finalize(2)
+    assert compare_adjectives(t, "fast", "slow", Dimension.SPEED) is GREATER
 
 
 def test_single_head_agreement_randomized():

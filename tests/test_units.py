@@ -290,3 +290,8 @@ def test_unknown_currency_code_rejected(tmp_path):
     with pytest.raises(LexiconError, match="duplicate currency code 'USD'") as err:
         load_registry(rates_path=rates)
     assert (err.value.path, err.value.line_number) == (str(rates), 3)
+    # a rate the units need but the rates file lacks: the unit's line, and the rates file
+    rates.write_text("EUR\t1.1\n", encoding="utf-8")
+    with pytest.raises(LexiconError, match=f"no rate for currency 'USD' in {rates}$") as err:
+        load_registry(rates_path=rates)
+    assert err.value.path == "units.tsv" and err.value.line_number > 0
