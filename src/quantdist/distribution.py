@@ -141,16 +141,6 @@ class Distribution:
     # ------------------------------------------------------------------
     # monoid structure
 
-    def copy(self) -> "Distribution":
-        out = Distribution(self.exact_cap)
-        out.count = self.count
-        out.minimum = self.minimum
-        out.maximum = self.maximum
-        out._sum = self._sum
-        out.buckets = Counter(self.buckets)
-        out.exact = None if self.exact is None else list(self.exact)
-        return out
-
     def update(self, other: "Distribution") -> None:
         """Fold another summary into this one in place; ``other`` is not mutated."""
         if self.exact_cap != other.exact_cap:

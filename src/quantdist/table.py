@@ -5,16 +5,18 @@ other tables produced under the same configuration, and finalized by
 dropping rare entries. Serialization is canonical: equal tables produce
 identical bytes regardless of build or merge order.
 
-A table file is a JSON header and one line per entry: four key columns
-(surface, head or empty, POS, dimension), then the sorted kept samples, or
-for a spilled entry its count, min, max, exact-sum parts and id:count buckets.
-Entry lines run in canonical order (dimension, POS, surface, head), each key
-once. ``iter_entries`` reads a file's entries one line at a time and rejects a
-line out of that order at its line; ``read_table`` collects them into a
-QuantTable. ``write_merged`` is the file-to-file path: it merges entry streams
-k-way, folds each key's entries with ``Distribution.update``, and writes each
-line as its key closes, so ``quantdist merge`` and ``finalize`` run in memory
-that does not grow with the tables.
+An entry key is the text tuple (dimension name, POS name, surface, head or
+""), so sorted keys are the canonical order of a table file. A table file is a
+JSON header and one line per entry: four key columns (surface, head or empty,
+POS, dimension), then the sorted kept samples, or for a spilled entry its
+count, min, max, exact-sum parts and id:count buckets. ``iter_entries`` reads a
+file's entries one line at a time and rejects, at its line, a line out of
+canonical order; ``read_table``
+collects them into a QuantTable. ``merged_entries`` is the one fold of equal
+keys, by ``Distribution.update``: ``write_merged`` feeds it a k-way merge of
+entry streams and writes each line as its key closes, so ``quantdist merge``
+and ``finalize`` run in memory that does not grow with the tables, and
+``QuantTable.merge`` and ``finalize`` feed it the sorted entries of tables.
 
 The record stream from ``extract`` to ``aggregate`` is here too: a JSON header
 read like a table's, pinning the three settings extraction knows, then per
@@ -30,7 +32,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
@@ -109,51 +111,54 @@ def finalized_config(config: BuildConfig, min_count: int) -> BuildConfig:
     return replace(config, min_count=effective, finalized=True)
 
 
-def _keeps(config: BuildConfig, key: tuple, dist: Distribution) -> bool:
-    """Whether an entry meets the count thresholds of a finalized table under ``config``."""
+def _keeps(config: BuildConfig, key: tuple, count: int) -> bool:
+    """Whether ``count`` meets the thresholds of a finalized table under ``config`` for ``key``."""
     min_count = config.min_count
-    if " " in key[0]:
+    if " " in key[2]:
         min_count = max(min_count, config.min_phrase_count)
-    return dist.count >= min_count
+    return count >= min_count
 
 
-def _order(key: tuple) -> tuple:
-    """The canonical position of an entry key: dimension, POS, surface, head.
-
-    Readers call this once per entry; ``_name_`` is the plain attribute
-    behind the slower ``name`` property of an Enum member.
-    """
-    surface, pos, head, dimension = key
-    return dimension._name_, pos._name_, surface, head or ""
+_POS_NAMES = frozenset(Pos.__members__)
+_DIMENSION_NAMES = frozenset(Dimension.__members__)
 
 
-def parse_key(surface: str, head: str, pos: str, dimension: str):
-    """The entry key ``(surface, pos, head, dimension)`` named by four text columns.
+def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
+    """The entry key ``(dimension, pos, surface, head)`` of four text columns.
 
-    An empty head is none. ValueError for an empty surface or an unknown tag.
+    ValueError for an empty surface or an unknown tag.
     """
     if not surface:
         raise ValueError("empty object surface")
-    try:
-        return surface, Pos[pos], head or None, Dimension[dimension]
-    except KeyError as exc:
-        raise ValueError(f"unknown tag {exc}") from None
+    if pos not in _POS_NAMES or dimension not in _DIMENSION_NAMES:
+        raise ValueError(f"unknown tag {pos if pos not in _POS_NAMES else dimension!r}")
+    return dimension, pos, surface, head
+
+
+def parse_key(surface: str, head: str, pos: str, dimension: str):
+    """The record key ``(surface, Pos, head, Dimension)`` named by four text columns.
+
+    An empty head is none. ValueError for an empty surface or an unknown tag.
+    """
+    dimension, pos, surface, head = _entry_key(surface, head, pos, dimension)
+    return surface, Pos[pos], head or None, Dimension[dimension]
 
 
 class QuantTable:
-    """Entries keyed by ``(surface, pos, head, dimension)``, each holding a Distribution.
+    """Entries keyed by ``(dimension name, POS name, surface, head or "")``, each a Distribution.
 
-    ``heads_for`` answers from an index of the headed entries that it
-    builds one (pos, dimension) slice at a time, on first use. The index
-    holds the entries' own Distributions, so observing into an existing
-    entry keeps it current; adding a key through ``observe`` clears it.
+    ``observe``, ``get`` and ``heads_for`` take the enums. ``heads_for``
+    answers from an index of the headed entries that it builds one (pos,
+    dimension) slice at a time, on first use. The index holds the entries'
+    own Distributions, so observing into an existing entry keeps it
+    current; adding a key through ``observe`` clears it.
     """
 
     def __init__(self, config: BuildConfig | None = None):
         self.config = config or BuildConfig()
-        self.entries: dict[tuple[str, Pos, str | None, Dimension], Distribution] = {}
-        # (pos, dimension) -> modifier surface -> head -> entry
-        self._heads: dict[tuple[Pos, Dimension], dict[str, dict[str, Distribution]]] = {}
+        self.entries: dict[tuple[str, str, str, str], Distribution] = {}
+        # (dimension name, POS name) -> modifier surface -> head -> entry
+        self._heads: dict[tuple[str, str], dict[str, dict[str, Distribution]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -186,9 +191,10 @@ class QuantTable:
         (surface, pos, head), (dimension, value_std), _ = record
         if not surface or head == "":
             raise ValueError("empty object surface or head")
-        self._bump((surface, pos, head, dimension), value_std)
+        dimension, pos = dimension._name_, pos._name_  # the plain attribute behind ``name``
+        self._bump((dimension, pos, surface, head or ""), value_std)
         if head is not None:
-            self._bump((surface, pos, None, dimension), value_std)
+            self._bump((dimension, pos, surface, ""), value_std)
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -200,26 +206,12 @@ class QuantTable:
     def merge(self, *others: "QuantTable") -> "QuantTable":
         """Keywise combination of tables built under one configuration.
 
-        Takes any number of tables in one pass; no input is mutated and
-        each entry is copied once. Merging finalized tables re-applies the
-        largest of the count thresholds so the result is again a valid
-        finalized table.
+        Takes any number of tables in one pass; no input is mutated or
+        shared. Merging finalized tables re-applies the largest of the count
+        thresholds so the result is again a valid finalized table.
         """
         tables = (self, *others)
-        merged = QuantTable(merged_config([table.config for table in tables]))
-        entries = merged.entries
-        for table in tables:
-            for key, dist in table.entries.items():
-                mine = entries.get(key)
-                if mine is None:
-                    entries[key] = dist.copy()
-                else:
-                    mine.update(dist)
-        if merged.config.finalized:
-            merged.entries = {
-                key: dist for key, dist in entries.items() if _keeps(merged.config, key, dist)
-            }
-        return merged
+        return _folded(merged_config([table.config for table in tables]), tables)
 
     def finalize(self, min_count: int) -> "QuantTable":
         """Drop rare entries and freeze the table for querying.
@@ -228,19 +220,14 @@ class QuantTable:
         phrases additionally need the build's ``min_phrase_count``.
         Finalizing twice composes to the larger threshold.
         """
-        out = QuantTable(finalized_config(self.config, min_count))
-        out.entries = {
-            key: dist.copy()
-            for key, dist in self.entries.items()
-            if _keeps(out.config, key, dist)
-        }
-        return out
+        return _folded(finalized_config(self.config, min_count), (self,))
 
     # ------------------------------------------------------------------
     # lookup
 
     def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
-        return self.entries.get((*key, dimension))
+        surface, pos, head = key
+        return self.entries.get((dimension._name_, pos._name_, surface, head or ""))
 
     def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
@@ -248,11 +235,12 @@ class QuantTable:
         The first call for a (pos, dimension) indexes that pair's headed
         entries in one pass; later calls are lookups.
         """
-        index = self._heads.get((pos, dimension))
+        dimension, pos = dimension._name_, pos._name_
+        index = self._heads.get((dimension, pos))
         if index is None:
-            index = self._heads[(pos, dimension)] = {}
-            for (modifier, p, head, dim), dist in self.entries.items():
-                if dim is dimension and p is pos and head is not None:
+            index = self._heads[(dimension, pos)] = {}
+            for (dim, p, modifier, head), dist in self.entries.items():
+                if head and dim == dimension and p == pos:
                     index.setdefault(modifier, {})[head] = dist
         return dict(index.get(surface, ()))
 
@@ -261,12 +249,38 @@ class QuantTable:
 
     def serialize(self) -> str:
         lines = [_header_line(self.config, entries=len(self.entries))]
-        lines += [_entry_line(key, self.entries[key]) for key in sorted(self.entries, key=_order)]
+        lines += [_entry_line(key, self.entries[key]) for key in sorted(self.entries)]
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
         with replaced(path) as fh:
             fh.write(self.serialize())
+
+
+def merged_entries(config: BuildConfig, entries):
+    """Yield one ``(key, Distribution)`` per key of ``entries``, folded in order.
+
+    ``entries`` run in canonical order with equal keys adjacent. Each key's
+    Distributions are folded with ``update`` into a new one, so no input is
+    mutated or shared; under a finalized ``config`` a key whose total count
+    misses the thresholds is dropped before anything is copied.
+    """
+    for key, group in groupby(entries, key=itemgetter(0)):
+        dists = [dist for _, dist in group]
+        if config.finalized and not _keeps(config, key, sum(dist.count for dist in dists)):
+            continue
+        folded = Distribution(config.exact_cap)
+        for dist in dists:
+            folded.update(dist)
+        yield key, folded
+
+
+def _folded(config: BuildConfig, tables) -> QuantTable:
+    """A new table of ``config`` holding the folded entries of ``tables``."""
+    items = sorted(chain.from_iterable(table.entries.items() for table in tables), key=itemgetter(0))
+    out = QuantTable(config)
+    out.entries = dict(merged_entries(config, items))
+    return out
 
 
 def _header_line(config: BuildConfig, fields=_HEADER_FIELDS, constants=_HEADER_CONSTANTS, **extra):
@@ -276,9 +290,9 @@ def _header_line(config: BuildConfig, fields=_HEADER_FIELDS, constants=_HEADER_C
     return json.dumps(header, sort_keys=True)
 
 
-def _key_columns(surface: str, pos: Pos, head: str | None, dimension: Dimension) -> str:
-    """The four key columns that start every entry and record line."""
-    return f"{surface}\t{head or ''}\t{pos.name}\t{dimension.name}"
+def _key_columns(dimension: str, pos: str, surface: str, head: str) -> str:
+    """The four key columns that start every entry and record line, from an entry key."""
+    return f"{surface}\t{head}\t{pos}\t{dimension}"
 
 
 def _entry_line(key: tuple, dist: Distribution) -> str:
@@ -296,10 +310,10 @@ def _parse_entry(line: str, exact_cap: int):
     parts = line.split("\t")
     if len(parts) == 5:
         samples = list(map(float, parts[4].split(" ")))
-        return parse_key(*parts[:4]), Distribution.of(samples, exact_cap)
+        return _entry_key(*parts[:4]), Distribution.of(samples, exact_cap)
     if len(parts) != 9:
         raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
-    key = parse_key(*parts[:4])
+    key = _entry_key(*parts[:4])
     count_s, min_s, max_s, sum_s, buckets_s = parts[4:]
     floats = [float(min_s), float(max_s), *map(float, sum_s.split(" "))]
     if not all(map(math.isfinite, floats)):
@@ -397,12 +411,11 @@ def _read_entries(path):
         for line in rows:
             if line:
                 key, dist = _parse_entry(line, config.exact_cap)
-                order = _order(key)
-                if order <= last:
+                if key <= last:
                     raise ValueError(
-                        "repeated entry" if order == last else "entry out of canonical order"
+                        "repeated entry" if key == last else "entry out of canonical order"
                     )
-                found, last = found + 1, order
+                found, last = found + 1, key
                 yield key, dist
     if found != expected_entries:
         raise TableFormatError(
@@ -423,25 +436,18 @@ def write_merged(config: BuildConfig, inputs, path) -> None:
     """Write the table of ``config`` holding the entries of ``inputs`` to ``path``.
 
     ``inputs`` are entry iterators in canonical order, as ``iter_entries``
-    returns them. They are merged k-way; the entries of one key are folded
-    in place with ``update`` and, in a finalized table, kept only if they
-    meet its thresholds; each line is written as its key closes. The
-    header's entry count is known only at the end, so the body goes to a
-    temporary file beside ``path`` and then follows the header into
-    ``errors.replaced(path)``: a failure leaves ``path`` as it was, and
-    ``path`` may name an input.
+    returns them. Their k-way merge goes through ``merged_entries``, and each
+    line is written as its key closes. The header's entry count is known only
+    at the end, so the body goes to a temporary file beside ``path`` and then
+    follows the header into ``errors.replaced(path)``: a failure leaves
+    ``path`` as it was, and ``path`` may name an input.
     """
     directory = os.path.dirname(os.path.abspath(path))
     with replaced(path, "wb") as out, tempfile.TemporaryFile(dir=directory) as body:
         written = 0
-        merged = heapq.merge(*inputs, key=lambda entry: _order(entry[0]))
-        for key, group in groupby(merged, key=itemgetter(0)):
-            _, dist = next(group)
-            for _, other in group:
-                dist.update(other)
-            if not config.finalized or _keeps(config, key, dist):
-                body.write(f"{_entry_line(key, dist)}\n".encode("utf-8"))
-                written += 1
+        for key, dist in merged_entries(config, heapq.merge(*inputs, key=itemgetter(0))):
+            body.write(f"{_entry_line(key, dist)}\n".encode("utf-8"))
+            written += 1
         body.seek(0)
         out.write(f"{_header_line(config, entries=written)}\n".encode("utf-8"))
         shutil.copyfileobj(body, out)
@@ -465,7 +471,7 @@ def stream_config(line: str, exact_cap: int) -> BuildConfig:
 def record_line(record: CooccurrenceRecord) -> str:
     """One record stream line, without its line break: key columns, value and token gap."""
     (surface, pos, head), (dimension, value_std), gap = record
-    return f"{_key_columns(surface, pos, head, dimension)}\t{value_std!r}\t{gap}"
+    return f"{_key_columns(dimension.name, pos.name, surface, head or '')}\t{value_std!r}\t{gap}"
 
 
 def parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:

@@ -5,6 +5,7 @@ The oracle recomputes every statistic directly from the raw sample list
 implementation.
 """
 
+import copy
 import math
 import random
 import sys
@@ -56,8 +57,9 @@ def build(values, cap=4096):
 
 
 def merged(a, b):
-    """``a`` and ``b`` folded into a copy, as ``QuantTable.merge`` folds an entry."""
-    out = a.copy()
+    """``a`` and ``b`` folded into a new Distribution, as ``table.merged_entries`` folds a key."""
+    out = Distribution(a.exact_cap)
+    out.update(a)
     out.update(b)
     return out
 
@@ -168,7 +170,7 @@ def test_merge_shard_invariance():
         for v in values:
             shards[rng.randrange(k)].observe(v)
         rng.shuffle(shards)
-        folded = shards[0].copy()
+        folded = copy.deepcopy(shards[0])
         for s in shards[1:]:
             folded.update(s)
         assert folded == whole
@@ -179,7 +181,7 @@ def test_merge_shard_invariance():
 def test_merge_does_not_mutate_inputs():
     a = build([1.0, 2.0])
     b = build([3.0])
-    before_a, before_b = a.copy(), b.copy()
+    before_a, before_b = copy.deepcopy(a), copy.deepcopy(b)
     merged(a, b)
     assert a == before_a
     assert b == before_b
@@ -292,7 +294,7 @@ def test_sum_expansion_matches_fraction_oracle(values):
             float(total)
         except OverflowError:
             # the running sum must round to a finite float at every step
-            before = d.copy()
+            before = copy.deepcopy(d)
             with pytest.raises(OverflowError):
                 d.observe(v)
             assert d == before
@@ -334,7 +336,7 @@ def test_update_in_place_equals_merge():
         va = random_values(rng, rng.randint(0, 20))
         vb = random_values(rng, rng.randint(0, 20))
         a, b = build(va, cap=16), build(vb, cap=16)
-        before_b = b.copy()
+        before_b = copy.deepcopy(b)
         a.update(b)
         assert a == build(va + vb, cap=16)
         assert b == before_b

@@ -339,7 +339,7 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         (cap_4096, entry, "spilled summary must count more than exact_cap 4096"),
         (cap_two, entry, "spilled summary must count more than exact_cap 2"),
     ]
-    bad = tmp_path / "bad.tsv"
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
     for bad_header, bad_entry, message in bad_entries:
         bad.write_text(bad_header + "\n" + bad_entry + "\n", encoding="utf-8")
         with pytest.raises(TableFormatError, match=f"^{bad}:2: .*{message}") as err:
@@ -348,7 +348,10 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         for command in ("query", "plot-export"):
             argv = [command, "--table", str(bad), "--object", "car", "--dim", "speed"]
             assert main(argv) == 2, (command, bad_entry)
-        assert "Traceback" not in capsys.readouterr().err
+        assert main(["finalize", str(bad), "--min-count", "1", "-o", str(out)]) == 2, bad_entry
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{bad}:2: " in err and "Traceback" not in err
 
 
 def test_heads_for():
@@ -362,19 +365,22 @@ def test_heads_for():
     heads = t.heads_for("fast", Pos.ADJ, Dimension.SPEED)
     assert set(heads) == {"car", "truck"}
     assert heads["car"].count == 1
+    assert_heads_match_scan(t, headed=True)
 
 
 def scanned_heads(table, surface, pos, dimension):
-    """Reference for ``heads_for``: one pass over every entry."""
+    """Reference for ``heads_for``: one pass over every entry, keyed (dimension, POS, surface, head)."""
     return {
         h: dist
-        for (s, p, h, d), dist in table.entries.items()
-        if d is dimension and p is pos and s == surface and h is not None
+        for (d, p, s, h), dist in table.entries.items()
+        if d == dimension.name and p == pos.name and s == surface and h
     }
 
 
-def assert_heads_match_scan(table):
-    surfaces = {s for s, _, _, _ in table.entries} | {"absent"}
+def assert_heads_match_scan(table, headed=False):
+    """``heads_for`` answers like a scan for every surface; with ``headed``, some answer is not empty."""
+    surfaces = {s for _, _, s, _ in table.entries} | {"absent"}
+    found = False
     for surface in surfaces:
         for pos in Pos:
             for dimension in (Dimension.MASS, Dimension.SPEED, Dimension.LENGTH):
@@ -382,6 +388,8 @@ def assert_heads_match_scan(table):
                 want = scanned_heads(table, surface, pos, dimension)
                 assert got == want, (surface, pos, dimension)
                 assert all(got[head] is want[head] for head in want)
+                found = found or bool(want)
+    assert found or not headed
 
 
 _INDEX_RECORDS = st.lists(
@@ -402,18 +410,20 @@ _INDEX_RECORDS = st.lists(
 def test_heads_for_matches_a_scan(first, later):
     """The head index answers like a scan, before and after new keys, and on derived tables."""
     table = build(first)
-    assert_heads_match_scan(table)
+    headed = any(r.object.head for r in first)
+    assert_heads_match_scan(table, headed)
     for pos in (Pos.ADJ, Pos.NOUN):
         heads = table.heads_for("fast", pos, Dimension.SPEED)
         heads.clear()  # callers get a copy
         heads["car"] = Distribution()
-    assert_heads_match_scan(table)
+    assert_heads_match_scan(table, headed)
     table.observe_all(later)  # new heads and surfaces after the index is built
-    assert_heads_match_scan(table)
+    headed = any(r.object.head for r in first + later)
+    assert_heads_match_scan(table, headed)
     other = build(later)
     other.heads_for("fast", Pos.ADJ, Dimension.SPEED)
     merged = table.merge(other)
-    assert_heads_match_scan(merged)
+    assert_heads_match_scan(merged, headed)
     final = merged.finalize(2)
     assert_heads_match_scan(final)
     with tempfile.TemporaryDirectory() as d:
@@ -473,8 +483,12 @@ def test_any_sharding_serializes_like_one_pass(tagged, order):
     snapshots = [shard.serialize() for shard in shards]
     pairwise = functools.reduce(lambda a, b: a.merge(b), shards)
     assert pairwise.serialize() == whole
-    assert shards[0].merge(*shards[1:]).serialize() == whole
+    merged = shards[0].merge(*shards[1:])
+    assert merged.serialize() == whole
     assert [shard.serialize() for shard in shards] == snapshots  # inputs untouched
+    if tagged:  # and not shared: observing into the output leaves every input as it was
+        merged.observe(tagged[0][0])
+        assert [shard.serialize() for shard in shards] == snapshots
     finals = [shard.finalize(2) for shard in shards]
     pairwise = functools.reduce(lambda a, b: a.merge(b), finals)
     assert finals[0].merge(*finals[1:]).serialize() == pairwise.serialize()
