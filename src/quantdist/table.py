@@ -11,7 +11,7 @@ JSON header and one line per entry: four key columns (surface, head or empty,
 POS, dimension), then the sorted kept samples, or for a spilled entry its
 count, min, max, exact-sum parts and id:count buckets. ``iter_entries`` reads a
 file's entries one line at a time and rejects, at its line, a line out of
-canonical order; ``read_table``
+canonical order or under a finalized table's thresholds; ``read_table``
 collects them into a QuantTable. ``merged_entries`` is the one fold of equal
 keys, by ``Distribution.update``: ``write_merged`` feeds it a k-way merge of
 entry streams and writes each line as its key closes, so ``quantdist merge``
@@ -387,9 +387,10 @@ def iter_entries(path):
 
     The header is read at once and each entry line as the iterator reaches
     it, in the file's canonical order. A malformed line, or one that does
-    not come after the line before it (a repeated key is one case), raises
-    a TableFormatError at its line; after the last line, an entry count
-    other than the header's is an error of the file.
+    not come after the line before it (a repeated key is one case), or that
+    a finalized table's thresholds would have dropped, raises a
+    TableFormatError at its line; after the last line, an entry count other
+    than the header's is an error of the file.
     """
     entries = _read_entries(path)
     return next(entries), entries
@@ -415,6 +416,8 @@ def _read_entries(path):
                     raise ValueError(
                         "repeated entry" if key == last else "entry out of canonical order"
                     )
+                if config.finalized and not _keeps(config, key, dist.count):
+                    raise ValueError(f"count {dist.count} is under the finalized table's thresholds")
                 found, last = found + 1, key
                 yield key, dist
     if found != expected_entries:

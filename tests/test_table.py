@@ -316,6 +316,8 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
 
     cap_two = header.replace('"exact_cap": 1', '"exact_cap": 2')
     cap_4096 = header.replace('"exact_cap": 1', '"exact_cap": 4096')
+    final = header.replace('"finalized": false', '"finalized": true')  # min_phrase_count 5
+    final_3 = final.replace('"min_count": 1', '"min_count": 3')
     bad_entries = [
         (header, entry.rsplit("\t", 1)[0], "expected 5 or 9 columns, got 8"),
         (header, entry + "\t-", "expected 5 or 9 columns, got 10"),  # a quanttable/1 line
@@ -338,6 +340,9 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         # a spilled summary of 2 values under a cap that keeps them: no build writes one
         (cap_4096, entry, "spilled summary must count more than exact_cap 4096"),
         (cap_two, entry, "spilled summary must count more than exact_cap 2"),
+        # a finalized table holds no entry that its header's thresholds drop
+        (final_3, entry, "count 2 is under the finalized table's thresholds"),
+        (final, with_column(0, "race car"), "count 2 is under the finalized table's thresholds"),
     ]
     bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
     for bad_header, bad_entry, message in bad_entries:
