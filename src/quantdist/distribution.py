@@ -147,13 +147,12 @@ class Distribution:
             raise ValueError(
                 f"exact_cap mismatch: {self.exact_cap} vs {other.exact_cap}"
             )
-        self._sum = checked_sum(self._sum + other._sum)
-        if other.count:
-            if self.count:
-                self.minimum = min(self.minimum, other.minimum)
-                self.maximum = max(self.maximum, other.maximum)
-            else:
-                self.minimum, self.maximum = other.minimum, other.maximum
+        if not self.count:  # share the immutable sum: an exact sum is a large int
+            self._sum, self.minimum, self.maximum = other._sum, other.minimum, other.maximum
+        elif other.count:
+            self._sum = checked_sum(self._sum + other._sum)
+            self.minimum = min(self.minimum, other.minimum)
+            self.maximum = max(self.maximum, other.maximum)
         self.count += other.count
         self.buckets.update(other.buckets)
         if self.exact is not None:
