@@ -119,8 +119,9 @@ def _keeps(config: BuildConfig, key: tuple, count: int) -> bool:
     return count >= min_count
 
 
-_POS_NAMES = frozenset(Pos.__members__)
-_DIMENSION_NAMES = frozenset(Dimension.__members__)
+# each tag name to itself, so that every key read holds the one string per tag
+_POS_NAMES = {name: name for name in Pos.__members__}
+_DIMENSION_NAMES = {name: name for name in Dimension.__members__}
 
 
 def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
@@ -130,8 +131,10 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
     """
     if not surface:
         raise ValueError("empty object surface")
-    if pos not in _POS_NAMES or dimension not in _DIMENSION_NAMES:
-        raise ValueError(f"unknown tag {pos if pos not in _POS_NAMES else dimension!r}")
+    try:
+        pos, dimension = _POS_NAMES[pos], _DIMENSION_NAMES[dimension]
+    except KeyError as exc:
+        raise ValueError(f"unknown tag {exc}") from None
     return dimension, pos, surface, head
 
 
