@@ -357,8 +357,9 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys):
     """Every reader, fed mutants of a valid input, exits 0, 1 or 2 and names the file on 2.
 
     A mutated table, record stream, dataset, corpus, lexicon or rates file is an error no
-    earlier than the mutant's first changed line, or one of the whole file. A head index is checked as its
-    sentence closes, at the sentence's last line: that may be the line just above a change.
+    earlier than the mutant's first changed line, or one of the whole file. A head index is
+    checked as its sentence closes, at the sentence's last line: that may be the line just
+    above a change.
     An exit 2 leaves the ``-o`` file as it was.
     """
     plain = tmp_path / "plain.txt"
