@@ -38,11 +38,11 @@ from .pipeline import extract_records as _extract_records
 from .table import (
     BuildConfig,
     QuantTable,
+    TableFile,
     finalized_config,
     iter_entries,
     merged_config,
     parse_record,
-    read_table,
     record_line,
     stream_config,
     stream_header,
@@ -200,7 +200,8 @@ def _format_value(value: float) -> str:
 def _queried(args):
     """The key and entry that ``query`` and ``plot-export`` answer; a data error without one."""
     key = _object_key(args)
-    dist = query_distribution(read_table(args.table), key, args.dim)
+    with TableFile(args.table) as table:
+        dist = query_distribution(table, key, args.dim)
     if dist is None:
         raise QuantdistError(f"{args.table}: no entry for {key.surface!r} under {args.dim.name}")
     return key, dist
@@ -244,24 +245,23 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table = read_table(args.table)
-    if args.noun:
-        label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
-    else:
-        label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
-        if label is None:
-            raise QuantdistError(
-                f"{args.table}: no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
-                f"under {args.dim.name}"
-            )
+    with TableFile(args.table) as table:
+        if args.noun:
+            label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
+        else:
+            label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
+    if label is None:
+        raise QuantdistError(
+            f"{args.table}: no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
+            f"under {args.dim.name}"
+        )
     print(label.value)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    table = read_table(args.table)
-    examples = load_dataset(args.dataset)
-    report = evaluate(table, examples, args.tau)
+    with TableFile(args.table) as table:
+        report = evaluate(table, load_dataset(args.dataset), args.tau)
     if args.format == "records":
         for field in (
             "accuracy",

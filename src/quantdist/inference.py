@@ -6,6 +6,10 @@ are equal. Adjectives are compared per shared head noun and decided by
 majority vote over those verdicts. Every entry of the table is evidence:
 count thresholds are the table's, applied by ``finalize``. Medians can
 also be relaxed to their bracketing powers of ten for range-style answers.
+
+A table here is anything with the two lookups ``get(key, dimension)`` and
+``heads_for(surface, pos, dimension)``: a QuantTable in memory, or a
+TableFile that answers from the file by bisection.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from enum import Enum
 
 from .distribution import Distribution
 from .pipeline import ObjectKey, Pos
-from .table import QuantTable
+from .table import QuantTable, TableFile
 from .units import Dimension
 
 
@@ -38,7 +42,7 @@ def _coerce_key(obj, pos: Pos) -> ObjectKey:
 
 
 def query_distribution(
-    table: QuantTable, obj, dimension: Dimension
+    table: QuantTable | TableFile, obj, dimension: Dimension
 ) -> Distribution | None:
     """Distribution for an object, or None when absent.
 
@@ -65,7 +69,7 @@ def _label(d1: Distribution | None, d2: Distribution | None, tau: float) -> Comp
 
 
 def compare_nouns(
-    table: QuantTable, obj1, obj2, dimension: Dimension, tau: float = 1.1
+    table: QuantTable | TableFile, obj1, obj2, dimension: Dimension, tau: float = 1.1
 ) -> ComparisonLabel:
     """Three-way comparison of two objects along one dimension.
 
@@ -79,7 +83,7 @@ def compare_nouns(
 
 
 def compare_adjectives(
-    table: QuantTable, adj1, adj2, dimension: Dimension, tau: float = 1.1
+    table: QuantTable | TableFile, adj1, adj2, dimension: Dimension, tau: float = 1.1
 ) -> ComparisonLabel | None:
     """Majority vote over shared-head median comparisons; None = no evidence.
 

@@ -16,7 +16,12 @@ collects them into a QuantTable. ``merged_entries`` is the one fold of equal
 keys, by ``Distribution.update``: ``write_merged`` feeds it a k-way merge of
 entry streams and writes each line as its key closes, so ``quantdist merge``
 and ``finalize`` run in memory that does not grow with the tables, and
-``QuantTable.merge`` and ``finalize`` feed it the sorted entries of tables.
+``QuantTable.merge`` and ``finalize`` feed it the entries of tables.
+
+A table answers queries through two methods, ``get(key, dimension)`` and
+``heads_for(surface, pos, dimension)``: a QuantTable from its dict, and a
+TableFile, which the read commands use, by bisecting the line offsets of the
+file and parsing only the lines it finds.
 
 The record stream from ``extract`` to ``aggregate`` is here too: a JSON header
 read like a table's, pinning the three settings extraction knows, then per
@@ -31,6 +36,8 @@ import math
 import os
 import shutil
 import tempfile
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from operator import itemgetter
@@ -261,9 +268,10 @@ class QuantTable:
 
 
 def merged_entries(config: BuildConfig, entries):
-    """Yield one ``(key, Distribution)`` per key of ``entries``, folded in order.
+    """Yield one ``(key, Distribution)`` per key of ``entries``, folded in their order.
 
-    ``entries`` run in canonical order with equal keys adjacent. Each key's
+    ``entries`` need only have equal keys adjacent: ``write_merged`` gives them
+    in canonical order, and ``QuantTable.finalize`` in its one table's. Each key's
     Distributions are folded with ``update`` into a new one, so no input is
     mutated or shared; under a finalized ``config`` a key whose total count
     misses the thresholds is dropped before anything is copied.
@@ -279,8 +287,13 @@ def merged_entries(config: BuildConfig, entries):
 
 
 def _folded(config: BuildConfig, tables) -> QuantTable:
-    """A new table of ``config`` holding the folded entries of ``tables``."""
-    items = sorted(chain.from_iterable(table.entries.items() for table in tables), key=itemgetter(0))
+    """A new table of ``config`` holding the folded entries of ``tables``.
+
+    One table's keys are unique, so only a fold of several sorts them together.
+    """
+    items = chain.from_iterable(table.entries.items() for table in tables)
+    if len(tables) > 1:
+        items = sorted(items, key=itemgetter(0))
     out = QuantTable(config)
     out.entries = dict(merged_entries(config, items))
     return out
@@ -308,16 +321,26 @@ def _entry_line(key: tuple, dist: Distribution) -> str:
     return f"{prefix}{dist.count}\t{dist.minimum!r}\t{dist.maximum!r}\t{total}\t{buckets}"
 
 
-def _parse_entry(line: str, exact_cap: int):
-    """One entry line, either shape, as ``(key, Distribution)``; ValueError if malformed."""
-    parts = line.split("\t")
-    if len(parts) == 5:
-        samples = list(map(float, parts[4].split(" ")))
-        return _entry_key(*parts[:4]), Distribution.of(samples, exact_cap)
-    if len(parts) != 9:
-        raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
-    key = _entry_key(*parts[:4])
-    count_s, min_s, max_s, sum_s, buckets_s = parts[4:]
+def _entry_value(config: BuildConfig, key: tuple, rest: str) -> Distribution:
+    """The Distribution of an entry line's columns after ``key``, either shape.
+
+    ValueError if malformed, or under a finalized ``config``'s thresholds.
+    """
+    values = rest.split("\t")
+    if len(values) == 1:
+        dist = Distribution.of(list(map(float, rest.split(" "))), config.exact_cap)
+    elif len(values) == 5:
+        dist = _spilled(values, config.exact_cap)
+    else:
+        raise ValueError(f"expected 5 or 9 columns, got {4 + len(values)}")
+    if config.finalized and not _keeps(config, key, dist.count):
+        raise ValueError(f"count {dist.count} is under the finalized table's thresholds")
+    return dist
+
+
+def _spilled(values: list, exact_cap: int) -> Distribution:
+    """A spilled entry's Distribution from its count, min, max, sum and bucket columns."""
+    count_s, min_s, max_s, sum_s, buckets_s = values
     floats = [float(min_s), float(max_s), *map(float, sum_s.split(" "))]
     if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite value")
@@ -336,7 +359,7 @@ def _parse_entry(line: str, exact_cap: int):
             raise ValueError(f"bucket id {bid} repeated")
         buckets[bid] = int(n_s)
     dist.validate()
-    return key, dist
+    return dist
 
 
 def _header_value(header: dict, key: str, types: tuple):
@@ -402,31 +425,47 @@ def iter_entries(path):
 def _read_entries(path):
     """Yield a table file's BuildConfig, then its entries, as ``iter_entries`` describes."""
     with LocatedLines(path, TableFormatError) as lines:
-        rows = iter(lines)
-        header = next(rows, "")
-        if not header.strip():
-            raise ValueError("missing header")
-        try:
-            config, expected_entries = _parse_header(header)
-        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-            raise ValueError(f"bad header ({exc})") from None
+        rows = _entry_rows(lines)
+        config = next(rows)
         yield config
-        found, last = 0, ()
-        for line in rows:
-            if line:
-                key, dist = _parse_entry(line, config.exact_cap)
-                if key <= last:
-                    raise ValueError(
-                        "repeated entry" if key == last else "entry out of canonical order"
-                    )
-                if config.finalized and not _keeps(config, key, dist.count):
-                    raise ValueError(f"count {dist.count} is under the finalized table's thresholds")
-                found, last = found + 1, key
-                yield key, dist
+        for key, rest in rows:
+            yield key, _entry_value(config, key, rest)
+
+
+def _entry_rows(lines: LocatedLines):
+    """Yield the BuildConfig of the table file that ``lines`` reads, then per entry line
+    its key and its columns after the key; ``lines.offset`` is where that line starts.
+
+    A line with a malformed key, or one that does not come after the line before it,
+    raises ValueError; after the last line, an entry count other than the header's is
+    a TableFormatError of the file. Blank lines are skipped.
+    """
+    rows = iter(lines)
+    header = next(rows, "")
+    if not header.strip():
+        raise ValueError("missing header")
+    try:
+        config, expected_entries = _parse_header(header)
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ValueError(f"bad header ({exc})") from None
+    yield config
+    found, last = 0, ()
+    for line in rows:
+        if line:
+            parts = line.split("\t", 4)
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
+            key = _entry_key(*parts[:4])
+            if key <= last:
+                raise ValueError(
+                    "repeated entry" if key == last else "entry out of canonical order"
+                )
+            found, last = found + 1, key
+            yield key, parts[4]
     if found != expected_entries:
         raise TableFormatError(
             f"header promises {expected_entries} entries, found {found} (truncated?)",
-            path=str(path),
+            path=str(lines.path),
         )
 
 
@@ -436,6 +475,98 @@ def read_table(path) -> QuantTable:
     table = QuantTable(config)
     table.entries = dict(entries)
     return table
+
+
+def _encoded(key: tuple) -> tuple:
+    """An entry key as the UTF-8 bytes of its columns, which order like the text.
+
+    A lone surrogate (from an argument that was not UTF-8) is encoded too and matches no line.
+    """
+    return tuple(column.encode("utf-8", "surrogatepass") for column in key)
+
+
+class TableFile:
+    """A table file answered by bisection: ``get`` and ``heads_for``, as on a QuantTable.
+
+    Opening it reads the header and makes one pass over the entry lines that
+    keeps only where each starts. That pass decodes every line and checks its
+    key, the canonical order and the header's entry count, with the errors of
+    ``iter_entries``. A lookup bisects those offsets, comparing the UTF-8 key
+    columns of the lines it reads; only the lines that it finds go through the
+    full parse and the finalized-threshold check, each once. So a malformed
+    value in a line that no lookup finds is not reported: ``read_table`` and
+    ``iter_entries`` read every line. Use it in a ``with`` block, which closes
+    the file.
+    """
+
+    def __init__(self, path):
+        self.path = str(path)
+        self._offsets = array("q")
+        with LocatedLines(path, TableFormatError) as lines:
+            rows = _entry_rows(lines)
+            self.config = next(rows)
+            for _ in rows:
+                self._offsets.append(lines.offset)
+        self._file = open(path, "rb")
+        self._found: dict[tuple, Distribution | None] = {}
+
+    def __enter__(self) -> "TableFile":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _key_at(self, offset: int) -> tuple:
+        """The encoded key ``(dimension, POS, surface, head)`` of the line at ``offset``."""
+        self._file.seek(offset)
+        surface, head, pos, dimension, _ = self._file.readline().split(b"\t", 4)
+        return dimension, pos, surface, head
+
+    def _parsed(self, key: tuple, index: int) -> Distribution:
+        """The Distribution of entry line ``index``, whose key is ``key``, parsed on first use."""
+        if key not in self._found:
+            offset = self._offsets[index]
+            self._file.seek(offset)
+            line = self._file.readline().decode("utf-8").rstrip("\r\n")
+            try:
+                self._found[key] = _entry_value(self.config, key, line.split("\t", 4)[4])
+            except (ValueError, OverflowError) as exc:
+                self._file.seek(0)
+                line_number = self._file.read(offset).count(b"\n") + 1
+                raise TableFormatError(str(exc), line_number, self.path) from None
+        return self._found[key]
+
+    def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
+        surface, pos, head = key
+        key = (dimension._name_, pos._name_, surface, head or "")
+        if key not in self._found:
+            target = _encoded(key)
+            index = bisect_left(self._offsets, target, key=self._key_at)
+            if index < len(self._offsets) and self._key_at(self._offsets[index]) == target:
+                return self._parsed(key, index)
+            self._found[key] = None
+        return self._found[key]
+
+    def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
+        """All head-specific distributions for one modifier surface, as a new dict.
+
+        They are one run of lines, right after the modifier's head-free key.
+        """
+        modifier = (dimension._name_, pos._name_, surface)
+        start = _encoded((*modifier, ""))
+        heads = {}
+        index = bisect_right(self._offsets, start, key=self._key_at)
+        while index < len(self._offsets):
+            key = self._key_at(self._offsets[index])
+            if key[:3] != start[:3]:
+                break
+            head = key[3].decode("utf-8")
+            heads[head] = self._parsed((*modifier, head), index)
+            index += 1
+        return heads
 
 
 def write_merged(config: BuildConfig, inputs, path) -> None:

@@ -663,6 +663,58 @@ def test_entry_lines_out_of_order_are_located(tmp_path, corpus, capsys):
         assert not out.exists()
 
 
+def test_read_commands_check_keys_at_open_and_parse_what_they_find(tmp_path, corpus, capsys):
+    """``query``, ``plot-export``, ``compare`` and ``eval`` check every key, the canonical
+    order and the entry count when they open a table, and parse only the lines they look
+    up: a malformed value in a line that no lookup finds is reported by ``merge`` and
+    ``finalize`` alone."""
+    table = build_table(tmp_path, corpus)
+    header, cat, elephant, weighs, car, driving = table.read_text("utf-8").splitlines(True)
+    assert [line.split("\t")[0] for line in (cat, elephant, car)] == ["cat", "elephant", "car"]
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("elephant\tcat\tweight\t>\n", encoding="utf-8")
+    bad, out = tmp_path / "bad.tsv", str(tmp_path / "out.tsv")
+    query = ["query", "--table", str(bad), "--object", "car", "--dim", "speed"]
+    plot = ["plot-export", "--table", str(bad), "--object", "car", "--dim", "speed"]
+    compare = ["compare", "--table", str(bad), "--noun", "elephant", "cat", "--dim", "mass"]
+    evaluate = ["eval", str(pairs), "--table", str(bad)]
+    merge = ["merge", str(bad), "-o", out]
+    finalize = ["finalize", str(bad), "--min-count", "1", "-o", out]
+
+    def with_samples(line, samples):
+        return "\t".join(line.split("\t")[:4] + [samples]) + "\n"
+
+    not_a_sample = "could not convert string to float: 'x'"
+    cases = [
+        # a malformed value: an error at its line where a lookup finds it, unseen elsewhere
+        (3, with_samples(car, "1.0 x"), 5, not_a_sample, [query, plot, merge, finalize],
+         [compare, evaluate]),
+        (0, with_samples(cat, "x"), 2, not_a_sample, [compare, evaluate, merge, finalize],
+         [query, plot]),
+        # keys, order and the entry count: an error at open, whatever is looked up
+        (3, car.replace("UNKNOWN", "NOUNS"), 5, "unknown tag 'NOUNS'", [query, compare, finalize],
+         []),
+        (2, "ant\t\tUNKNOWN\tMASS\t1.0\n", 4, "entry out of canonical order",
+         [query, plot, compare, evaluate], []),
+        (1, cat, 3, "repeated entry", [query, compare, evaluate, merge], []),
+    ]
+    for i, changed, line, message, failing, passing in cases:
+        entries = [cat, elephant, weighs, car, driving]
+        entries[i] = changed
+        bad.write_text(header + "".join(entries), encoding="utf-8")
+        for argv in failing:
+            assert main(argv) == 2, (argv, message)
+            assert f"error: {bad}:{line}: {message}\n" in capsys.readouterr().err, (argv, message)
+        for argv in passing:
+            assert main(argv) == 0, (argv, message)
+    assert not os.path.exists(out)
+    bad.write_text(header + cat + elephant + weighs + car, encoding="utf-8")  # truncated
+    for argv in (query, plot, compare, evaluate):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: {bad}: header promises 5 entries, found 4 (truncated?)\n" in err
+
+
 def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, monkeypatch):
     """A data error, found early or late, or a failed write leaves no ``-o`` file and no
     temporary file beside it. So it does for every command that writes a file."""
@@ -768,6 +820,41 @@ def test_merge_memory_does_not_grow_with_its_inputs(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def test_read_commands_memory_does_not_grow_with_the_table(tmp_path, capsys):
+    """``query`` and ``compare`` bisect the table file: their peak allocation stays flat
+    when it grows 4x."""
+    tables = {}
+    for n in (500, 2000):
+        table = QuantTable(BuildConfig(exact_cap=4))
+        for i in range(n):
+            key = ObjectKey(f"object{i}", Pos.NOUN, None)
+            for k in range(1 + i % 7):  # kept samples, and spilled past 4
+                table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.5**k), 0))
+        tables[n] = str(tmp_path / f"{n}.tsv")
+        table.write(tables[n])
+
+    def commands(path):
+        return (
+            ["query", "--table", path, "--object", "object6", "--dim", "mass", "--pos", "noun"],
+            ["compare", "--table", path, "--noun", "object6", "object400", "--dim", "mass"],
+        )
+
+    for argv in commands(tables[500]):  # one-time allocations, untraced
+        assert main(argv) == 0
+    peaks = []
+    for n in (500, 2000):
+        for argv in commands(tables[n]):
+            gc.collect()  # no earlier test's garbage is finalized while tracing
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[2] < 1.2 * peaks[0] and peaks[3] < 1.2 * peaks[1], peaks
 
 
 def test_aggregate_rejects_mixed_headers(tmp_path, corpus, capsys):

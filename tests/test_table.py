@@ -9,14 +9,16 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantdist.cli import main
 from quantdist.distribution import Distribution
 from quantdist.errors import ConfigMismatchError, TableFormatError
+from quantdist.inference import query_distribution
 from quantdist.kernels import bucket_bounds
 from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
-from quantdist.table import BuildConfig, QuantTable, read_table
+from quantdist import table as table_mod
+from quantdist.table import BuildConfig, QuantTable, TableFile, read_table
 from quantdist.units import Dimension, Quantity
 
 
@@ -435,6 +437,94 @@ def test_heads_for_matches_a_scan(first, later):
         path = os.path.join(d, "t.tsv")
         final.write(path)
         assert_heads_match_scan(read_table(path))
+
+
+# z < é < 水 in code points and in UTF-8 bytes; "é z" is a phrase, "ez" sorts between
+_FILE_SURFACES = ["car", "e", "ez", "z", "é", "é z", "水"]
+_FILE_HEADS = [None, "car", "z", "é"]
+_FILE_RECORDS = st.lists(
+    st.builds(
+        record,
+        st.sampled_from(_FILE_SURFACES),
+        st.sampled_from([Dimension.LENGTH, Dimension.MASS, Dimension.SPEED]),
+        st.sampled_from([-3.0, 1.0, 2.5, 40.0, 1e4]),
+        pos=st.sampled_from([Pos.ADJ, Pos.NOUN, Pos.UNKNOWN]),
+        head=st.sampled_from(_FILE_HEADS),
+    ),
+    max_size=40,
+)
+# from before the first line of any table above to after its last
+_PROBE_DIMENSIONS = sorted(
+    {Dimension.AREA, Dimension.LENGTH, Dimension.MASS, Dimension.SPEED, Dimension.VOLUME},
+    key=lambda dimension: dimension.name,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _FILE_RECORDS,
+    st.booleans(),
+    st.lists(st.integers(min_value=0), max_size=3),
+    st.sampled_from(["\n", "\r\n"]),
+)
+# the last line is headed: (SPEED, UNKNOWN, 水, z) ends the file
+@example([record("水", Dimension.SPEED, 1.0, pos=Pos.UNKNOWN, head="z")], False, [], "\n")
+def test_table_file_answers_like_read_table(records, finalized, blank_lines, line_end):
+    """Every ``get`` and ``heads_for`` of a TableFile equals ``read_table``'s answer.
+
+    Tables hold kept and spilled entries, may be finalized and may have blank lines
+    between entries or at the end, and LF or CRLF line ends; keys probe before,
+    between and after the lines.
+    """
+    table = build(records, exact_cap=2)
+    if finalized:
+        table = table.finalize(2)
+    lines = table.serialize().splitlines(keepends=True)
+    for position in blank_lines:
+        lines.insert(1 + position % len(lines), "\n")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.tsv")
+        with open(path, "wb") as fh:
+            fh.write("".join(lines).replace("\n", line_end).encode("utf-8"))
+        expected = read_table(path)
+        with TableFile(path) as file:
+            assert file.config == expected.config
+            for dimension in _PROBE_DIMENSIONS:
+                for pos in (Pos.ADJ, Pos.NOUN, Pos.UNKNOWN):
+                    for surface in ["a", *_FILE_SURFACES, "水水"]:
+                        heads = file.heads_for(surface, pos, dimension)
+                        assert heads == expected.heads_for(surface, pos, dimension)
+                        for head in [*_FILE_HEADS, "zz"]:
+                            key = ObjectKey(surface, pos, head)
+                            assert file.get(key, dimension) == expected.get(key, dimension)
+                            # a tagged miss falls back to the UNKNOWN key
+                            found = query_distribution(file, key, dimension)
+                            assert found == query_distribution(expected, key, dimension)
+
+
+def test_table_file_parses_each_found_line_once(tmp_path, monkeypatch):
+    """A TableFile remembers what it parsed and what it missed; its answers are new dicts."""
+    path = tmp_path / "t.tsv"
+    build(
+        [record("fast", Dimension.SPEED, v, pos=Pos.ADJ, head=h) for v in (1.0, 2.0) for h in "ab"]
+    ).write(path)
+    parsed = []
+    entry_value = table_mod._entry_value
+
+    def counted(*args):
+        parsed.append(args)
+        return entry_value(*args)
+
+    monkeypatch.setattr(table_mod, "_entry_value", counted)
+    with TableFile(path) as file:
+        for _ in range(3):
+            heads = file.heads_for("fast", Pos.ADJ, Dimension.SPEED)
+            assert sorted(heads) == ["a", "b"]
+            heads.clear()
+            assert file.get(ObjectKey("fast", Pos.ADJ, "a"), Dimension.SPEED) is not None
+            assert file.get(ObjectKey("fast", Pos.ADJ, None), Dimension.SPEED).count == 4
+            assert file.get(ObjectKey("slow", Pos.ADJ, None), Dimension.SPEED) is None
+    assert len(parsed) == 3
 
 
 def test_export_points_density():
