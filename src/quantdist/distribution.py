@@ -154,7 +154,12 @@ class Distribution:
             self.minimum = min(self.minimum, other.minimum)
             self.maximum = max(self.maximum, other.maximum)
         self.count += other.count
-        self.buckets.update(other.buckets)
+        buckets = self.buckets
+        if buckets:  # item by item: Counter.update would first check for a Mapping
+            for index, n in other.buckets.items():
+                buckets[index] += n
+        else:
+            dict.update(buckets, other.buckets)
         if self.exact is not None:
             if other.exact is None or len(self.exact) + len(other.exact) > self.exact_cap:
                 self.exact = None

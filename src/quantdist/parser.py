@@ -1,7 +1,7 @@
 """Tokenization and measurement scanning.
 
-The scanner walks a token list left to right and tries, at each position,
-three productions, one per kind of start token:
+The scanner walks a token list left to right and tries three productions,
+one per kind of start token:
 
 - a clock token (``7:30``, ``8.30``, ``7``): a clock range sharing one
   am/pm (``7.30-8.30 am``), or else one clock time (``1.51 pm``, ``19:05``);
@@ -9,9 +9,13 @@ three productions, one per kind of start token:
 - a number: a range sharing one unit (``50-60 mph``), or else a
   number-unit pair (``225 litres``, ``100 degrees C``).
 
-So every mention starts at a token that begins with a digit or resolves
-to a currency unit. The first production that matches consumes its span;
-positions that match nothing advance by one token. Numbers without a
+A start token is one whose first character is a decimal digit
+(``str.isdecimal``, what ``\\d`` matches), or one that resolves to a
+currency unit (``UnitRegistry.currency_positions``); every mention begins
+at one. The scan lists the start tokens first and tries the productions
+only there, so a sentence without one costs no unit lookup and is not
+lowercased. The first production that matches consumes its span, and the
+scan goes on at the next start token after it. Numbers without a
 resolvable unit, and values that are not finite once normalized, are
 dropped, not guessed at.
 """
@@ -97,9 +101,12 @@ class Mention(NamedTuple):
 
 
 def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Mention]:
-    """All measurement mentions in a token sequence, left to right."""
-    scanner = _Scanner(tokens, registry)
-    return scanner.run()
+    """All measurement mentions in a token sequence of any case, left to right."""
+    starts = [i for i, token in enumerate(tokens) if token[:1].isdecimal()]
+    currency = registry.currency_positions(tokens)
+    if currency:
+        starts = sorted({*starts, *currency})
+    return _Scanner(tokens, registry).run(starts) if starts else []
 
 
 class _Scanner:
@@ -108,16 +115,17 @@ class _Scanner:
         self.registry = registry
         self.n = len(tokens)
 
-    def run(self) -> list[Mention]:
+    def run(self, starts: list[int]) -> list[Mention]:
+        """The mentions found trying the productions at each start token past the last match."""
         mentions: list[Mention] = []
-        i = 0
-        while i < self.n:
+        end = 0
+        for i in starts:
+            if i < end:
+                continue
             found = self._clock(i) or self._currency_prefix(i) or self._number(i)
             if found:
                 mentions.extend(found)
-                i = found[-1].end
-            else:
-                i += 1
+                end = found[-1].end
         return mentions
 
     def _make(self, unit, *spans):

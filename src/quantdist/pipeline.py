@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import product
 from typing import NamedTuple
 
 from .errors import CorpusFormatError, LocatedLines
@@ -22,6 +23,12 @@ from .parser import scan_measurements, tokenize
 from .units import Quantity, UnitRegistry
 
 NEGATION_WORDS = frozenset({"not", "no", "without", "neither", "nor"})
+# every ASCII case of each negation word: outside ASCII only U+0130 and U+212A lowercase onto
+# ASCII letters, to "i" with a combining dot and to "k", so a token lowercases to a negation
+# word exactly when it is one of these
+_NEGATION_CASES = frozenset(
+    "".join(letters) for word in NEGATION_WORDS for letters in product(*zip(word, word.upper()))
+)
 MAX_PHRASE_LEN = 3  # longest noun run kept as one phrase object
 
 # words that end in "." without ending the sentence
@@ -117,13 +124,13 @@ def split_sentences(text: str) -> list[str]:
 
 
 def contains_negation(tokens) -> bool:
-    return any(t.lower() in NEGATION_WORDS for t in tokens)
+    """Whether any token, lowercased, is a negation word: one C-level set test."""
+    return not _NEGATION_CASES.isdisjoint(tokens)
 
 
-def _candidate_objects(sentence: AnnotatedSentence):
-    """(ObjectKey, start, end) triples for tokens and noun phrases."""
+def _candidate_objects(sentence: AnnotatedSentence, low: list[str]):
+    """(ObjectKey, start, end) triples for tokens and noun phrases of the lowercased surfaces."""
     tags = sentence.pos
-    low = [s.lower() for s in sentence.surfaces]
     stops = stopwords()
     candidates = []
     for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads)):
@@ -158,13 +165,14 @@ def extract_records(
     """
     if contains_negation(sentence.surfaces):
         return []
-    mentions = scan_measurements(sentence.surfaces, registry)
+    low = [s.lower() for s in sentence.surfaces]
+    mentions = scan_measurements(low, registry)
     if not mentions:
         return []
     spans = [(m.start, m.end) for m in mentions]
     candidates = [
         (key, start, end)
-        for key, start, end in _candidate_objects(sentence)
+        for key, start, end in _candidate_objects(sentence, low)
         if not any(start < m_end and m_start < end for m_start, m_end in spans)
     ]
     records = []

@@ -289,11 +289,14 @@ def merged_entries(config: BuildConfig, entries):
 def _folded(config: BuildConfig, tables) -> QuantTable:
     """A new table of ``config`` holding the folded entries of ``tables``.
 
-    One table's keys are unique, so only a fold of several sorts them together.
+    One table's keys are unique, so only a fold of several brings each key's entries
+    together, in table order, by looking every key of their union up in each table.
     """
-    items = chain.from_iterable(table.entries.items() for table in tables)
-    if len(tables) > 1:
-        items = sorted(items, key=itemgetter(0))
+    entries = [table.entries for table in tables]
+    items = entries[0].items()
+    if len(entries) > 1:
+        keys = dict.fromkeys(chain.from_iterable(entries))
+        items = ((key, each[key]) for key in keys for each in entries if key in each)
     out = QuantTable(config)
     out.entries = dict(merged_entries(config, items))
     return out
@@ -455,13 +458,17 @@ def _entry_rows(lines: LocatedLines):
             parts = line.split("\t", 4)
             if len(parts) != 5:
                 raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
-            key = _entry_key(*parts[:4])
+            surface, head, pos, dimension, rest = parts
+            if surface and last and pos == last[1] and dimension == last[0]:
+                key = (last[0], last[1], surface, head)  # the tags of the line above, resolved
+            else:
+                key = _entry_key(surface, head, pos, dimension)
             if key <= last:
                 raise ValueError(
                     "repeated entry" if key == last else "entry out of canonical order"
                 )
             found, last = found + 1, key
-            yield key, parts[4]
+            yield key, rest
     if found != expected_entries:
         raise TableFormatError(
             f"header promises {expected_entries} entries, found {found} (truncated?)",

@@ -6,9 +6,9 @@ hide a scanner mistake.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from quantdist.parser import Mention, parse_number, scan_measurements, tokenize
+from quantdist.parser import Mention, _Scanner, parse_number, scan_measurements, tokenize
 from quantdist.units import Dimension, Quantity, load_registry
 
 MILE = 1609.344
@@ -272,3 +272,34 @@ def test_mentions_start_at_a_digit_or_currency_alias(registry, tokens):
         # lookup_unit, not the alias column: "°usd" resolves with its degree sign stripped
         unit = registry.lookup_unit(first)
         assert first[:1].isdigit() or (unit is not None and unit.dimension is Dimension.CURRENCY)
+
+
+def _scan_everywhere(tokens, registry):
+    """The scan without the start-token gate: every production tried at every position."""
+    scanner = _Scanner(tokens, registry)
+    mentions, i = [], 0
+    while i < scanner.n:
+        found = scanner._clock(i) or scanner._currency_prefix(i) or scanner._number(i)
+        if found:
+            mentions.extend(found)
+            i = found[-1].end
+        else:
+            i += 1
+    return mentions
+
+
+# "٣" is an Arabic-Indic digit, which \d matches and float reads; "²" is a digit to
+# str.isdigit but not to \d
+_GATE_VOCABULARY = _VOCABULARY + [
+    " $", "€", "٣", "²", "9", "p.m.", "kg", "f", "km/h", "weighs", "Costs", "about",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_GATE_VOCABULARY), max_size=12))
+@example(["°usd", "5", "million"])
+@example(["USD", "٣", "to", "9", "kg"])
+@example([" $", "12", "thousand", "7:30", "pm"])
+@example(["²", "kg", "7", "-", "8.30", "p.m."])
+def test_gated_scan_finds_what_every_position_finds(registry, tokens):
+    assert scan_measurements(tokens, registry) == _scan_everywhere(tokens, registry)

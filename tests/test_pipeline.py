@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from quantdist import pipeline
 from quantdist.errors import CorpusFormatError
 from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
@@ -86,6 +87,19 @@ def test_negation_words():
 def test_negation_is_exactly_five_words():
     assert not contains_negation(["Nothing", "weighs", "3", "kg"])
     assert not contains_negation(["never", "none", "cannot", "isn't"])
+
+
+def test_negation_words_match_in_any_case():
+    # a set of the words' ASCII spellings is exact: outside ASCII only these two
+    # characters lowercase to text with an ASCII letter, "i" with a combining dot and "k"
+    onto_ascii = [
+        c for c in map(chr, range(0x80, 0x110000))
+        if any(ch.isascii() and ch.isalpha() for ch in c.lower())
+    ]
+    assert onto_ascii == ["\u0130", "\u212a"]
+    for token in ("NoT", "nO", "WITHOUT", "nEiThEr", "NOR"):
+        assert contains_negation(["x", token])
+    assert not contains_negation(["w\u0130thout"])  # "wi̇thout" once lowercased
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +386,8 @@ def _pairs_with_spans(sentence, config, registry):
     mentions = scan_measurements(sentence.surfaces, registry)
     out = []
     for mention in mentions:
-        for key, start, end in _candidate_objects(sentence):
+        low = [s.lower() for s in sentence.surfaces]
+        for key, start, end in _candidate_objects(sentence, low):
             if end <= mention.start:
                 gap = mention.start - end
             elif mention.end <= start:
@@ -383,6 +398,35 @@ def _pairs_with_spans(sentence, config, registry):
                 inside = any(start < m.end and m.start < end for m in mentions)
                 out.append((CooccurrenceRecord(key, mention.quantity, gap), inside))
     return out
+
+
+def test_extraction_calls_the_negation_test_and_the_scan_by_module_name(registry, monkeypatch):
+    # perfbench times the scan and counts negated sentences by patching these two names
+    sentences = list(_generated_sentences(random.Random(11), 40)) + [
+        AnnotatedSentence.from_plain(text)
+        for text in ("It is not 5 kg.", "No truck weighs 40 kg.", "The sky is blue.")
+    ]
+    config = ExtractionConfig()
+    expected = [extract_records(s, config, registry) for s in sentences]
+    calls = {"contains_negation": 0, "scan_measurements": 0}
+
+    def counted(name):
+        original = getattr(pipeline, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counted(name))
+    assert [extract_records(s, config, registry) for s in sentences] == expected
+    negated = sum(contains_negation(s.surfaces) for s in sentences)
+    assert negated == 2
+    assert calls == {
+        "contains_negation": len(sentences), "scan_measurements": len(sentences) - negated,
+    }
 
 
 @pytest.mark.parametrize("distance", [None, 3])
