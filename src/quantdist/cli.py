@@ -7,7 +7,7 @@ plot data. Exit codes: 0 success, 1 usage error, 2 data error.
 
 This module only wires subcommands: the record stream that travels
 between `extract` and `aggregate`, and the table files, are read and
-written by `table`.
+written by `table`; `aggregate` writes what `table.aggregate` builds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import contextlib
 import os
 import sys
 
-from .errors import ConfigMismatchError, LocatedLines, QuantdistError, RecordFormatError, replaced
+from .distribution import DEFAULT_EXACT_CAP
+from .errors import ConfigMismatchError, QuantdistError, replaced
 from .evaluation import (
     detect_leakage,
     dimension_named,
@@ -27,6 +28,7 @@ from .evaluation import (
     write_dataset,
 )
 from .inference import (
+    TAU,
     compare_adjectives,
     compare_nouns,
     query_distribution,
@@ -37,14 +39,12 @@ from .pipeline import ExtractionConfig, ObjectKey, Pos, read_annotated, read_pla
 from .pipeline import extract_records as _extract_records
 from .table import (
     BuildConfig,
-    QuantTable,
     TableFile,
+    aggregate,
     finalized_config,
     iter_entries,
     merged_config,
-    parse_record,
     record_line,
-    stream_config,
     stream_header,
     write_merged,
 )
@@ -157,23 +157,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    """Observe each record as its line is read, so memory grows with entries."""
-    table = None
-    for path in args.records:
-        with LocatedLines(path, RecordFormatError) as lines:
-            rows = iter(lines)
-            config = stream_config(next(rows, ""), args.exact_cap)
-            if table is None:
-                table = QuantTable(config)
-            elif config != table.config:
-                raise ConfigMismatchError(
-                    f"record stream {path} was extracted under a different "
-                    f"configuration than {args.records[0]}"
-                )
-            for line in rows:
-                if line:
-                    table.observe(parse_record(line, config.distance))
-    table.write(args.output)
+    aggregate(args.records, args.exact_cap).write(args.output)
     return 0
 
 
@@ -358,14 +342,14 @@ def _build_parser() -> _Parser:
         metavar="{sentence,10,3}",
         help="co-occurrence window preset (default: sentence)",
     )
-    p.add_argument("--min-phrase-count", type=_positive_int, default=5)
+    p.add_argument("--min-phrase-count", type=_positive_int, default=BuildConfig.min_phrase_count)
     p.add_argument("-o", "--output", help="record stream path (default: stdout)")
     _add_registry_flags(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("aggregate", help="record streams to one partial table")
     p.add_argument("records", nargs="+", help="record stream files from extract")
-    p.add_argument("--exact-cap", type=_positive_int, default=4096)
+    p.add_argument("--exact-cap", type=_positive_int, default=DEFAULT_EXACT_CAP)
     p.add_argument("-o", "--output", required=True, help="table path")
     p.set_defaults(func=_cmd_aggregate)
 
@@ -394,13 +378,13 @@ def _build_parser() -> _Parser:
     group.add_argument("--noun", nargs=2, type=_name, metavar=("OBJ1", "OBJ2"))
     group.add_argument("--adj", nargs=2, type=_name, metavar=("ADJ1", "ADJ2"))
     p.add_argument("--dim", required=True, type=_dimension)
-    p.add_argument("--tau", type=_tau, default=1.1, help="equality ratio (default 1.1)")
+    p.add_argument("--tau", type=_tau, default=TAU, help="equality ratio (default %(default)s)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="score a comparison dataset against a table")
     p.add_argument("dataset")
     p.add_argument("--table", required=True)
-    p.add_argument("--tau", type=_tau, default=1.1)
+    p.add_argument("--tau", type=_tau, default=TAU)
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 

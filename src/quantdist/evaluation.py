@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import random
 
 from .errors import DatasetFormatError, LocatedLines, SplitInfeasibleError, replaced
-from .inference import ComparisonLabel, _check_tau, _label, query_distribution
+from .inference import TAU, ComparisonLabel, _check_tau, _label, query_distribution
 from .table import QuantTable, TableFile
 from .units import Dimension
 
@@ -106,7 +106,7 @@ def write_dataset(path, examples) -> None:
             fh.write(f"{ex.object1}\t{ex.object2}\t{ex.scale}\t{label}\n")
 
 
-def evaluate(table: QuantTable | TableFile, examples, tau: float = 1.1) -> dict:
+def evaluate(table: QuantTable | TableFile, examples, tau: float = TAU) -> dict:
     """Accuracy of median comparison against gold labels.
 
     Only rows with a usable gold label and an in-coverage dimension are

@@ -24,6 +24,10 @@ from .table import QuantTable, TableFile
 from .units import Dimension
 
 
+# the equality ratio of medians that ``compare`` and ``eval`` use unless told otherwise
+TAU = 1.1
+
+
 class ComparisonLabel(Enum):
     LESS = "<"
     EQUAL = "="
@@ -69,7 +73,7 @@ def _label(d1: Distribution | None, d2: Distribution | None, tau: float) -> Comp
 
 
 def compare_nouns(
-    table: QuantTable | TableFile, obj1, obj2, dimension: Dimension, tau: float = 1.1
+    table: QuantTable | TableFile, obj1, obj2, dimension: Dimension, tau: float = TAU
 ) -> ComparisonLabel:
     """Three-way comparison of two objects along one dimension.
 
@@ -83,7 +87,7 @@ def compare_nouns(
 
 
 def compare_adjectives(
-    table: QuantTable | TableFile, adj1, adj2, dimension: Dimension, tau: float = 1.1
+    table: QuantTable | TableFile, adj1, adj2, dimension: Dimension, tau: float = TAU
 ) -> ComparisonLabel | None:
     """Majority vote over shared-head median comparisons; None = no evidence.
 

@@ -25,7 +25,8 @@ file and parsing only the lines it finds.
 
 The record stream from ``extract`` to ``aggregate`` is here too: a JSON header
 read like a table's, pinning the three settings extraction knows, then per
-record its four key columns, value and token gap.
+record its four key columns, value and token gap. ``aggregate``, the per-shard
+step of a build, credits each line's key columns to a QuantTable as an entry key.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from itertools import chain, groupby
 from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
-from .errors import ConfigMismatchError, LocatedLines, TableFormatError, replaced
+from .errors import ConfigMismatchError, LocatedLines, RecordFormatError, TableFormatError, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
-from .units import Dimension, Quantity
+from .units import Dimension
 
 FORMAT_NAME = "quanttable/2"
 RECORD_FORMAT = "quantrecords/2"
@@ -145,15 +146,6 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
     return dimension, pos, surface, head
 
 
-def parse_key(surface: str, head: str, pos: str, dimension: str):
-    """The record key ``(surface, Pos, head, Dimension)`` named by four text columns.
-
-    An empty head is none. ValueError for an empty surface or an unknown tag.
-    """
-    dimension, pos, surface, head = _entry_key(surface, head, pos, dimension)
-    return surface, Pos[pos], head or None, Dimension[dimension]
-
-
 class QuantTable:
     """Entries keyed by ``(dimension name, POS name, surface, head or "")``, each a Distribution.
 
@@ -181,20 +173,11 @@ class QuantTable:
     # ------------------------------------------------------------------
     # building
 
-    def _bump(self, key: tuple, value_std: float) -> None:
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = self.entries[key] = Distribution(exact_cap=self.config.exact_cap)
-            self._heads.clear()
-        entry.observe(value_std)
-
     def observe(self, record: CooccurrenceRecord) -> None:
-        """Credit a record under its full key and its head-erased key.
+        """Credit a record as ``_credit`` does, under the names of its key's enums.
 
-        The second write makes head-free queries a plain lookup instead of
-        a scan over every head. Records without a head write once. A record
-        with an empty surface or an empty head (a head is a word or None)
-        raises ValueError: the table format could not tell it apart.
+        A record with an empty surface or an empty head (a head is a word or
+        None) raises ValueError: the table format could not tell it apart.
         """
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
@@ -202,9 +185,19 @@ class QuantTable:
         if not surface or head == "":
             raise ValueError("empty object surface or head")
         dimension, pos = dimension._name_, pos._name_  # the plain attribute behind ``name``
-        self._bump((dimension, pos, surface, head or ""), value_std)
-        if head is not None:
-            self._bump((dimension, pos, surface, ""), value_std)
+        self._credit(dimension, pos, surface, head or "", value_std)
+
+    def _credit(self, dimension: str, pos: str, surface: str, head: str, value_std: float) -> None:
+        """Credit a value under the entry key of four names and, for a nonempty ``head``,
+        under its head-erased key too, which makes head-free queries a plain lookup.
+        """
+        full = (dimension, pos, surface, head)
+        for key in (full, (dimension, pos, surface, "")) if head else (full,):
+            entry = self.entries.get(key)
+            if entry is None:
+                entry = self.entries[key] = Distribution(exact_cap=self.config.exact_cap)
+                self._heads.clear()
+            entry.observe(value_std)
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -602,32 +595,50 @@ def stream_header(config: BuildConfig) -> str:
     return _header_line(config, _STREAM_FIELDS, {"format": RECORD_FORMAT})
 
 
-def stream_config(line: str, exact_cap: int) -> BuildConfig:
-    """The BuildConfig that a stream's header line pins, with aggregate's ``exact_cap``."""
-    if not line.strip():
-        raise ValueError("missing header")
-    try:
-        return _read_header(line, _STREAM_FIELDS, {"format": RECORD_FORMAT}, exact_cap=exact_cap)[1]
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise ValueError(f"bad stream header ({exc}); re-run extract") from None
-
-
 def record_line(record: CooccurrenceRecord) -> str:
     """One record stream line, without its line break: key columns, value and token gap."""
     (surface, pos, head), (dimension, value_std), gap = record
     return f"{_key_columns(dimension.name, pos.name, surface, head or '')}\t{value_std!r}\t{gap}"
 
 
-def parse_record(line: str, distance: int | None = None) -> CooccurrenceRecord:
-    """One record line; ValueError if malformed or its gap is outside ``distance``."""
-    parts = line.split("\t")
-    if len(parts) != 6:
-        raise ValueError(f"expected 6 columns, got {len(parts)}")
-    surface, pos, head, dimension = parse_key(*parts[:4])
-    value = float(parts[4])
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {parts[4]!r}")
-    gap = int(parts[5])
-    if gap < 0 or (distance is not None and gap >= distance):
-        raise ValueError(f"token gap {gap} outside the extraction window")
-    return CooccurrenceRecord(ObjectKey(surface, pos, head), Quantity(dimension, value), gap)
+def aggregate(paths, exact_cap: int) -> QuantTable:
+    """The partial table of the record streams at ``paths``, credited line by line.
+
+    Memory grows with entries, not records. Every stream's header must pin the
+    first's settings. A malformed line, or a running sum past the float range, is
+    a RecordFormatError at its line.
+    """
+    table = None
+    for path in paths:
+        with LocatedLines(path, RecordFormatError) as lines:
+            rows = iter(lines)
+            header = next(rows, "")
+            if not header.strip():
+                raise ValueError("missing header")
+            try:
+                _, config = _read_header(
+                    header, _STREAM_FIELDS, {"format": RECORD_FORMAT}, exact_cap=exact_cap
+                )
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                raise ValueError(f"bad stream header ({exc}); re-run extract") from None
+            if table is None:
+                table = QuantTable(config)
+            elif config != table.config:
+                raise ConfigMismatchError(
+                    f"record stream {path} was extracted under a different "
+                    f"configuration than {paths[0]}"
+                )
+            for line in rows:
+                if line:
+                    columns = line.split("\t")
+                    if len(columns) != 6:
+                        raise ValueError(f"expected 6 columns, got {len(columns)}")
+                    key = _entry_key(*columns[:4])
+                    value = float(columns[4])
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {columns[4]!r}")
+                    gap = int(columns[5])
+                    if gap < 0 or (config.distance is not None and gap >= config.distance):
+                        raise ValueError(f"token gap {gap} outside the extraction window")
+                    table._credit(*key, value)
+    return table

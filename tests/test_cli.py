@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -19,9 +20,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantdist.cli import main
+from quantdist.cli import _build_parser, main
+from quantdist.distribution import DEFAULT_EXACT_CAP
 from quantdist.errors import TableFormatError
-from quantdist.evaluation import detect_leakage, load_dataset
+from quantdist.evaluation import detect_leakage, evaluate, load_dataset
+from quantdist.inference import TAU, compare_adjectives, compare_nouns
 from quantdist.pipeline import (
     CooccurrenceRecord,
     ExtractionConfig,
@@ -33,7 +36,6 @@ from quantdist.pipeline import (
 from quantdist.table import (
     BuildConfig,
     QuantTable,
-    parse_record,
     read_table,
     record_line,
     stream_header,
@@ -116,6 +118,19 @@ def test_compare_and_eval_take_no_min_count(tmp_path, corpus, capsys):
         assert "unrecognized arguments: --min-count 2" in capsys.readouterr().err
 
 
+def test_flag_defaults_are_the_library_defaults():
+    """Each CLI default reads the one definition that the library uses."""
+    parser = _build_parser()
+    table = ["--table", "t.tsv"]
+    extract = parser.parse_args(["extract", "c.txt"])
+    assert extract.min_phrase_count == BuildConfig().min_phrase_count
+    assert parser.parse_args(["aggregate", "r.tsv", "-o", "p.tsv"]).exact_cap == DEFAULT_EXACT_CAP
+    compare = parser.parse_args(["compare", *table, "--noun", "a", "b", "--dim", "mass"])
+    assert compare.tau == parser.parse_args(["eval", "d.tsv", *table]).tau == TAU
+    for function in (compare_nouns, compare_adjectives, evaluate):
+        assert inspect.signature(function).parameters["tau"].default == TAU
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["query", "--help"]) == 0
@@ -147,6 +162,18 @@ def test_data_errors_exit_2(tmp_path, corpus, capsys):
     bad.write_text(header + "\t\tNOUN\tMASS\t5.0\t0\n", encoding="utf-8")  # empty surface
     assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
     assert f"{bad}:2: " in capsys.readouterr().err
+    # the key columns are checked before the value
+    bad.write_text(header + "car\t\tNOUN\tWARMTH\tnan\t0\n", encoding="utf-8")
+    assert main(["aggregate", str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: unknown tag 'WARMTH'" in err and "non-finite" not in err, err
+    # an error in a later stream names that stream and its own line
+    good = tmp_path / "good.tsv"
+    good.write_text(header + "car\t\tNOUN\tMASS\t5.0\t0\n" * 3, encoding="utf-8")
+    bad.write_text(header + "car\t\tNOUN\tMASS\t5.0\t0\ncar\t\tNOUN\tMASS\t5.0\n", encoding="utf-8")
+    assert main(["aggregate", str(good), str(bad), "-o", str(tmp_path / "t.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}:3: expected 6 columns, got 5" in err and str(good) not in err, err
     bad_headers = (
         (header.replace(": 5", ": 0"), "min_phrase_count must be >= 1"),
         (header.replace("null", "0"), "distance"),
@@ -216,19 +243,21 @@ _RECORDS = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_RECORDS, min_size=1, max_size=30))
-def test_record_lines_round_trip(records):
-    """A record reads back from its stream line, and aggregating the stream equals observing."""
-    for record in records:
-        line = record_line(record)
-        assert parse_record(line) == record
-        assert record_line(parse_record(line)) == line  # keeps the sign of -0.0
+@given(st.lists(_RECORDS, min_size=1, max_size=30), st.data())
+def test_record_lines_round_trip(records, data):
+    """Aggregating record lines, split over two streams at any index, equals observing.
+
+    Kept samples are written with ``repr``, so the sign of -0.0 is checked too.
+    """
+    split = data.draw(st.integers(min_value=0, max_value=len(records)))
     with tempfile.TemporaryDirectory() as d:
-        stream, part = os.path.join(d, "records.tsv"), os.path.join(d, "part.tsv")
-        with open(stream, "w", encoding="utf-8") as fh:
-            fh.write(stream_header(BuildConfig(registry_version="r")) + "\n")
-            fh.writelines(record_line(record) + "\n" for record in records)
-        assert main(["aggregate", stream, "--exact-cap", "4", "-o", part]) == 0
+        streams = [os.path.join(d, name) for name in ("a.tsv", "b.tsv")]
+        for stream, chunk in zip(streams, (records[:split], records[split:])):
+            with open(stream, "w", encoding="utf-8") as fh:
+                fh.write(stream_header(BuildConfig(registry_version="r")) + "\n")
+                fh.writelines(record_line(record) + "\n" for record in chunk)
+        part = os.path.join(d, "part.tsv")
+        assert main(["aggregate", *streams, "--exact-cap", "4", "-o", part]) == 0
         with open(part, "rb") as fh:
             aggregated = fh.read()
     table = QuantTable(BuildConfig(registry_version="r", exact_cap=4))
