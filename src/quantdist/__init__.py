@@ -3,14 +3,10 @@
 from .distribution import Distribution
 from .errors import (
     ConfigMismatchError,
-    CorpusFormatError,
-    DatasetFormatError,
     DimensionMismatchError,
-    LexiconError,
+    LocatedInputError,
     QuantdistError,
-    RecordFormatError,
     SplitInfeasibleError,
-    TableFormatError,
 )
 from .evaluation import (
     ComparisonExample,
@@ -52,23 +48,19 @@ __all__ = [
     "ComparisonLabel",
     "ConfigMismatchError",
     "CooccurrenceRecord",
-    "CorpusFormatError",
-    "DatasetFormatError",
     "Dimension",
     "DimensionMismatchError",
     "Distribution",
     "ExtractionConfig",
     "LeakageReport",
-    "LexiconError",
+    "LocatedInputError",
     "Mention",
     "ObjectKey",
     "Pos",
     "QuantTable",
     "QuantdistError",
     "Quantity",
-    "RecordFormatError",
     "SplitInfeasibleError",
-    "TableFormatError",
     "UnitDef",
     "UnitRegistry",
     "compare_adjectives",

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .distribution import DEFAULT_EXACT_CAP
-from .errors import ConfigMismatchError, QuantdistError, replaced
+from .errors import ConfigMismatchError, LocatedInputError, QuantdistError, replaced
 from .evaluation import (
     detect_leakage,
     dimension_named,
@@ -187,7 +187,9 @@ def _queried(args):
     with TableFile(args.table) as table:
         dist = query_distribution(table, key, args.dim)
     if dist is None:
-        raise QuantdistError(f"{args.table}: no entry for {key.surface!r} under {args.dim.name}")
+        raise LocatedInputError(
+            f"no entry for {key.surface!r} under {args.dim.name}", path=args.table
+        )
     return key, dist
 
 
@@ -235,9 +237,9 @@ def _cmd_compare(args) -> int:
         else:
             label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
     if label is None:
-        raise QuantdistError(
-            f"{args.table}: no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} "
-            f"under {args.dim.name}"
+        raise LocatedInputError(
+            f"no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} under {args.dim.name}",
+            path=args.table,
         )
     print(label.value)
     return 0
@@ -304,7 +306,7 @@ def _cmd_split(args) -> int:
     try:
         train, dev, test = make_clean_split(examples, ratios=args.ratios, seed=args.seed)
     except QuantdistError as exc:  # no leakage-free split exists
-        raise QuantdistError(f"{args.dataset}: {exc}") from None
+        raise LocatedInputError(str(exc), path=args.dataset) from None
     for name, rows in (("train", train), ("dev", dev), ("test", test)):
         path = f"{args.output_prefix}.{name}.tsv"
         write_dataset(path, rows)

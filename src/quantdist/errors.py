@@ -17,8 +17,9 @@ class DimensionMismatchError(QuantdistError):
 class LocatedInputError(QuantdistError):
     """Malformed input at a known place; the message leads with ``path:line: ``.
 
-    Either part may be missing: ``path: `` names a whole file, and no
-    prefix at all means input with no file behind it.
+    It is the one class of a data error in one file: a lexicon, corpus, record
+    stream, table or dataset. Either part may be missing: ``path: `` names a
+    whole file, and no prefix at all means input with no file behind it.
     """
 
     def __init__(self, message, line_number=None, path=None):
@@ -33,16 +34,15 @@ class LocatedLines:
 
     Tables, record streams, corpora and datasets are read through it. Each line is
     decoded as UTF-8 on its own, without ``\\r\\n``; on exit a ValueError (UnicodeDecodeError
-    too) or OverflowError becomes ``error(message, line_number, path)``. ``line_number``
-    is the line last read, which a reader may move, or 0 (no line) before the first;
-    ``offset`` is the byte offset at which that line starts.
+    too) or OverflowError becomes a LocatedInputError at ``line_number`` of the file.
+    ``line_number`` is the line last read, which a reader may move, or 0 (no line) before
+    the first; ``offset`` is the byte offset at which that line starts.
     Lexicons are not read here: ``units._parse_rows`` parses bytes already in memory,
-    because the registry digest hashes them, and also locates a UnitDef's LexiconError.
+    because the registry digest hashes them, and also locates the errors a UnitDef raises.
     """
 
-    def __init__(self, path, error):
+    def __init__(self, path):
         self.path = path
-        self.error = error
         self.line_number = 0
         self.offset = self._end = 0
 
@@ -58,7 +58,7 @@ class LocatedLines:
     def __exit__(self, kind, exc, traceback):
         self._file.close()
         if isinstance(exc, (ValueError, OverflowError)):
-            raise self.error(str(exc), self.line_number or None, str(self.path)) from None
+            raise LocatedInputError(str(exc), self.line_number or None, str(self.path)) from None
 
 
 @contextlib.contextmanager
@@ -85,28 +85,8 @@ def replaced(path, mode="w"):
         raise
 
 
-class LexiconError(LocatedInputError):
-    """Raised when a unit lexicon or currency rate file is malformed."""
-
-
-class CorpusFormatError(LocatedInputError):
-    """Raised on malformed plain or annotated corpus input; carries the line number."""
-
-
-class TableFormatError(LocatedInputError):
-    """Raised when a serialized distribution table cannot be read back."""
-
-
-class RecordFormatError(LocatedInputError):
-    """Raised on malformed extraction-record streams; carries the line number."""
-
-
 class ConfigMismatchError(QuantdistError):
     """Raised when tables built under incompatible configurations are merged."""
-
-
-class DatasetFormatError(LocatedInputError):
-    """Raised on malformed comparison-dataset rows; carries the line number."""
 
 
 class SplitInfeasibleError(QuantdistError):

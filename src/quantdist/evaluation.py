@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 import random
 
-from .errors import DatasetFormatError, LocatedLines, SplitInfeasibleError, replaced
+from .errors import LocatedLines, SplitInfeasibleError, replaced
 from .inference import TAU, ComparisonLabel, _check_tau, _label, query_distribution
 from .table import QuantTable, TableFile
 from .units import Dimension
@@ -88,7 +88,7 @@ def load_dataset(path) -> list[ComparisonExample]:
     kept so audits see every pair, but they never enter accuracy.
     """
     examples: list[ComparisonExample] = []
-    with LocatedLines(path, DatasetFormatError) as lines:
+    with LocatedLines(path) as lines:
         for line in lines:
             if line.strip() and not line.lstrip().startswith("#"):
                 example = _parse_example(line, first=lines.line_number == 1)

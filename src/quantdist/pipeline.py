@@ -18,7 +18,7 @@ from importlib import resources
 from itertools import product
 from typing import NamedTuple
 
-from .errors import CorpusFormatError, LocatedLines
+from .errors import LocatedLines
 from .parser import scan_measurements, tokenize
 from .units import Quantity, UnitRegistry
 
@@ -42,7 +42,7 @@ ABBREVIATIONS = frozenset(
 )
 
 _BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9])")
-_WORD_RE = re.compile(r"^[a-z]+(?:-[a-z]+)*$")
+_WORD_RE = re.compile(r"[a-z]+(?:-[a-z]+)*")
 
 
 class Pos(Enum):
@@ -135,7 +135,7 @@ def _candidate_objects(sentence: AnnotatedSentence, low: list[str]):
     candidates = []
     for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads)):
         if pos is Pos.UNKNOWN:
-            if word not in stops and _WORD_RE.match(word):
+            if word not in stops and _WORD_RE.fullmatch(word):
                 candidates.append((ObjectKey(word, Pos.UNKNOWN, None), i, i + 1))
         elif pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
             head_word = None if head is None else low[head]
@@ -189,10 +189,10 @@ def extract_records(
 def read_plain(path):
     """Yield the sentences of a plain-text file whose lines are paragraphs.
 
-    A line that is not UTF-8 raises CorpusFormatError with its line
+    A line that is not UTF-8 raises LocatedInputError with its line
     number. A lone ``\\r`` also ends a paragraph.
     """
-    with LocatedLines(path, CorpusFormatError) as lines:
+    with LocatedLines(path) as lines:
         for line in lines:
             for paragraph in line.split("\r"):
                 for text in split_sentences(paragraph.strip()):
@@ -207,7 +207,7 @@ def read_annotated(path):
 
     Format: one token per line as `index<TAB>surface<TAB>pos<TAB>head_index`,
     blank line between sentences; head_index is `-` for none. Malformed
-    lines raise CorpusFormatError with their line number; a bad head
+    lines raise LocatedInputError with their line number; a bad head
     index is reported at the last line of its sentence.
     """
     surfaces: list[str] = []
@@ -225,7 +225,7 @@ def read_annotated(path):
         heads.clear()
         return out
 
-    with LocatedLines(path, CorpusFormatError) as lines:
+    with LocatedLines(path) as lines:
         for line in lines:
             if not line.strip():
                 if surfaces:

@@ -44,7 +44,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
-from .errors import ConfigMismatchError, LocatedLines, RecordFormatError, TableFormatError, replaced
+from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
 from .units import Dimension
@@ -132,13 +132,16 @@ _POS_NAMES = {name: name for name in Pos.__members__}
 _DIMENSION_NAMES = {name: name for name in Dimension.__members__}
 
 
-def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
+def _entry_key(surface: str, head: str, pos: str, dimension: str, last: tuple = ()) -> tuple:
     """The entry key ``(dimension, pos, surface, head)`` of four text columns.
 
-    ValueError for an empty surface or an unknown tag.
+    ``last`` is the key of the line above, whose tags are taken when they match,
+    the common case in sorted lines. ValueError for an empty surface or an unknown tag.
     """
     if not surface:
         raise ValueError("empty object surface")
+    if last and pos == last[1] and dimension == last[0]:
+        return last[0], last[1], surface, head
     try:
         pos, dimension = _POS_NAMES[pos], _DIMENSION_NAMES[dimension]
     except KeyError as exc:
@@ -190,11 +193,16 @@ class QuantTable:
     def _credit(self, dimension: str, pos: str, surface: str, head: str, value_std: float) -> None:
         """Credit a value under the entry key of four names and, for a nonempty ``head``,
         under its head-erased key too, which makes head-free queries a plain lookup.
+
+        A new key whose surface or head holds a tab or a line feed, which no table or
+        record line can hold, raises ValueError before anything is credited.
         """
         full = (dimension, pos, surface, head)
         for key in (full, (dimension, pos, surface, "")) if head else (full,):
             entry = self.entries.get(key)
             if entry is None:
+                if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
+                    raise ValueError("object surface or head holds a tab or line feed")
                 entry = self.entries[key] = Distribution(exact_cap=self.config.exact_cap)
                 self._heads.clear()
             entry.observe(value_std)
@@ -411,7 +419,7 @@ def iter_entries(path):
     it, in the file's canonical order. A malformed line, or one that does
     not come after the line before it (a repeated key is one case), or that
     a finalized table's thresholds would have dropped, raises a
-    TableFormatError at its line; after the last line, an entry count other
+    LocatedInputError at its line; after the last line, an entry count other
     than the header's is an error of the file.
     """
     entries = _read_entries(path)
@@ -420,7 +428,7 @@ def iter_entries(path):
 
 def _read_entries(path):
     """Yield a table file's BuildConfig, then its entries, as ``iter_entries`` describes."""
-    with LocatedLines(path, TableFormatError) as lines:
+    with LocatedLines(path) as lines:
         rows = _entry_rows(lines)
         config = next(rows)
         yield config
@@ -434,7 +442,7 @@ def _entry_rows(lines: LocatedLines):
 
     A line with a malformed key, or one that does not come after the line before it,
     raises ValueError; after the last line, an entry count other than the header's is
-    a TableFormatError of the file. Blank lines are skipped.
+    a LocatedInputError of the file. Blank lines are skipped.
     """
     rows = iter(lines)
     header = next(rows, "")
@@ -452,10 +460,7 @@ def _entry_rows(lines: LocatedLines):
             if len(parts) != 5:
                 raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
             surface, head, pos, dimension, rest = parts
-            if surface and last and pos == last[1] and dimension == last[0]:
-                key = (last[0], last[1], surface, head)  # the tags of the line above, resolved
-            else:
-                key = _entry_key(surface, head, pos, dimension)
+            key = _entry_key(surface, head, pos, dimension, last)
             if key <= last:
                 raise ValueError(
                     "repeated entry" if key == last else "entry out of canonical order"
@@ -463,26 +468,18 @@ def _entry_rows(lines: LocatedLines):
             found, last = found + 1, key
             yield key, rest
     if found != expected_entries:
-        raise TableFormatError(
+        raise LocatedInputError(
             f"header promises {expected_entries} entries, found {found} (truncated?)",
             path=str(lines.path),
         )
 
 
 def read_table(path) -> QuantTable:
-    """Parse a table file; malformed, out-of-order or truncated input raises TableFormatError."""
+    """Parse a table file; malformed, out-of-order or truncated input raises LocatedInputError."""
     config, entries = iter_entries(path)
     table = QuantTable(config)
     table.entries = dict(entries)
     return table
-
-
-def _encoded(key: tuple) -> tuple:
-    """An entry key as the UTF-8 bytes of its columns, which order like the text.
-
-    A lone surrogate (from an argument that was not UTF-8) is encoded too and matches no line.
-    """
-    return tuple(column.encode("utf-8", "surrogatepass") for column in key)
 
 
 class TableFile:
@@ -491,18 +488,18 @@ class TableFile:
     Opening it reads the header and makes one pass over the entry lines that
     keeps only where each starts. That pass decodes every line and checks its
     key, the canonical order and the header's entry count, with the errors of
-    ``iter_entries``. A lookup bisects those offsets, comparing the UTF-8 key
-    columns of the lines it reads; only the lines that it finds go through the
-    full parse and the finalized-threshold check, each once. So a malformed
-    value in a line that no lookup finds is not reported: ``read_table`` and
-    ``iter_entries`` read every line. Use it in a ``with`` block, which closes
+    ``iter_entries``. A lookup bisects those offsets, comparing the text keys of
+    the lines it reads as that pass compared them; only the lines that it finds go
+    through the full parse and the finalized-threshold check, each once. So a
+    malformed value in a line that no lookup finds is not reported: ``read_table``
+    and ``iter_entries`` read every line. Use it in a ``with`` block, which closes
     the file.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self._offsets = array("q")
-        with LocatedLines(path, TableFormatError) as lines:
+        with LocatedLines(path) as lines:
             rows = _entry_rows(lines)
             self.config = next(rows)
             for _ in rows:
@@ -520,10 +517,10 @@ class TableFile:
         self._file.close()
 
     def _key_at(self, offset: int) -> tuple:
-        """The encoded key ``(dimension, POS, surface, head)`` of the line at ``offset``."""
+        """The key ``(dimension, POS, surface, head)`` of the line at ``offset``."""
         self._file.seek(offset)
         surface, head, pos, dimension, _ = self._file.readline().split(b"\t", 4)
-        return dimension, pos, surface, head
+        return dimension.decode(), pos.decode(), surface.decode(), head.decode()
 
     def _parsed(self, key: tuple, index: int) -> Distribution:
         """The Distribution of entry line ``index``, whose key is ``key``, parsed on first use."""
@@ -536,16 +533,15 @@ class TableFile:
             except (ValueError, OverflowError) as exc:
                 self._file.seek(0)
                 line_number = self._file.read(offset).count(b"\n") + 1
-                raise TableFormatError(str(exc), line_number, self.path) from None
+                raise LocatedInputError(str(exc), line_number, self.path) from None
         return self._found[key]
 
     def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
         surface, pos, head = key
         key = (dimension._name_, pos._name_, surface, head or "")
         if key not in self._found:
-            target = _encoded(key)
-            index = bisect_left(self._offsets, target, key=self._key_at)
-            if index < len(self._offsets) and self._key_at(self._offsets[index]) == target:
+            index = bisect_left(self._offsets, key, key=self._key_at)
+            if index < len(self._offsets) and self._key_at(self._offsets[index]) == key:
                 return self._parsed(key, index)
             self._found[key] = None
         return self._found[key]
@@ -556,15 +552,13 @@ class TableFile:
         They are one run of lines, right after the modifier's head-free key.
         """
         modifier = (dimension._name_, pos._name_, surface)
-        start = _encoded((*modifier, ""))
         heads = {}
-        index = bisect_right(self._offsets, start, key=self._key_at)
+        index = bisect_right(self._offsets, (*modifier, ""), key=self._key_at)
         while index < len(self._offsets):
             key = self._key_at(self._offsets[index])
-            if key[:3] != start[:3]:
+            if key[:3] != modifier:
                 break
-            head = key[3].decode("utf-8")
-            heads[head] = self._parsed((*modifier, head), index)
+            heads[key[3]] = self._parsed(key, index)
             index += 1
         return heads
 
@@ -606,11 +600,11 @@ def aggregate(paths, exact_cap: int) -> QuantTable:
 
     Memory grows with entries, not records. Every stream's header must pin the
     first's settings. A malformed line, or a running sum past the float range, is
-    a RecordFormatError at its line.
+    a LocatedInputError at its line.
     """
-    table = None
+    table, key = None, ()
     for path in paths:
-        with LocatedLines(path, RecordFormatError) as lines:
+        with LocatedLines(path) as lines:
             rows = iter(lines)
             header = next(rows, "")
             if not header.strip():
@@ -633,7 +627,7 @@ def aggregate(paths, exact_cap: int) -> QuantTable:
                     columns = line.split("\t")
                     if len(columns) != 6:
                         raise ValueError(f"expected 6 columns, got {len(columns)}")
-                    key = _entry_key(*columns[:4])
+                    key = _entry_key(*columns[:4], key)
                     value = float(columns[4])
                     if not math.isfinite(value):
                         raise ValueError(f"non-finite value {columns[4]!r}")

@@ -14,7 +14,7 @@ from enum import Enum
 from importlib import resources
 from typing import NamedTuple
 
-from .errors import DimensionMismatchError, LexiconError
+from .errors import DimensionMismatchError, LocatedInputError
 
 
 class Dimension(Enum):
@@ -58,13 +58,13 @@ class UnitDef:
 
     def __post_init__(self):
         if not self.surface_forms:
-            raise LexiconError("unit needs at least one surface form")
+            raise LocatedInputError("unit needs at least one surface form")
         if not 0 < self.scale < math.inf:
-            raise LexiconError(f"unit {self.name!r}: scale must be positive and finite")
+            raise LocatedInputError(f"unit {self.name!r}: scale must be positive and finite")
         if not math.isfinite(self.offset):
-            raise LexiconError(f"unit {self.name!r}: offset must be finite")
+            raise LocatedInputError(f"unit {self.name!r}: offset must be finite")
         if self.offset != 0.0 and self.dimension is not Dimension.TEMPERATURE:
-            raise LexiconError(
+            raise LocatedInputError(
                 f"unit {self.name!r}: nonzero offset outside TEMPERATURE"
             )
 
@@ -102,7 +102,7 @@ class UnitRegistry:
                 key = alias.lower()
                 if key in self._by_alias:
                     line = None if lines is None else lines[position]
-                    raise LexiconError(f"duplicate unit alias {alias!r}", line, path)
+                    raise LocatedInputError(f"duplicate unit alias {alias!r}", line, path)
                 self._by_alias[key] = unit
                 max_tokens = max(max_tokens, len(key.split()))
         self.max_alias_tokens = max_tokens
@@ -118,7 +118,7 @@ class UnitRegistry:
         )
         self._time_unit = self.lookup_unit("hour of day")
         if self._time_unit is None or self._time_unit.dimension is not Dimension.TIME:
-            raise LexiconError("lexicon has no 'hour of day' TIME unit", path=path)
+            raise LocatedInputError("lexicon has no 'hour of day' TIME unit", path=path)
 
     def __len__(self) -> int:
         return len(self._units)
@@ -181,8 +181,8 @@ def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list[tuple[int
     """``(line, parse_row(*fields))`` for each non-comment line of ``width`` tab-separated fields.
 
     Lines are decoded as UTF-8 one by one. A line that is not UTF-8, or
-    on which ``parse_row`` raises ValueError or LexiconError, becomes a
-    LexiconError naming the file and line.
+    on which ``parse_row`` raises ValueError or LocatedInputError (a UnitDef's,
+    which names no place), becomes a LocatedInputError naming the file and line.
     """
     out = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
@@ -194,8 +194,8 @@ def _parse_rows(data: bytes, path: str, width: int, parse_row) -> list[tuple[int
             if len(fields) != width:
                 raise ValueError(f"expected {width} tab-separated columns, got {len(fields)}")
             out.append((lineno, parse_row(*fields)))
-        except (ValueError, LexiconError) as exc:
-            raise LexiconError(str(exc), line_number=lineno, path=path) from None
+        except (ValueError, LocatedInputError) as exc:
+            raise LocatedInputError(str(exc), line_number=lineno, path=path) from None
     return out
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantdist.cli import _build_parser, main
 from quantdist.distribution import DEFAULT_EXACT_CAP
-from quantdist.errors import TableFormatError
+from quantdist.errors import LocatedInputError
 from quantdist.evaluation import detect_leakage, evaluate, load_dataset
 from quantdist.inference import TAU, compare_adjectives, compare_nouns
 from quantdist.pipeline import (
@@ -679,7 +679,7 @@ def test_entry_lines_out_of_order_are_located(tmp_path, corpus, capsys):
         ([entries[0], entries[0], *entries[1:]], 3, "repeated entry"),
     ):
         bad.write_text(header + "".join(lines), encoding="utf-8")
-        with pytest.raises(TableFormatError, match=f"^{bad}:{line}: {message}$") as err:
+        with pytest.raises(LocatedInputError, match=f"^{bad}:{line}: {message}$") as err:
             read_table(bad)
         assert (err.value.path, err.value.line_number) == (str(bad), line)
         for argv in (

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quantdist.errors import DatasetFormatError, SplitInfeasibleError
+from quantdist.errors import LocatedInputError, SplitInfeasibleError
 from quantdist.evaluation import (
     ComparisonExample,
     LeakageReport,
@@ -90,7 +90,7 @@ def test_load_dataset_direct_dimension_name(tmp_path):
 def test_load_dataset_bad_label(tmp_path):
     p = tmp_path / "pairs.tsv"
     p.write_text("a\tb\tsize\t<<\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError) as err:
+    with pytest.raises(LocatedInputError) as err:
         load_dataset(p)
     assert err.value.line_number == 1
 
@@ -98,14 +98,14 @@ def test_load_dataset_bad_label(tmp_path):
 def test_load_dataset_bad_columns(tmp_path):
     p = tmp_path / "pairs.tsv"
     p.write_text("a\tb\tsize\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LocatedInputError):
         load_dataset(p)
 
 
 def test_load_dataset_same_object_needs_equal(tmp_path):
     p = tmp_path / "pairs.tsv"
     p.write_text("cat\tcat\tsize\t<\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(LocatedInputError):
         load_dataset(p)
     p.write_text("cat\tcat\tsize\t=\n", encoding="utf-8")
     assert load_dataset(p)[0].gold is ComparisonLabel.EQUAL

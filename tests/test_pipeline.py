@@ -5,7 +5,7 @@ import random
 import pytest
 
 from quantdist import pipeline
-from quantdist.errors import CorpusFormatError
+from quantdist.errors import LocatedInputError
 from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
     AnnotatedSentence,
@@ -119,6 +119,10 @@ def test_plain_candidates_are_content_words(registry):
     assert all(r.quantity.dimension is Dimension.SPEED for r in records)
     by_surface = {r.object.surface: r.token_distance for r in records}
     assert by_surface == {"fast": 3, "car": 2, "driving": 0}
+    # a content word is the whole token: a hand-built "cat\n" is none
+    sentence = AnnotatedSentence(("cat\n", "weighs", "5", "kg"), (Pos.UNKNOWN,) * 4, (None,) * 4)
+    records = extract_records(sentence, ExtractionConfig(), registry)
+    assert [r.object.surface for r in records] == ["weighs"]
 
 
 def test_distance_cutoff(registry):
@@ -268,6 +272,9 @@ def test_config_validation():
     for key in (ObjectKey(""), ObjectKey("", Pos.ADJ, "car"), ObjectKey("fast", Pos.ADJ, "")):
         with pytest.raises(ValueError, match="empty object surface or head"):
             table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.0), 0))
+    for key in (ObjectKey("big\tcar"), ObjectKey("fast", Pos.ADJ, "car\n")):
+        with pytest.raises(ValueError, match="holds a tab or line feed"):
+            table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.0), 0))
     assert len(table) == 0
 
 
@@ -312,33 +319,33 @@ def test_read_annotated_empty_file(tmp_path):
 
 def test_read_annotated_head_out_of_range(tmp_path):
     path = write_conll(tmp_path, "0\tcar\tNOUN\t7\n")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LocatedInputError) as err:
         list(read_annotated(path))
     assert err.value.line_number == 1
     # a sentence ended by a blank line reports its last token line, not the blank one
     path = write_conll(tmp_path, "0\tThe\tOTHER\t-\n1\tcar\tNOUN\t7\n\n0\tIt\tOTHER\t-\n")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LocatedInputError) as err:
         list(read_annotated(path))
     assert (err.value.path, err.value.line_number) == (str(path), 2)
 
 
 def test_read_annotated_self_head(tmp_path):
     path = write_conll(tmp_path, "0\tcar\tNOUN\t0\n")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(LocatedInputError):
         list(read_annotated(path))
 
 
 def test_read_annotated_bad_columns(tmp_path):
     path = write_conll(tmp_path, "0\tcar\n")
-    with pytest.raises(CorpusFormatError) as err:
+    with pytest.raises(LocatedInputError) as err:
         list(read_annotated(path))
     assert "columns" in str(err.value)
 
 
 def test_read_annotated_bad_pos_and_index(tmp_path):
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(LocatedInputError):
         list(read_annotated(write_conll(tmp_path, "0\tcar\tNOUNISH\t-\n")))
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(LocatedInputError):
         list(read_annotated(write_conll(tmp_path, "3\tcar\tNOUN\t-\n")))
 
 

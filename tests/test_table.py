@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quantdist.cli import main
 from quantdist.distribution import Distribution
-from quantdist.errors import ConfigMismatchError, TableFormatError
+from quantdist.errors import ConfigMismatchError, LocatedInputError
 from quantdist.inference import query_distribution
 from quantdist.kernels import bucket_bounds
 from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
@@ -219,7 +219,7 @@ def test_truncated_file_rejected(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     cut = tmp_path / "cut.tsv"
     cut.write_text("".join(lines[:-1]), encoding="utf-8")
-    with pytest.raises(TableFormatError, match=f"^{cut}: header promises \\d+ entries") as err:
+    with pytest.raises(LocatedInputError, match=f"^{cut}: header promises \\d+ entries") as err:
         read_table(cut)
     assert (err.value.path, err.value.line_number) == (str(cut), None)
 
@@ -227,13 +227,13 @@ def test_truncated_file_rejected(tmp_path):
 def test_bad_header_rejected(tmp_path, capsys):
     p = tmp_path / "bad.tsv"
     p.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(LocatedInputError):
         read_table(p)
     p.write_text('{"format": "other/9", "entries": 0}\n', encoding="utf-8")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(LocatedInputError):
         read_table(p)
     p.write_text("", encoding="utf-8")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(LocatedInputError):
         read_table(p)
     build([record("car", Dimension.SPEED, 5.0)]).write(p)
     header_line, entry = p.read_text(encoding="utf-8").splitlines()
@@ -260,7 +260,7 @@ def test_bad_header_rejected(tmp_path, capsys):
         bad_headers.append(json.dumps(header))
     for bad_header in bad_headers:
         p.write_text(bad_header + "\n" + entry + "\n", encoding="utf-8")
-        with pytest.raises(TableFormatError, match=f"{p}:1: bad header") as err:
+        with pytest.raises(LocatedInputError, match=f"{p}:1: bad header") as err:
             read_table(p)
         assert err.value.path == str(p)
         argv = ["query", "--table", str(p), "--object", "car", "--dim", "speed"]
@@ -295,7 +295,7 @@ def test_any_header_value_reads_or_is_rejected(data):
             fh.write(json.dumps(header) + "\n" + body)
         try:
             read_table(path)
-        except TableFormatError as exc:
+        except LocatedInputError as exc:
             assert exc.path == path
         out = os.path.join(d, "final.tsv")
         with contextlib.redirect_stderr(io.StringIO()):
@@ -349,7 +349,7 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
     bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
     for bad_header, bad_entry, message in bad_entries:
         bad.write_text(bad_header + "\n" + bad_entry + "\n", encoding="utf-8")
-        with pytest.raises(TableFormatError, match=f"^{bad}:2: .*{message}") as err:
+        with pytest.raises(LocatedInputError, match=f"^{bad}:2: .*{message}") as err:
             read_table(bad)
         assert (err.value.path, err.value.line_number) == (str(bad), 2)
         for command in ("query", "plot-export"):
@@ -439,9 +439,13 @@ def test_heads_for_matches_a_scan(first, later):
         assert_heads_match_scan(read_table(path))
 
 
-# z < é < 水 in code points and in UTF-8 bytes; "é z" is a phrase, "ez" sorts between
-_FILE_SURFACES = ["car", "e", "ez", "z", "é", "é z", "水"]
-_FILE_HEADS = [None, "car", "z", "é"]
+# z < é < 水 < U+E000 < U+1D538 in code points and in UTF-8 bytes, though UTF-16 puts
+# U+1D538 first; "é z" is a phrase, "ez" sorts between
+_FILE_SURFACES = ["car", "e", "ez", "z", "é", "é z", "水", "\ue000", "\U0001d538"]
+_FILE_HEADS = [None, "car", "z", "é", "\ue000", "\U0001d538"]
+# probes that match no line: a lone surrogate (from an argument that was not UTF-8),
+# which no UTF-8 line can hold, and the last code point, after every line
+_MISSING = ["\udcff", "\U0010ffff"]
 _FILE_RECORDS = st.lists(
     st.builds(
         record,
@@ -474,7 +478,7 @@ def test_table_file_answers_like_read_table(records, finalized, blank_lines, lin
 
     Tables hold kept and spilled entries, may be finalized and may have blank lines
     between entries or at the end, and LF or CRLF line ends; keys probe before,
-    between and after the lines.
+    between and after the lines, a lone surrogate among them.
     """
     table = build(records, exact_cap=2)
     if finalized:
@@ -491,10 +495,10 @@ def test_table_file_answers_like_read_table(records, finalized, blank_lines, lin
             assert file.config == expected.config
             for dimension in _PROBE_DIMENSIONS:
                 for pos in (Pos.ADJ, Pos.NOUN, Pos.UNKNOWN):
-                    for surface in ["a", *_FILE_SURFACES, "水水"]:
+                    for surface in ["a", *_FILE_SURFACES, "水水", *_MISSING]:
                         heads = file.heads_for(surface, pos, dimension)
                         assert heads == expected.heads_for(surface, pos, dimension)
-                        for head in [*_FILE_HEADS, "zz"]:
+                        for head in [*_FILE_HEADS, "zz", *_MISSING]:
                             key = ObjectKey(surface, pos, head)
                             assert file.get(key, dimension) == expected.get(key, dimension)
                             # a tagged miss falls back to the UNKNOWN key

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from quantdist.errors import DimensionMismatchError, LexiconError
+from quantdist.errors import DimensionMismatchError, LocatedInputError
 from quantdist.units import Dimension, UnitDef, UnitRegistry, load_registry
 
 INCH = 0.0254
@@ -239,37 +239,37 @@ def test_max_alias_tokens(registry):
 def test_duplicate_alias_rejected():
     meter = UnitDef(("meter",), Dimension.LENGTH, 1.0)
     dup = UnitDef(("meter", "m2x"), Dimension.AREA, 1.0)
-    with pytest.raises(LexiconError, match="^duplicate unit alias 'meter'"):
+    with pytest.raises(LocatedInputError, match="^duplicate unit alias 'meter'"):
         UnitRegistry([meter, dup])
 
 
 def test_offset_outside_temperature_rejected():
-    with pytest.raises(LexiconError):
+    with pytest.raises(LocatedInputError):
         UnitDef(("weird",), Dimension.LENGTH, 1.0, offset=5.0)
 
 
 def test_nonpositive_scale_rejected():
-    with pytest.raises(LexiconError):
+    with pytest.raises(LocatedInputError):
         UnitDef(("weird",), Dimension.LENGTH, 0.0)
-    with pytest.raises(LexiconError):
+    with pytest.raises(LocatedInputError):
         UnitDef(("weird",), Dimension.LENGTH, -2.0)
 
 
 def test_malformed_lexicon_file_rejected(tmp_path):
     bad = tmp_path / "units.tsv"
     bad.write_text("meter\tLENGTH\t1.0\n", encoding="utf-8")  # missing columns
-    with pytest.raises(LexiconError, match=f"^{bad}:1: expected 5") as err:
+    with pytest.raises(LocatedInputError, match=f"^{bad}:1: expected 5") as err:
         load_registry(units_path=bad)
     assert (err.value.path, err.value.line_number) == (str(bad), 1)
     # a unit that fails its own checks is reported at its line too
     bad.write_text("# header\nweird\tLENGTH\t1.0\t5\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"^{bad}:2: unit 'weird'") as err:
+    with pytest.raises(LocatedInputError, match=f"^{bad}:2: unit 'weird'") as err:
         load_registry(units_path=bad)
     assert err.value.line_number == 2
     # a repeated alias is reported where it repeats
     hour = "hour of day\tTIME\t1\t0\t0\n"
     bad.write_text(hour + "kg\tMASS\t1\t0\t0\n# c\ngram, kg\tMASS\t0.001\t0\t0\n", "utf-8")
-    with pytest.raises(LexiconError, match=f"^{bad}:4: duplicate unit alias 'kg'") as err:
+    with pytest.raises(LocatedInputError, match=f"^{bad}:4: duplicate unit alias 'kg'") as err:
         load_registry(units_path=bad)
     assert (err.value.path, err.value.line_number) == (str(bad), 4)
     # a scale or offset that is not finite would drop every mention in its unit
@@ -278,12 +278,12 @@ def test_malformed_lexicon_file_rejected(tmp_path):
         ("celsius\tTEMPERATURE\t1\tnan\t1\n", "unit 'celsius': offset must be finite"),
     ]:
         bad.write_text(hour + row, "utf-8")
-        with pytest.raises(LexiconError, match=f"^{bad}:2: {message}") as err:
+        with pytest.raises(LocatedInputError, match=f"^{bad}:2: {message}") as err:
             load_registry(units_path=bad)
         assert (err.value.path, err.value.line_number) == (str(bad), 2)
     # clock times need an hour-of-day unit, so a lexicon without one fails at load
     bad.write_text("kg\tMASS\t1\t0\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"^{bad}: lexicon has no 'hour of day'") as err:
+    with pytest.raises(LocatedInputError, match=f"^{bad}: lexicon has no 'hour of day'") as err:
         load_registry(units_path=bad)
     assert (err.value.path, err.value.line_number) == (str(bad), None)
 
@@ -291,23 +291,23 @@ def test_malformed_lexicon_file_rejected(tmp_path):
 def test_unknown_currency_code_rejected(tmp_path):
     bad = tmp_path / "units.tsv"
     bad.write_text("zorkmid\tCURRENCY\tZKM\t0\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError) as err:
+    with pytest.raises(LocatedInputError) as err:
         load_registry(units_path=bad)
     assert (err.value.path, err.value.line_number) == (str(bad), 1)
     rates = tmp_path / "rates.tsv"
     rates.write_text("USD\t0\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"^{rates}:1: rate must be positive"):
+    with pytest.raises(LocatedInputError, match=f"^{rates}:1: rate must be positive"):
         load_registry(rates_path=rates)
     rates.write_text("EUR\t1.1\nUSD\tinf\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"^{rates}:2: rate must be positive and finite") as err:
+    with pytest.raises(LocatedInputError, match=f"^{rates}:2: rate must be positive and finite") as err:
         load_registry(rates_path=rates)
     assert (err.value.path, err.value.line_number) == (str(rates), 2)
     rates.write_text("USD\t1\nEUR\t1.1\nusd\t2\n", encoding="utf-8")  # codes are upper-cased
-    with pytest.raises(LexiconError, match="duplicate currency code 'USD'") as err:
+    with pytest.raises(LocatedInputError, match="duplicate currency code 'USD'") as err:
         load_registry(rates_path=rates)
     assert (err.value.path, err.value.line_number) == (str(rates), 3)
     # a rate the units need but the rates file lacks: the unit's line, and the rates file
     rates.write_text("EUR\t1.1\n", encoding="utf-8")
-    with pytest.raises(LexiconError, match=f"no rate for currency 'USD' in {rates}$") as err:
+    with pytest.raises(LocatedInputError, match=f"no rate for currency 'USD' in {rates}$") as err:
         load_registry(rates_path=rates)
     assert err.value.path == "units.tsv" and err.value.line_number > 0
