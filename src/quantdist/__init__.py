@@ -27,7 +27,6 @@ from .inference import (
 from .parser import Mention, scan_measurements, tokenize
 from .pipeline import (
     AnnotatedSentence,
-    CooccurrenceRecord,
     ExtractionConfig,
     ObjectKey,
     Pos,
@@ -47,7 +46,6 @@ __all__ = [
     "ComparisonExample",
     "ComparisonLabel",
     "ConfigMismatchError",
-    "CooccurrenceRecord",
     "Dimension",
     "DimensionMismatchError",
     "Distribution",

@@ -3,8 +3,9 @@
 Sentences arrive either as plain text (every content word becomes an
 UNKNOWN-pos candidate) or pre-annotated with coarse POS tags and
 dependency heads in a CoNLL-like column file. Each measurement mention in
-a sentence is paired with every candidate object in range, producing
-co-occurrence records for the aggregator. Sentences containing a negation
+a sentence is paired with every candidate object in range, producing one
+record per pair, the text row ``(dimension, POS, surface, head or "", value,
+gap)`` that ``QuantTable.observe`` takes. Sentences containing a negation
 word contribute nothing at all.
 """
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import LocatedLines
 from .parser import scan_measurements, tokenize
-from .units import Quantity, UnitRegistry
+from .units import UnitRegistry
 
 NEGATION_WORDS = frozenset({"not", "no", "without", "neither", "nor"})
 # every ASCII case of each negation word: outside ASCII only U+0130 and U+212A lowercase onto
@@ -73,17 +74,11 @@ class AnnotatedSentence:
 
 
 class ObjectKey(NamedTuple):
-    """What a measurement is attributed to: token or phrase, plus head."""
+    """The object a query asks about: token or phrase, plus head."""
 
     surface: str
     pos: Pos = Pos.UNKNOWN
     head: str | None = None
-
-
-class CooccurrenceRecord(NamedTuple):
-    object: ObjectKey
-    quantity: Quantity
-    token_distance: int  # token gap; 0 means the spans are adjacent
 
 
 def check_distance(distance: int | None) -> None:
@@ -129,17 +124,17 @@ def contains_negation(tokens) -> bool:
 
 
 def _candidate_objects(sentence: AnnotatedSentence, low: list[str]):
-    """(ObjectKey, start, end) triples for tokens and noun phrases of the lowercased surfaces."""
+    """(POS name, surface, head or "", start, end) per token and noun phrase of ``low``."""
     tags = sentence.pos
     stops = stopwords()
     candidates = []
     for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads)):
         if pos is Pos.UNKNOWN:
             if word not in stops and _WORD_RE.fullmatch(word):
-                candidates.append((ObjectKey(word, Pos.UNKNOWN, None), i, i + 1))
+                candidates.append(("UNKNOWN", word, "", i, i + 1))
         elif pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
-            head_word = None if head is None else low[head]
-            candidates.append((ObjectKey(word, pos, head_word), i, i + 1))
+            head_word = "" if head is None else low[head]
+            candidates.append((pos._name_, word, head_word, i, i + 1))
     if Pos.NOUN not in tags:
         return candidates  # plain text never has a noun run
     # each window of 2..MAX_PHRASE_LEN nouns is a phrase headed by its final noun
@@ -148,15 +143,17 @@ def _candidate_objects(sentence: AnnotatedSentence, low: list[str]):
         while e < len(tags) and e < s + MAX_PHRASE_LEN and tags[e] is Pos.NOUN:
             e += 1
             if e - s > 1:
-                candidates.append((ObjectKey(" ".join(low[s:e]), Pos.NOUN, low[e - 1]), s, e))
+                candidates.append(("NOUN", " ".join(low[s:e]), low[e - 1], s, e))
     return candidates
 
 
 def extract_records(
     sentence: AnnotatedSentence, config: ExtractionConfig, registry: UnitRegistry
-) -> list[CooccurrenceRecord]:
+) -> list[tuple]:
     """Pair every mention with every candidate object within range.
 
+    Each record is the row ``(dimension name, POS name, surface, head or "", value,
+    gap)``: an entry key, the standard-unit value and the token gap (0: adjacent).
     A sentence containing any negation word yields no records at all.
     A candidate that overlaps any mention's span (a unit word, a range
     endpoint) is no object at all. Records whose token gap reaches
@@ -171,18 +168,19 @@ def extract_records(
         return []
     spans = [(m.start, m.end) for m in mentions]
     candidates = [
-        (key, start, end)
-        for key, start, end in _candidate_objects(sentence, low)
-        if not any(start < m_end and m_start < end for m_start, m_end in spans)
+        candidate
+        for candidate in _candidate_objects(sentence, low)
+        if not any(candidate[3] < m_end and m_start < candidate[4] for m_start, m_end in spans)
     ]
     records = []
-    for mention in mentions:
-        for key, start, end in candidates:
+    for (dimension, value), m_start, m_end in mentions:
+        dimension = dimension._name_  # the plain attribute behind ``name``
+        for pos, surface, head, start, end in candidates:
             # end-exclusive spans that do not overlap: the token gap between them
-            gap = mention.start - end if end <= mention.start else start - mention.end
+            gap = m_start - end if end <= m_start else start - m_end
             if config.max_distance is not None and gap >= config.max_distance:
                 continue
-            records.append(CooccurrenceRecord(key, mention.quantity, gap))
+            records.append((dimension, pos, surface, head, value, gap))
     return records
 
 

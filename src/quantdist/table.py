@@ -23,10 +23,11 @@ A table answers queries through two methods, ``get(key, dimension)`` and
 TableFile, which the read commands use, by bisecting the line offsets of the
 file and parsing only the lines it finds.
 
-The record stream from ``extract`` to ``aggregate`` is here too: a JSON header
-read like a table's, pinning the three settings extraction knows, then per
-record its four key columns, value and token gap. ``aggregate``, the per-shard
-step of a build, credits each line's key columns to a QuantTable as an entry key.
+A record, as ``extract_records`` yields it, is an entry key followed by a value
+and a token gap; ``QuantTable.observe`` credits it. The record stream from
+``extract`` to ``aggregate`` is a JSON header read like a table's, pinning the
+three settings extraction knows, then per record its key columns, value and
+gap, which ``aggregate``, the per-shard step of a build, observes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import itemgetter
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
-from .pipeline import CooccurrenceRecord, ObjectKey, Pos, check_distance
+from .pipeline import ObjectKey, Pos, check_distance
 from .units import Dimension
 
 FORMAT_NAME = "quanttable/2"
@@ -132,16 +133,12 @@ _POS_NAMES = {name: name for name in Pos.__members__}
 _DIMENSION_NAMES = {name: name for name in Dimension.__members__}
 
 
-def _entry_key(surface: str, head: str, pos: str, dimension: str, last: tuple = ()) -> tuple:
-    """The entry key ``(dimension, pos, surface, head)`` of four text columns.
-
-    ``last`` is the key of the line above, whose tags are taken when they match,
-    the common case in sorted lines. ValueError for an empty surface or an unknown tag.
+def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
+    """The entry key ``(dimension, pos, surface, head)`` of four text columns, its tags
+    interned. ValueError for an empty surface or an unknown tag.
     """
     if not surface:
         raise ValueError("empty object surface")
-    if last and pos == last[1] and dimension == last[0]:
-        return last[0], last[1], surface, head
     try:
         pos, dimension = _POS_NAMES[pos], _DIMENSION_NAMES[dimension]
     except KeyError as exc:
@@ -152,7 +149,7 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str, last: tuple = 
 class QuantTable:
     """Entries keyed by ``(dimension name, POS name, surface, head or "")``, each a Distribution.
 
-    ``observe``, ``get`` and ``heads_for`` take the enums. ``heads_for``
+    ``observe`` takes a record row; ``get`` and ``heads_for`` take the enums. ``heads_for``
     answers from an index of the headed entries that it builds one (pos,
     dimension) slice at a time, on first use. The index holds the entries'
     own Distributions, so observing into an existing entry keeps it
@@ -176,36 +173,33 @@ class QuantTable:
     # ------------------------------------------------------------------
     # building
 
-    def observe(self, record: CooccurrenceRecord) -> None:
-        """Credit a record as ``_credit`` does, under the names of its key's enums.
+    def observe(self, record: tuple) -> None:
+        """Credit a record ``(dimension, POS, surface, head or "", value, gap)`` under its
+        entry key and, for a nonempty head, under its head-erased key too, which makes
+        head-free queries a plain lookup.
 
-        A record with an empty surface or an empty head (a head is a word or
-        None) raises ValueError: the table format could not tell it apart.
+        A new key is checked once and its tags interned: an empty surface, a tag that
+        is no member's name (an enum member is not its name), or a tab or a line feed
+        in the surface or head, which no table or record line can hold, raises
+        ValueError. So does a value that is not finite. Either leaves the table as it
+        was: a new key is added only once its first value is in.
         """
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
-        (surface, pos, head), (dimension, value_std), _ = record
-        if not surface or head == "":
-            raise ValueError("empty object surface or head")
-        dimension, pos = dimension._name_, pos._name_  # the plain attribute behind ``name``
-        self._credit(dimension, pos, surface, head or "", value_std)
-
-    def _credit(self, dimension: str, pos: str, surface: str, head: str, value_std: float) -> None:
-        """Credit a value under the entry key of four names and, for a nonempty ``head``,
-        under its head-erased key too, which makes head-free queries a plain lookup.
-
-        A new key whose surface or head holds a tab or a line feed, which no table or
-        record line can hold, raises ValueError before anything is credited.
-        """
+        dimension, pos, surface, head, value, _ = record
         full = (dimension, pos, surface, head)
         for key in (full, (dimension, pos, surface, "")) if head else (full,):
             entry = self.entries.get(key)
-            if entry is None:
-                if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
-                    raise ValueError("object surface or head holds a tab or line feed")
-                entry = self.entries[key] = Distribution(exact_cap=self.config.exact_cap)
-                self._heads.clear()
-            entry.observe(value_std)
+            if entry is not None:
+                entry.observe(value)
+                continue
+            if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
+                raise ValueError("object surface or head holds a tab or line feed")
+            key = _entry_key(surface, key[3], pos, dimension)
+            entry = Distribution(exact_cap=self.config.exact_cap)
+            entry.observe(value)
+            self.entries[key] = entry
+            self._heads.clear()
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -460,7 +454,7 @@ def _entry_rows(lines: LocatedLines):
             if len(parts) != 5:
                 raise ValueError(f"expected 5 or 9 columns, got {len(parts)}")
             surface, head, pos, dimension, rest = parts
-            key = _entry_key(surface, head, pos, dimension, last)
+            key = _entry_key(surface, head, pos, dimension)
             if key <= last:
                 raise ValueError(
                     "repeated entry" if key == last else "entry out of canonical order"
@@ -589,20 +583,20 @@ def stream_header(config: BuildConfig) -> str:
     return _header_line(config, _STREAM_FIELDS, {"format": RECORD_FORMAT})
 
 
-def record_line(record: CooccurrenceRecord) -> str:
+def record_line(record: tuple) -> str:
     """One record stream line, without its line break: key columns, value and token gap."""
-    (surface, pos, head), (dimension, value_std), gap = record
-    return f"{_key_columns(dimension.name, pos.name, surface, head or '')}\t{value_std!r}\t{gap}"
+    dimension, pos, surface, head, value, gap = record
+    return f"{_key_columns(dimension, pos, surface, head)}\t{value!r}\t{gap}"
 
 
 def aggregate(paths, exact_cap: int) -> QuantTable:
-    """The partial table of the record streams at ``paths``, credited line by line.
+    """The partial table of the record streams at ``paths``, observed line by line.
 
     Memory grows with entries, not records. Every stream's header must pin the
     first's settings. A malformed line, or a running sum past the float range, is
     a LocatedInputError at its line.
     """
-    table, key = None, ()
+    table = None
     for path in paths:
         with LocatedLines(path) as lines:
             rows = iter(lines)
@@ -627,12 +621,14 @@ def aggregate(paths, exact_cap: int) -> QuantTable:
                     columns = line.split("\t")
                     if len(columns) != 6:
                         raise ValueError(f"expected 6 columns, got {len(columns)}")
-                    key = _entry_key(*columns[:4], key)
-                    value = float(columns[4])
+                    surface, head, pos, dimension, value_s, gap_s = columns
+                    # the key columns are checked before the value
+                    dimension, pos, surface, head = _entry_key(surface, head, pos, dimension)
+                    value = float(value_s)
                     if not math.isfinite(value):
-                        raise ValueError(f"non-finite value {columns[4]!r}")
-                    gap = int(columns[5])
+                        raise ValueError(f"non-finite value {value_s!r}")
+                    gap = int(gap_s)
                     if gap < 0 or (config.distance is not None and gap >= config.distance):
                         raise ValueError(f"token gap {gap} outside the extraction window")
-                    table._credit(*key, value)
+                    table.observe((dimension, pos, surface, head, value, gap))
     return table

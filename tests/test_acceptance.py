@@ -32,7 +32,6 @@ from quantdist.inference import (
 from quantdist.parser import scan_measurements, tokenize
 from quantdist.pipeline import (
     AnnotatedSentence,
-    CooccurrenceRecord,
     ExtractionConfig,
     ObjectKey,
     Pos,
@@ -40,7 +39,7 @@ from quantdist.pipeline import (
     split_sentences,
 )
 from quantdist.table import BuildConfig, QuantTable, read_table
-from quantdist.units import Dimension, Quantity, load_registry
+from quantdist.units import Dimension, load_registry
 
 
 @contextlib.contextmanager
@@ -183,8 +182,7 @@ def _random_record_corpus(rng, n):
     for _ in range(n):
         value = 10.0 ** rng.uniform(-3, 4)
         dim = rng.choice(dims)
-        key = ObjectKey(rng.choice(surfaces), Pos.UNKNOWN, None)
-        records.append(CooccurrenceRecord(key, Quantity(dim, value), 0))
+        records.append((dim.name, "UNKNOWN", rng.choice(surfaces), "", value, 0))
     return records
 
 
@@ -300,10 +298,8 @@ def _head_table(entries):
     """entries: {(adj, head): [values]} under one dimension."""
     table = QuantTable(BuildConfig())
     for (adj, head), values in entries.items():
-        key = ObjectKey(adj, Pos.ADJ, head)
         for v in values:
-            q = Quantity(Dimension.SPEED, float(v))
-            table.observe(CooccurrenceRecord(key, q, 0))
+            table.observe(("SPEED", "ADJ", adj, head, float(v), 0))
     return table
 
 

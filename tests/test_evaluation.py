@@ -14,9 +14,8 @@ from quantdist.evaluation import (
     make_clean_split,
 )
 from quantdist.inference import ComparisonLabel
-from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
 from quantdist.table import BuildConfig, QuantTable
-from quantdist.units import Dimension, Quantity
+from quantdist.units import Dimension
 
 
 _GOLD = {"<": ComparisonLabel.LESS, "=": ComparisonLabel.EQUAL, ">": ComparisonLabel.GREATER}
@@ -37,10 +36,8 @@ def planted_table(medians):
     """medians: {(surface, dimension): [values]}"""
     table = QuantTable(BuildConfig())
     for (surface, dim), values in medians.items():
-        key = ObjectKey(surface=surface, pos=Pos.UNKNOWN)
         for v in values:
-            quantity = Quantity(dim, float(v))
-            table.observe(CooccurrenceRecord(key, quantity, 0))
+            table.observe((dim.name, "UNKNOWN", surface, "", float(v), 0))
     return table
 
 

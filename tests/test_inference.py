@@ -14,18 +14,15 @@ from quantdist.inference import (
     relax_hour_window,
     relax_to_decade,
 )
-from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
+from quantdist.pipeline import ObjectKey, Pos
 from quantdist.table import BuildConfig, QuantTable
-from quantdist.units import Dimension, Quantity
+from quantdist.units import Dimension
 
 LESS, EQUAL, GREATER = ComparisonLabel.LESS, ComparisonLabel.EQUAL, ComparisonLabel.GREATER
 
 
 def record(surface, dim, value, pos=Pos.UNKNOWN, head=None):
-    q = Quantity(dim, value)
-    return CooccurrenceRecord(
-        object=ObjectKey(surface, pos, head), quantity=q, token_distance=0
-    )
+    return dim.name, pos.name, surface, head or "", value, 0
 
 
 def build(records):

@@ -1,5 +1,6 @@
 """Pipeline tests: splitting, negation, candidates, distances, file input."""
 
+import math
 import random
 
 import pytest
@@ -9,10 +10,8 @@ from quantdist.errors import LocatedInputError
 from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
     AnnotatedSentence,
-    CooccurrenceRecord,
     ExtractionConfig,
     MAX_PHRASE_LEN,
-    ObjectKey,
     Pos,
     _candidate_objects,
     contains_negation,
@@ -22,7 +21,7 @@ from quantdist.pipeline import (
     stopwords,
 )
 from quantdist.table import QuantTable
-from quantdist.units import Dimension, Quantity, load_registry
+from quantdist.units import Dimension, load_registry
 
 
 @pytest.fixture(scope="module")
@@ -112,24 +111,24 @@ def test_negated_sentence_yields_no_records(registry):
 
 def test_plain_candidates_are_content_words(registry):
     records = plain_records("The fast car was driving 50 miles per hour", registry)
-    surfaces = {r.object.surface for r in records}
+    surfaces = {r[2] for r in records}
     assert surfaces == {"fast", "car", "driving"}
-    assert all(r.object.pos is Pos.UNKNOWN for r in records)
-    assert all(r.object.head is None for r in records)
-    assert all(r.quantity.dimension is Dimension.SPEED for r in records)
-    by_surface = {r.object.surface: r.token_distance for r in records}
+    assert all(r[1] == "UNKNOWN" for r in records)
+    assert all(r[3] == "" for r in records)
+    assert all(r[0] == "SPEED" for r in records)
+    by_surface = {r[2]: r[5] for r in records}
     assert by_surface == {"fast": 3, "car": 2, "driving": 0}
     # a content word is the whole token: a hand-built "cat\n" is none
     sentence = AnnotatedSentence(("cat\n", "weighs", "5", "kg"), (Pos.UNKNOWN,) * 4, (None,) * 4)
     records = extract_records(sentence, ExtractionConfig(), registry)
-    assert [r.object.surface for r in records] == ["weighs"]
+    assert [r[2] for r in records] == ["weighs"]
 
 
 def test_distance_cutoff(registry):
     records = plain_records(
         "The fast car was driving 50 miles per hour", registry, max_distance=3
     )
-    surfaces = {r.object.surface for r in records}
+    surfaces = {r[2] for r in records}
     assert surfaces == {"car", "driving"}  # gap 3 is out at k=3
 
 
@@ -155,29 +154,25 @@ def test_distance_nesting_on_random_templates(registry):
 
 def test_objects_never_overlap_mention(registry):
     records = plain_records("the crate weighs 40 kg", registry)
-    assert {r.object.surface for r in records} == {"crate", "weighs"}
+    assert {r[2] for r in records} == {"crate", "weighs"}
     # "kg" and "40" sit inside the mention span and must not be objects
     # nor may they be objects of any other mention in the sentence
     records = plain_records("The truck weighs 1500 kg and is 20 meters long.", registry)
-    pairs = {(r.object.surface, r.quantity.dimension) for r in records}
-    assert pairs == {
-        (word, dim)
-        for word in ("truck", "weighs", "long")
-        for dim in (Dimension.MASS, Dimension.LENGTH)
-    }
+    pairs = {(r[2], r[0]) for r in records}
+    assert pairs == {(word, dim) for word in ("truck", "weighs", "long") for dim in ("MASS", "LENGTH")}
     records = plain_records("The shop is open 7 - 9 pm daily.", registry)
-    assert {r.object.surface for r in records} == {"shop", "open", "daily"}
+    assert {r[2] for r in records} == {"shop", "open", "daily"}
 
 
 def test_stopwords_filtered(registry):
     records = plain_records("it was about 14 days before the meeting", registry)
-    surfaces = {r.object.surface for r in records}
+    surfaces = {r[2] for r in records}
     assert "the" not in surfaces and "it" not in surfaces
     assert "meeting" in surfaces
     assert stopwords() >= {"the", "a", "of", "and", "am", "pm"}
     # "12.5 pm" is no clock reading, so "pm" stays outside every mention
     records = plain_records("The 12.5 pm train weighs 40 tonnes.", registry)
-    assert {r.object.surface for r in records} == {"train", "weighs"}
+    assert {r[2] for r in records} == {"train", "weighs"}
 
 
 # ----------------------------------------------------------------------
@@ -202,13 +197,13 @@ def annotated_example():
 
 def test_annotated_candidates_with_heads(registry):
     records = extract_records(annotated_example(), ExtractionConfig(), registry)
-    keyed = {(r.object.surface, r.object.pos): r.object.head for r in records}
+    keyed = {(r[2], r[1]): r[3] for r in records}
     assert keyed == {
-        ("fast", Pos.ADJ): "car",
-        ("car", Pos.NOUN): "driving",
-        ("driving", Pos.VERB): None,
+        ("fast", "ADJ"): "car",
+        ("car", "NOUN"): "driving",
+        ("driving", "VERB"): "",
     }
-    assert all(r.quantity.value_std == pytest.approx(22.352) for r in records)
+    assert all(r[4] == pytest.approx(22.352) for r in records)
 
 
 def test_noun_phrases_from_noun_runs(registry):
@@ -222,10 +217,10 @@ def test_noun_phrases_from_noun_runs(registry):
     ]
     sent = annotated(toks)
     records = extract_records(sent, ExtractionConfig(), registry)
-    phrases = {r.object.surface: r.object for r in records if " " in r.object.surface}
+    phrases = {r[2]: r for r in records if " " in r[2]}
     assert set(phrases) == {"race car"}
-    assert phrases["race car"].head == "car"
-    assert phrases["race car"].pos is Pos.NOUN
+    assert phrases["race car"][3] == "car"
+    assert phrases["race car"][1] == "NOUN"
 
 
 def test_phrase_length_cap(registry):
@@ -233,7 +228,7 @@ def test_phrase_length_cap(registry):
     toks += [("weighs", Pos.VERB, None), ("90", Pos.OTHER, None), ("kg", Pos.OTHER, None)]
     sent = annotated(toks)
     records = extract_records(sent, ExtractionConfig(), registry)
-    phrases = {r.object.surface for r in records if " " in r.object.surface}
+    phrases = {r[2] for r in records if " " in r[2]}
     assert MAX_PHRASE_LEN == 3  # a four-noun run keeps no four-word phrase
     assert phrases == {
         "steel race", "race car", "car frame", "steel race car", "race car frame"
@@ -243,10 +238,8 @@ def test_phrase_length_cap(registry):
 def test_annotated_noun_subset_of_plain(registry):
     annotated = extract_records(annotated_example(), ExtractionConfig(), registry)
     plain = plain_records("The fast car was driving 50 miles per hour", registry)
-    noun_surfaces = {
-        r.object.surface for r in annotated if r.object.pos is Pos.NOUN and " " not in r.object.surface
-    }
-    plain_surfaces = {r.object.surface for r in plain}
+    noun_surfaces = {r[2] for r in annotated if r[1] == "NOUN" and " " not in r[2]}
+    plain_surfaces = {r[2] for r in plain}
     assert noun_surfaces <= plain_surfaces
 
 
@@ -267,14 +260,26 @@ def test_config_validation():
         ExtractionConfig(max_distance=0)
     with pytest.raises(ValueError):
         ExtractionConfig(max_distance=101)
-    # a hand-built record whose surface or head the table format cannot hold
+    # a hand-built record whose key the table format cannot hold leaves the table empty
     table = QuantTable()
-    for key in (ObjectKey(""), ObjectKey("", Pos.ADJ, "car"), ObjectKey("fast", Pos.ADJ, "")):
-        with pytest.raises(ValueError, match="empty object surface or head"):
-            table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.0), 0))
-    for key in (ObjectKey("big\tcar"), ObjectKey("fast", Pos.ADJ, "car\n")):
+    for row in (("MASS", "UNKNOWN", "", "", 1.0, 0), ("MASS", "ADJ", "", "car", 1.0, 0)):
+        with pytest.raises(ValueError, match="empty object surface"):
+            table.observe(row)
+    for row in (("MASS", "UNKNOWN", "big\tcar", "", 1.0, 0), ("MASS", "ADJ", "fast", "car\n", 1.0, 0)):
         with pytest.raises(ValueError, match="holds a tab or line feed"):
-            table.observe(CooccurrenceRecord(key, Quantity(Dimension.MASS, 1.0), 0))
+            table.observe(row)
+    # a tag that names no member, or an enum in place of its name
+    for row in (
+        ("WEIGHT", "NOUN", "car", "", 1.0, 0),
+        ("MASS", "NOUNISH", "car", "", 1.0, 0),
+        (Dimension.MASS, "NOUN", "car", "", 1.0, 0),
+        ("MASS", Pos.NOUN, "car", "red", 1.0, 0),
+    ):
+        with pytest.raises(ValueError, match="unknown tag"):
+            table.observe(row)
+    # a rejected value adds no key, so no empty entry is left to write
+    with pytest.raises(ValueError, match="non-finite"):
+        table.observe(("MASS", "NOUN", "car", "red", math.nan, 0))
     assert len(table) == 0
 
 
@@ -351,7 +356,7 @@ def test_read_annotated_bad_pos_and_index(tmp_path):
 
 def test_records_are_hashable_value_objects(registry):
     records = plain_records("the crate weighs 40 kg", registry)
-    assert isinstance(records[0], CooccurrenceRecord)
+    assert type(records[0]) is tuple and len(records[0]) == 6
     assert len(set(records)) == len(records)
 
 
@@ -394,7 +399,7 @@ def _pairs_with_spans(sentence, config, registry):
     out = []
     for mention in mentions:
         low = [s.lower() for s in sentence.surfaces]
-        for key, start, end in _candidate_objects(sentence, low):
+        for pos, surface, head, start, end in _candidate_objects(sentence, low):
             if end <= mention.start:
                 gap = mention.start - end
             elif mention.end <= start:
@@ -403,7 +408,8 @@ def _pairs_with_spans(sentence, config, registry):
                 continue
             if config.max_distance is None or gap < config.max_distance:
                 inside = any(start < m.end and m.start < end for m in mentions)
-                out.append((CooccurrenceRecord(key, mention.quantity, gap), inside))
+                dimension, value = mention.quantity
+                out.append(((dimension.name, pos, surface, head, value, gap), inside))
     return out
 
 

@@ -16,17 +16,14 @@ from quantdist.distribution import Distribution
 from quantdist.errors import ConfigMismatchError, LocatedInputError
 from quantdist.inference import query_distribution
 from quantdist.kernels import bucket_bounds
-from quantdist.pipeline import CooccurrenceRecord, ObjectKey, Pos
+from quantdist.pipeline import ObjectKey, Pos
 from quantdist import table as table_mod
 from quantdist.table import BuildConfig, QuantTable, TableFile, read_table
-from quantdist.units import Dimension, Quantity
+from quantdist.units import Dimension
 
 
 def record(surface, dim, value, pos=Pos.UNKNOWN, head=None):
-    q = Quantity(dim, value)
-    return CooccurrenceRecord(
-        object=ObjectKey(surface, pos, head), quantity=q, token_distance=0
-    )
+    return dim.name, pos.name, surface, head or "", value, 0
 
 
 def random_records(rng, n, cap_values=False):
@@ -417,7 +414,7 @@ _INDEX_RECORDS = st.lists(
 def test_heads_for_matches_a_scan(first, later):
     """The head index answers like a scan, before and after new keys, and on derived tables."""
     table = build(first)
-    headed = any(r.object.head for r in first)
+    headed = any(r[3] for r in first)
     assert_heads_match_scan(table, headed)
     for pos in (Pos.ADJ, Pos.NOUN):
         heads = table.heads_for("fast", pos, Dimension.SPEED)
@@ -425,7 +422,7 @@ def test_heads_for_matches_a_scan(first, later):
         heads["car"] = Distribution()
     assert_heads_match_scan(table, headed)
     table.observe_all(later)  # new heads and surfaces after the index is built
-    headed = any(r.object.head for r in first + later)
+    headed = any(r[3] for r in first + later)
     assert_heads_match_scan(table, headed)
     other = build(later)
     other.heads_for("fast", Pos.ADJ, Dimension.SPEED)
