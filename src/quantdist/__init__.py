@@ -28,7 +28,6 @@ from .parser import Mention, scan_measurements, tokenize
 from .pipeline import (
     AnnotatedSentence,
     ExtractionConfig,
-    ObjectKey,
     Pos,
     extract_records,
     read_annotated,
@@ -53,7 +52,6 @@ __all__ = [
     "LeakageReport",
     "LocatedInputError",
     "Mention",
-    "ObjectKey",
     "Pos",
     "QuantTable",
     "QuantdistError",

@@ -35,7 +35,7 @@ from .inference import (
     relax_hour_window,
     relax_to_decade,
 )
-from .pipeline import ExtractionConfig, ObjectKey, Pos, read_annotated, read_plain
+from .pipeline import ExtractionConfig, Pos, read_annotated, read_plain
 from .pipeline import extract_records as _extract_records
 from .table import (
     BuildConfig,
@@ -118,8 +118,8 @@ def _add_registry_flags(p) -> None:
 def _add_key_flags(p) -> None:
     p.add_argument("--object", required=True, type=_name, help="object surface form")
     p.add_argument("--dim", required=True, type=_dimension, help="measurement dimension")
-    p.add_argument("--pos", choices=[x.name.lower() for x in Pos], default=None)
-    p.add_argument("--head", default=None, help="restrict to one syntactic head")
+    p.add_argument("--pos", choices=[x.name.lower() for x in Pos], default="unknown")
+    p.add_argument("--head", default="", help="restrict to one syntactic head")
 
 
 def _registry_for(args):
@@ -131,12 +131,6 @@ def _registry_for(args):
 def _output(path):
     """The ``-o`` file, replaced only when the command succeeds, or stdout without one."""
     return replaced(path) if path else contextlib.nullcontext(sys.stdout)
-
-
-def _object_key(args) -> ObjectKey:
-    pos = Pos[args.pos.upper()] if args.pos else Pos.UNKNOWN
-    head = args.head.lower() if args.head else None
-    return ObjectKey(args.object.lower(), pos, head)
 
 
 # ------------------------------------------------------------ subcommands
@@ -182,19 +176,19 @@ def _format_value(value: float) -> str:
 
 
 def _queried(args):
-    """The key and entry that ``query`` and ``plot-export`` answer; a data error without one."""
-    key = _object_key(args)
+    """The entry that ``query`` and ``plot-export`` answer; a data error without one."""
+    pos = Pos[args.pos.upper()]
     with TableFile(args.table) as table:
-        dist = query_distribution(table, key, args.dim)
+        dist = query_distribution(table, args.object, args.dim, pos, args.head.lower())
     if dist is None:
         raise LocatedInputError(
-            f"no entry for {key.surface!r} under {args.dim.name}", path=args.table
+            f"no entry for {args.object.lower()!r} under {args.dim.name}", path=args.table
         )
-    return key, dist
+    return dist
 
 
 def _cmd_query(args) -> int:
-    key, dist = _queried(args)
+    dist = _queried(args)
     stats = dist.stats()
     unit_label = args.dim.standard_unit
     if args.unit:
@@ -220,7 +214,7 @@ def _cmd_query(args) -> int:
             print(f"range_high\t{window[1]!r}")
         print(f"unit\t{unit_label}")
     else:
-        print(f"object: {key.surface} (pos={key.pos.name})")
+        print(f"object: {args.object.lower()} (pos={args.pos.upper()})")
         print(f"dimension: {args.dim.name}")
         print(f"count: {stats['count']}")
         for field in ("median", "mean", "p5", "p95", "min", "max"):
@@ -315,7 +309,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_plot_export(args) -> int:
-    _, dist = _queried(args)
+    dist = _queried(args)
     with _output(args.output) as out:
         print("#bucket_center\tdensity", file=out)
         for center, density in dist.density_points():

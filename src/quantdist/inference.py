@@ -7,9 +7,11 @@ majority vote over those verdicts. Every entry of the table is evidence:
 count thresholds are the table's, applied by ``finalize``. Medians can
 also be relaxed to their bracketing powers of ten for range-style answers.
 
-A table here is anything with the two lookups ``get(key, dimension)`` and
-``heads_for(surface, pos, dimension)``: a QuantTable in memory, or a
-TableFile that answers from the file by bisection.
+A table here is anything with the two lookups ``get(key)``, which takes an
+entry key ``(dimension, POS, surface, head)`` in text, and
+``heads_for(dimension, pos, surface)``: a QuantTable in memory, or a TableFile
+that answers from the file by bisection. A query's ``Dimension`` and ``Pos``
+become their names here and nowhere else.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from enum import Enum
 
 from .distribution import Distribution
-from .pipeline import ObjectKey, Pos
+from .pipeline import Pos
 from .table import QuantTable, TableFile
 from .units import Dimension
 
@@ -39,24 +41,19 @@ def _check_tau(tau: float) -> None:
         raise ValueError("tau must be >= 1")
 
 
-def _coerce_key(obj, pos: Pos) -> ObjectKey:
-    if isinstance(obj, ObjectKey):
-        return obj
-    return ObjectKey(str(obj).lower(), pos, None)
-
-
 def query_distribution(
-    table: QuantTable | TableFile, obj, dimension: Dimension
+    table: QuantTable | TableFile, obj, dimension: Dimension, pos: Pos = Pos.NOUN, head: str = ""
 ) -> Distribution | None:
-    """Distribution for an object, or None when absent.
+    """Distribution for an object, lowercased, as ``pos`` under ``head`` ("" for none),
+    or None when absent.
 
     Tables built from plain text carry UNKNOWN part-of-speech keys, so a
     miss on a tagged key retries the untagged one before giving up.
     """
-    key = _coerce_key(obj, Pos.NOUN)
-    found = table.get(key, dimension)
-    if found is None and key.pos is not Pos.UNKNOWN:
-        found = table.get(ObjectKey(key.surface, Pos.UNKNOWN, key.head), dimension)
+    dimension, surface = dimension._name_, str(obj).lower()
+    found = table.get((dimension, pos._name_, surface, head))
+    if found is None and pos is not Pos.UNKNOWN:
+        found = table.get((dimension, "UNKNOWN", surface, head))
     return found
 
 
@@ -95,10 +92,8 @@ def compare_adjectives(
     is EQUAL.
     """
     _check_tau(tau)
-    key1 = _coerce_key(adj1, Pos.ADJ)
-    key2 = _coerce_key(adj2, Pos.ADJ)
-    heads1 = table.heads_for(key1.surface, key1.pos, dimension)
-    heads2 = table.heads_for(key2.surface, key2.pos, dimension)
+    heads1 = table.heads_for(dimension._name_, "ADJ", str(adj1).lower())
+    heads2 = table.heads_for(dimension._name_, "ADJ", str(adj2).lower())
     votes: Counter = Counter()
     for head in heads1.keys() & heads2.keys():
         votes[_label(heads1[head], heads2[head], tau)] += 1

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import product
-from typing import NamedTuple
 
 from .errors import LocatedLines
 from .parser import scan_measurements, tokenize
@@ -71,14 +70,6 @@ class AnnotatedSentence:
         surfaces = tuple(tokenize(sentence))
         n = len(surfaces)
         return cls(surfaces, (Pos.UNKNOWN,) * n, (None,) * n)
-
-
-class ObjectKey(NamedTuple):
-    """The object a query asks about: token or phrase, plus head."""
-
-    surface: str
-    pos: Pos = Pos.UNKNOWN
-    head: str | None = None
 
 
 def check_distance(distance: int | None) -> None:

@@ -18,10 +18,11 @@ entry streams and writes each line as its key closes, so ``quantdist merge``
 and ``finalize`` run in memory that does not grow with the tables, and
 ``QuantTable.merge`` and ``finalize`` feed it the entries of tables.
 
-A table answers queries through two methods, ``get(key, dimension)`` and
-``heads_for(surface, pos, dimension)``: a QuantTable from its dict, and a
-TableFile, which the read commands use, by bisecting the line offsets of the
-file and parsing only the lines it finds.
+A table answers queries through two methods, both in the entry key's text:
+``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
+first three columns. A QuantTable answers from its dict, and a TableFile, which
+the read commands use, by bisecting the line offsets of the file and parsing
+only the lines it finds.
 
 A record, as ``extract_records`` yields it, is an entry key followed by a value
 and a token gap; ``QuantTable.observe`` credits it. The record stream from
@@ -47,7 +48,7 @@ from operator import itemgetter
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
-from .pipeline import ObjectKey, Pos, check_distance
+from .pipeline import Pos, check_distance
 from .units import Dimension
 
 FORMAT_NAME = "quanttable/2"
@@ -147,13 +148,14 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
 
 
 class QuantTable:
-    """Entries keyed by ``(dimension name, POS name, surface, head or "")``, each a Distribution.
+    """Entries keyed by the entry key ``(dimension, POS, surface, head)``, each a Distribution.
 
-    ``observe`` takes a record row; ``get`` and ``heads_for`` take the enums. ``heads_for``
-    answers from an index of the headed entries that it builds one (pos,
-    dimension) slice at a time, on first use. The index holds the entries'
-    own Distributions, so observing into an existing entry keeps it
-    current; adding a key through ``observe`` clears it.
+    ``observe`` takes a record row, ``get`` an entry key and ``heads_for`` a key's
+    first three columns: one key shape, all text. ``heads_for`` answers from an
+    index of the headed entries that it builds one (dimension, POS) slice at a
+    time, on first use. The index holds the entries' own Distributions, so
+    observing into an existing entry keeps it current; adding a key through
+    ``observe`` clears it.
     """
 
     def __init__(self, config: BuildConfig | None = None):
@@ -174,15 +176,16 @@ class QuantTable:
     # building
 
     def observe(self, record: tuple) -> None:
-        """Credit a record ``(dimension, POS, surface, head or "", value, gap)`` under its
+        """Credit a record ``(dimension, POS, surface, head, value, gap)`` under its
         entry key and, for a nonempty head, under its head-erased key too, which makes
         head-free queries a plain lookup.
 
-        A new key is checked once and its tags interned: an empty surface, a tag that
-        is no member's name (an enum member is not its name), or a tab or a line feed
-        in the surface or head, which no table or record line can hold, raises
-        ValueError. So does a value that is not finite. Either leaves the table as it
-        was: a new key is added only once its first value is in.
+        A new key is checked once and its tags interned: a surface or head that is not
+        a str (a head-free row's head is ""), an empty surface, a tag that is no
+        member's name (an enum member is not its name), or a tab or a line feed in the
+        surface or head, which no table or record line can hold, raises ValueError.
+        So does a value that is not finite. Either leaves the table as it was: a new
+        key is added only once its first value is in.
         """
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
@@ -193,6 +196,8 @@ class QuantTable:
             if entry is not None:
                 entry.observe(value)
                 continue
+            if not (isinstance(surface, str) and isinstance(head, str)):
+                raise ValueError("object surface or head is not text")
             if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
                 raise ValueError("object surface or head holds a tab or line feed")
             key = _entry_key(surface, key[3], pos, dimension)
@@ -230,17 +235,16 @@ class QuantTable:
     # ------------------------------------------------------------------
     # lookup
 
-    def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
-        surface, pos, head = key
-        return self.entries.get((dimension._name_, pos._name_, surface, head or ""))
+    def get(self, key: tuple) -> Distribution | None:
+        """The entry under the entry key ``(dimension, POS, surface, head)``, or None."""
+        return self.entries.get(key)
 
-    def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
+    def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
 
-        The first call for a (pos, dimension) indexes that pair's headed
+        The first call for a (dimension, POS) indexes that pair's headed
         entries in one pass; later calls are lookups.
         """
-        dimension, pos = dimension._name_, pos._name_
         index = self._heads.get((dimension, pos))
         if index is None:
             index = self._heads[(dimension, pos)] = {}
@@ -477,7 +481,8 @@ def read_table(path) -> QuantTable:
 
 
 class TableFile:
-    """A table file answered by bisection: ``get`` and ``heads_for``, as on a QuantTable.
+    """A table file answered by bisection: ``get`` and ``heads_for``, in the entry key's
+    text, as on a QuantTable.
 
     Opening it reads the header and makes one pass over the entry lines that
     keeps only where each starts. That pass decodes every line and checks its
@@ -530,9 +535,8 @@ class TableFile:
                 raise LocatedInputError(str(exc), line_number, self.path) from None
         return self._found[key]
 
-    def get(self, key: ObjectKey, dimension: Dimension) -> Distribution | None:
-        surface, pos, head = key
-        key = (dimension._name_, pos._name_, surface, head or "")
+    def get(self, key: tuple) -> Distribution | None:
+        """The entry under the entry key ``(dimension, POS, surface, head)``, or None."""
         if key not in self._found:
             index = bisect_left(self._offsets, key, key=self._key_at)
             if index < len(self._offsets) and self._key_at(self._offsets[index]) == key:
@@ -540,12 +544,12 @@ class TableFile:
             self._found[key] = None
         return self._found[key]
 
-    def heads_for(self, surface: str, pos: Pos, dimension: Dimension) -> dict:
+    def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
 
         They are one run of lines, right after the modifier's head-free key.
         """
-        modifier = (dimension._name_, pos._name_, surface)
+        modifier = (dimension, pos, surface)
         heads = {}
         index = bisect_right(self._offsets, (*modifier, ""), key=self._key_at)
         while index < len(self._offsets):

@@ -24,16 +24,17 @@ from quantdist.evaluation import (
     ComparisonExample,
 )
 from quantdist.inference import (
+    TAU,
     ComparisonLabel,
     compare_adjectives,
     compare_nouns,
+    query_distribution,
     relax_to_decade,
 )
 from quantdist.parser import scan_measurements, tokenize
 from quantdist.pipeline import (
     AnnotatedSentence,
     ExtractionConfig,
-    ObjectKey,
     Pos,
     extract_records,
     split_sentences,
@@ -330,11 +331,13 @@ def test_criterion_6_majority_vote():
             }
             table = _head_table(entries)
             via_vote = compare_adjectives(table, "big", "small", Dimension.SPEED)
-            via_medians = compare_nouns(
-                table,
-                ObjectKey("big", Pos.ADJ, "house"),
-                ObjectKey("small", Pos.ADJ, "house"),
-                Dimension.SPEED,
+            m1, m2 = (
+                query_distribution(table, adj, Dimension.SPEED, Pos.ADJ, "house").median()
+                for adj in ("big", "small")
+            )
+            via_medians = (
+                ComparisonLabel.EQUAL if max(m1, m2) / min(m1, m2) <= TAU
+                else ComparisonLabel.LESS if m1 < m2 else ComparisonLabel.GREATER
             )
             assert via_vote is via_medians
 

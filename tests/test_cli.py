@@ -565,6 +565,35 @@ def test_missing_object_exits_2(tmp_path, corpus, capsys):
     assert "unicorn" in capsys.readouterr().err
 
 
+def test_query_pos_and_head_pick_the_entry(tmp_path, corpus, capsys):
+    """``--pos`` and ``--head`` pick the key; a tagged miss falls back to the UNKNOWN entry."""
+    conll = tmp_path / "fast.tsv"
+    conll.write_text(
+        "".join(
+            f"0\tThe\tOTHER\t2\n1\tfast\tADJ\t2\n2\t{noun}\tNOUN\t3\n"
+            f"3\tdrove\tVERB\t-\n4\t{value}\tOTHER\t-\n5\tmph\tOTHER\t-\n\n"
+            for noun, value in (("car", 50), ("truck", 40))
+        ),
+        encoding="utf-8",
+    )
+    rec, part, table = (str(tmp_path / name) for name in ("r.tsv", "p.tsv", "t.tsv"))
+    assert main(["extract", str(conll), "--annotated", "-o", rec]) == 0
+    assert main(["aggregate", rec, "-o", part]) == 0
+    assert main(["finalize", part, "--min-count", "1", "-o", table]) == 0
+    query = ["query", "--table", table, "--dim", "speed"]
+    assert main([*query, "--object", "Fast", "--pos", "adj", "--head", "CAR"]) == 0
+    out = capsys.readouterr().out
+    assert "object: fast (pos=ADJ)\n" in out and "count: 1\n" in out
+    assert main([*query, "--object", "fast", "--pos", "adj"]) == 0
+    assert "count: 2\n" in capsys.readouterr().out
+    assert main([*query, "--object", "fast", "--pos", "adj", "--head", "bus"]) == 2
+    assert f"error: {table}: no entry for 'fast' under SPEED" in capsys.readouterr().err
+    plain = str(build_table(tmp_path, corpus))
+    assert main(["query", "--table", plain, "--object", "car", "--dim", "speed", "--pos", "noun"]) == 0
+    out = capsys.readouterr().out
+    assert "object: car (pos=NOUN)\n" in out and "count: 3\n" in out
+
+
 # ---------------------------------------------------------------- extract
 
 

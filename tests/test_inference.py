@@ -7,6 +7,7 @@ import pytest
 
 from quantdist.evaluation import evaluate
 from quantdist.inference import (
+    TAU,
     ComparisonLabel,
     compare_adjectives,
     compare_nouns,
@@ -14,7 +15,7 @@ from quantdist.inference import (
     relax_hour_window,
     relax_to_decade,
 )
-from quantdist.pipeline import ObjectKey, Pos
+from quantdist.pipeline import Pos
 from quantdist.table import BuildConfig, QuantTable
 from quantdist.units import Dimension
 
@@ -63,8 +64,7 @@ def test_query_distribution_hits_and_misses():
 
 def test_query_falls_back_to_untagged_keys():
     t = planted_table()  # stored with UNKNOWN pos
-    tagged = ObjectKey("elephant", Pos.NOUN, None)
-    assert query_distribution(t, tagged, Dimension.MASS) is not None
+    assert query_distribution(t, "elephant", Dimension.MASS, Pos.NOUN, "") is not None
 
 
 def test_compare_nouns_planted():
@@ -224,12 +224,11 @@ def test_single_head_agreement_randomized():
                 )
         t = build(rows)
         voted = compare_adjectives(t, "fast", "slow", Dimension.SPEED)
-        headwise = compare_nouns(
-            t,
-            ObjectKey("fast", Pos.ADJ, "car"),
-            ObjectKey("slow", Pos.ADJ, "car"),
-            Dimension.SPEED,
+        m1, m2 = (
+            query_distribution(t, adj, Dimension.SPEED, Pos.ADJ, "car").median()
+            for adj in ("fast", "slow")
         )
+        headwise = EQUAL if max(m1, m2) / min(m1, m2) <= TAU else LESS if m1 < m2 else GREATER
         assert voted is headwise
 
 

@@ -268,6 +268,10 @@ def test_config_validation():
     for row in (("MASS", "UNKNOWN", "big\tcar", "", 1.0, 0), ("MASS", "ADJ", "fast", "car\n", 1.0, 0)):
         with pytest.raises(ValueError, match="holds a tab or line feed"):
             table.observe(row)
+    # a surface or head that is not text, as a None head in place of ""
+    for row in (("MASS", "NOUN", "car", None, 1.0, 0), ("MASS", "NOUN", None, "", 1.0, 0)):
+        with pytest.raises(ValueError, match="not text"):
+            table.observe(row)
     # a tag that names no member, or an enum in place of its name
     for row in (
         ("WEIGHT", "NOUN", "car", "", 1.0, 0),

@@ -1,8 +1,12 @@
-"""The README's Python API example runs as written and returns what it says."""
+"""The README's command-line walkthrough and Python API example run as written and
+print what they say."""
 
 import ast
 import pathlib
 import re
+import shlex
+
+from quantdist.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +30,24 @@ def test_python_api_blocks_run_in_order(capsys):
     assert ast.literal_eval("".join(line.lstrip("# ") for line in comment.splitlines())) == records
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and printed[0].startswith("{'median': ")
+
+
+def test_cli_walkthrough_prints_its_comments(tmp_path, monkeypatch, capsys):
+    """Each ``# `` line under a ``quantdist`` command, but ``# ...``, is a line of its stdout."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text("utf-8"), re.M | re.S)
+    (block,) = [block for block in blocks if "<<'EOF'" in block]
+    corpus, commands = re.fullmatch(
+        r"cat > corpus\.txt <<'EOF'\n(.*?)^EOF\n(.*)", block, re.M | re.S
+    ).groups()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text(corpus, encoding="utf-8")
+    outputs, checked = [], []
+    for line in commands.splitlines():
+        if line.startswith("quantdist "):
+            assert main(shlex.split(line)[1:]) == 0, line
+            outputs.append(capsys.readouterr().out.splitlines())
+        elif line.startswith("# ") and line != "# ...":
+            assert line[2:] in outputs[-1], line
+            checked.append(line[2:])
+    assert len(outputs) == 5
+    assert checked == ["object: car (pos=UNKNOWN)", "median: 99.7 km/h", "range: 10-100 km/h", ">"]

@@ -16,7 +16,7 @@ from quantdist.distribution import Distribution
 from quantdist.errors import ConfigMismatchError, LocatedInputError
 from quantdist.inference import query_distribution
 from quantdist.kernels import bucket_bounds
-from quantdist.pipeline import ObjectKey, Pos
+from quantdist.pipeline import Pos
 from quantdist import table as table_mod
 from quantdist.table import BuildConfig, QuantTable, TableFile, read_table
 from quantdist.units import Dimension
@@ -49,14 +49,14 @@ def build(records, **cfg):
 
 def test_observe_counts():
     t = build([record("elephant", Dimension.MASS, 4000.0)] * 2)
-    d = t.get(ObjectKey("elephant", Pos.UNKNOWN), Dimension.MASS)
+    d = t.get(("MASS", "UNKNOWN", "elephant", ""))
     assert d is not None and d.count == 2
 
 
 def test_observe_dual_key_for_heads():
     t = build([record("fast", Dimension.SPEED, 22.35, pos=Pos.ADJ, head="car")])
-    with_head = t.get(ObjectKey("fast", Pos.ADJ, "car"), Dimension.SPEED)
-    head_free = t.get(ObjectKey("fast", Pos.ADJ, None), Dimension.SPEED)
+    with_head = t.get(("SPEED", "ADJ", "fast", "car"))
+    head_free = t.get(("SPEED", "ADJ", "fast", ""))
     assert with_head is not None and with_head.count == 1
     assert head_free is not None and head_free.count == 1
 
@@ -68,7 +68,7 @@ def test_headless_record_writes_single_key():
 
 def test_zero_value_lands_in_zero_bucket():
     t = build([record("thing", Dimension.MASS, 0.0)])
-    d = t.get(ObjectKey("thing", Pos.UNKNOWN), Dimension.MASS)
+    d = t.get(("MASS", "UNKNOWN", "thing", ""))
     assert d.buckets == {0: 1}
 
 
@@ -114,8 +114,8 @@ def test_finalize_thresholds():
     records += [record("rare", Dimension.MASS, 3.0)] * 999
     t = build(records)
     kept = t.finalize(1000)
-    assert kept.get(ObjectKey("common", Pos.UNKNOWN), Dimension.MASS) is not None
-    assert kept.get(ObjectKey("rare", Pos.UNKNOWN), Dimension.MASS) is None
+    assert kept.get(("MASS", "UNKNOWN", "common", "")) is not None
+    assert kept.get(("MASS", "UNKNOWN", "rare", "")) is None
 
 
 def test_finalize_min_count_one_keeps_entries():
@@ -139,8 +139,8 @@ def test_phrase_threshold_applies_to_multiword_only():
     records += [record("car", Dimension.SPEED, 50.0, pos=Pos.NOUN)] * 3
     t = build(records, min_phrase_count=5)
     final = t.finalize(1)
-    assert final.get(ObjectKey("car", Pos.NOUN), Dimension.SPEED) is not None
-    assert final.get(ObjectKey("race car", Pos.NOUN, "car"), Dimension.SPEED) is None
+    assert final.get(("SPEED", "NOUN", "car", "")) is not None
+    assert final.get(("SPEED", "NOUN", "race car", "car")) is None
 
 
 def test_finalized_table_rejects_observe():
@@ -173,7 +173,7 @@ def test_merge_finalized_tables_reapplies_threshold():
     b = build([record("car", Dimension.SPEED, 2.0)] * 3).finalize(2)
     m = a.merge(b)
     assert m.config.min_count == 3
-    assert m.get(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED).count == 6
+    assert m.get(("SPEED", "UNKNOWN", "car", "")).count == 6
 
 
 def test_round_trip(tmp_path):
@@ -366,7 +366,7 @@ def test_heads_for():
         record("slow", Dimension.SPEED, 5.0, pos=Pos.ADJ, head="car"),
     ]
     t = build(records)
-    heads = t.heads_for("fast", Pos.ADJ, Dimension.SPEED)
+    heads = t.heads_for("SPEED", "ADJ", "fast")
     assert set(heads) == {"car", "truck"}
     assert heads["car"].count == 1
     assert_heads_match_scan(t, headed=True)
@@ -388,7 +388,7 @@ def assert_heads_match_scan(table, headed=False):
     for surface in surfaces:
         for pos in Pos:
             for dimension in (Dimension.MASS, Dimension.SPEED, Dimension.LENGTH):
-                got = table.heads_for(surface, pos, dimension)
+                got = table.heads_for(dimension.name, pos.name, surface)
                 want = scanned_heads(table, surface, pos, dimension)
                 assert got == want, (surface, pos, dimension)
                 assert all(got[head] is want[head] for head in want)
@@ -417,7 +417,7 @@ def test_heads_for_matches_a_scan(first, later):
     headed = any(r[3] for r in first)
     assert_heads_match_scan(table, headed)
     for pos in (Pos.ADJ, Pos.NOUN):
-        heads = table.heads_for("fast", pos, Dimension.SPEED)
+        heads = table.heads_for("SPEED", pos.name, "fast")
         heads.clear()  # callers get a copy
         heads["car"] = Distribution()
     assert_heads_match_scan(table, headed)
@@ -425,7 +425,7 @@ def test_heads_for_matches_a_scan(first, later):
     headed = any(r[3] for r in first + later)
     assert_heads_match_scan(table, headed)
     other = build(later)
-    other.heads_for("fast", Pos.ADJ, Dimension.SPEED)
+    other.heads_for("SPEED", "ADJ", "fast")
     merged = table.merge(other)
     assert_heads_match_scan(merged, headed)
     final = merged.finalize(2)
@@ -493,14 +493,15 @@ def test_table_file_answers_like_read_table(records, finalized, blank_lines, lin
             for dimension in _PROBE_DIMENSIONS:
                 for pos in (Pos.ADJ, Pos.NOUN, Pos.UNKNOWN):
                     for surface in ["a", *_FILE_SURFACES, "水水", *_MISSING]:
-                        heads = file.heads_for(surface, pos, dimension)
-                        assert heads == expected.heads_for(surface, pos, dimension)
+                        heads = file.heads_for(dimension.name, pos.name, surface)
+                        assert heads == expected.heads_for(dimension.name, pos.name, surface)
                         for head in [*_FILE_HEADS, "zz", *_MISSING]:
-                            key = ObjectKey(surface, pos, head)
-                            assert file.get(key, dimension) == expected.get(key, dimension)
+                            head = head or ""
+                            key = (dimension.name, pos.name, surface, head)
+                            assert file.get(key) == expected.get(key)
                             # a tagged miss falls back to the UNKNOWN key
-                            found = query_distribution(file, key, dimension)
-                            assert found == query_distribution(expected, key, dimension)
+                            found = query_distribution(file, surface, dimension, pos, head)
+                            assert found == query_distribution(expected, surface, dimension, pos, head)
 
 
 def test_table_file_parses_each_found_line_once(tmp_path, monkeypatch):
@@ -519,12 +520,12 @@ def test_table_file_parses_each_found_line_once(tmp_path, monkeypatch):
     monkeypatch.setattr(table_mod, "_entry_value", counted)
     with TableFile(path) as file:
         for _ in range(3):
-            heads = file.heads_for("fast", Pos.ADJ, Dimension.SPEED)
+            heads = file.heads_for("SPEED", "ADJ", "fast")
             assert sorted(heads) == ["a", "b"]
             heads.clear()
-            assert file.get(ObjectKey("fast", Pos.ADJ, "a"), Dimension.SPEED) is not None
-            assert file.get(ObjectKey("fast", Pos.ADJ, None), Dimension.SPEED).count == 4
-            assert file.get(ObjectKey("slow", Pos.ADJ, None), Dimension.SPEED) is None
+            assert file.get(("SPEED", "ADJ", "fast", "a")) is not None
+            assert file.get(("SPEED", "ADJ", "fast", "")).count == 4
+            assert file.get(("SPEED", "ADJ", "slow", "")) is None
     assert len(parsed) == 3
 
 
@@ -533,7 +534,7 @@ def test_export_points_density():
     t = QuantTable(BuildConfig())
     for v in values:
         t.observe(record("car", Dimension.SPEED, v))
-    dist = t.get(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED)
+    dist = t.get(("SPEED", "UNKNOWN", "car", ""))
     points = dist.density_points()
     assert points == sorted(points)
     zero_mass = points[0][1]
@@ -545,7 +546,7 @@ def test_export_points_density():
 
 def test_entry_distributions_are_real_distributions():
     t = build([record("car", Dimension.SPEED, v) for v in (1.0, 2.0, 3.0)])
-    d = t.get(ObjectKey("car", Pos.UNKNOWN), Dimension.SPEED)
+    d = t.get(("SPEED", "UNKNOWN", "car", ""))
     assert isinstance(d, Distribution)
     assert d.median() == 2.0
 
