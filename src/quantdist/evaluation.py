@@ -84,14 +84,17 @@ def _parse_example(line: str, first: bool) -> ComparisonExample | None:
 def load_dataset(path) -> list[ComparisonExample]:
     """Parse `object1<TAB>object2<TAB>dimension<TAB>label` rows.
 
-    Labels are <, =, > or NA; one header line is allowed. NA rows are
-    kept so audits see every pair, but they never enter accuracy.
+    Labels are <, =, > or NA; a header is allowed as the first row that is
+    neither blank nor a ``#`` comment. NA rows are kept so audits see every
+    pair, but they never enter accuracy.
     """
     examples: list[ComparisonExample] = []
+    first = True
     with LocatedLines(path) as lines:
         for line in lines:
             if line.strip() and not line.lstrip().startswith("#"):
-                example = _parse_example(line, first=lines.line_number == 1)
+                example = _parse_example(line, first)
+                first = False
                 if example is not None:
                     examples.append(example)
     return examples

@@ -1,21 +1,21 @@
 """Tokenization and measurement scanning.
 
-The scanner walks a token list left to right and tries three productions,
-one per kind of start token:
+The scanner walks a token list left to right and tries three productions:
 
+- a currency alias (``$``, ``£``): a prefix amount (``£5 million``);
 - a clock token (``7:30``, ``8.30``, ``7``): a clock range sharing one
   am/pm (``7.30-8.30 am``), or else one clock time (``1.51 pm``, ``19:05``);
-- a currency alias (``$``, ``£``): a prefix amount (``£5 million``);
 - a number: a range sharing one unit (``50-60 mph``), or else a
   number-unit pair (``225 litres``, ``100 degrees C``).
 
-A start token is one whose first character is a decimal digit
-(``str.isdecimal``, what ``\\d`` matches), or one that resolves to a
-currency unit (``UnitRegistry.currency_positions``); every mention begins
-at one. The scan lists the start tokens first and tries the productions
-only there, so a sentence without one costs no unit lookup and is not
+Every production needs a digit token, one whose first character is a
+decimal digit (``str.isdecimal``, what ``\\d`` matches): a clock or a number
+starts at one, and a currency prefix is the token just before one. So
+there is one start test, the digit: the scan lists the digit tokens and
+tries the productions only there, the currency prefix on the token before
+first, so a sentence without a digit token costs no unit lookup and is not
 lowercased. The first production that matches consumes its span, and the
-scan goes on at the next start token after it. Numbers without a
+scan goes on at the next digit token after it. Numbers without a
 resolvable unit, and values that are not finite once normalized, are
 dropped, not guessed at.
 """
@@ -102,11 +102,8 @@ class Mention(NamedTuple):
 
 def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Mention]:
     """All measurement mentions in a token sequence of any case, left to right."""
-    starts = [i for i, token in enumerate(tokens) if token[:1].isdecimal()]
-    currency = registry.currency_positions(tokens)
-    if currency:
-        starts = sorted({*starts, *currency})
-    return _Scanner(tokens, registry).run(starts) if starts else []
+    digits = [i for i, token in enumerate(tokens) if token[:1].isdecimal()]
+    return _Scanner(tokens, registry).run(digits) if digits else []
 
 
 class _Scanner:
@@ -115,14 +112,16 @@ class _Scanner:
         self.registry = registry
         self.n = len(tokens)
 
-    def run(self, starts: list[int]) -> list[Mention]:
-        """The mentions found trying the productions at each start token past the last match."""
+    def run(self, digits: list[int]) -> list[Mention]:
+        """The mentions found at each digit token past the last match: a currency prefix
+        on the token before it, if that token is past the match too, else a clock or a
+        number starting at it."""
         mentions: list[Mention] = []
         end = 0
-        for i in starts:
+        for i in digits:
             if i < end:
                 continue
-            found = self._clock(i) or self._currency_prefix(i) or self._number(i)
+            found = (i > end and self._currency_prefix(i - 1)) or self._clock(i) or self._number(i)
             if found:
                 mentions.extend(found)
                 end = found[-1].end

@@ -153,10 +153,10 @@ def extract_records(
     """
     if contains_negation(sentence.surfaces):
         return []
-    low = [s.lower() for s in sentence.surfaces]
-    mentions = scan_measurements(low, registry)
+    mentions = scan_measurements(sentence.surfaces, registry)
     if not mentions:
         return []
+    low = [s.lower() for s in sentence.surfaces]
     spans = [(m.start, m.end) for m in mentions]
     candidates = [
         candidate

@@ -106,16 +106,6 @@ class UnitRegistry:
                 self._by_alias[key] = unit
                 max_tokens = max(max_tokens, len(key.split()))
         self.max_alias_tokens = max_tokens
-        # the stripped, lowercased surfaces that lookup_unit resolves to a currency: each
-        # currency alias behind the degree sign that marks it, and alone each that needs no
-        # marker (lookup_unit takes a leading degree sign off before it looks the alias up)
-        currency = [
-            (key, unit) for key, unit in self._by_alias.items() if unit.dimension is Dimension.CURRENCY
-        ]
-        self._currency_surfaces = frozenset(
-            ["°" + key for key, _ in currency]
-            + [key for key, unit in currency if not unit.requires_marker and key[:1] != "°"]
-        )
         self._time_unit = self.lookup_unit("hour of day")
         if self._time_unit is None or self._time_unit.dimension is not Dimension.TIME:
             raise LocatedInputError("lexicon has no 'hour of day' TIME unit", path=path)
@@ -143,14 +133,6 @@ class UnitRegistry:
         if unit.requires_marker and not marker_present:
             return None
         return unit
-
-    def currency_positions(self, surfaces) -> list[int]:
-        """The positions of the surfaces that ``lookup_unit`` resolves to a CURRENCY unit,
-        found by stripping and lowercasing them as it does and testing a set built at load."""
-        keys = list(map(str.lower, map(str.strip, surfaces)))
-        if self._currency_surfaces.isdisjoint(keys):
-            return []
-        return [i for i, key in enumerate(keys) if key in self._currency_surfaces]
 
     def normalize(self, value: float, unit: UnitDef) -> Quantity:
         """Convert a raw (value, unit) pair into standard units."""

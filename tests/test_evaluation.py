@@ -114,6 +114,19 @@ def test_load_dataset_blank_and_comment_lines(tmp_path):
     assert len(load_dataset(p)) == 1
 
 
+def test_load_dataset_header_below_comment_and_blank_lines(tmp_path):
+    p = tmp_path / "pairs.tsv"
+    header, row = "object1\tobject2\tdimension\tlabel\n", "cat\tdog\tweight\t<\n"
+    for text in ("# pairs\n" + header + row, "\n" + header + row):
+        p.write_text(text, encoding="utf-8")
+        assert len(load_dataset(p)) == 1
+    # a header row after a data row is still a located error at its line
+    p.write_text("# pairs\n" + row + "\n" + header, encoding="utf-8")
+    with pytest.raises(LocatedInputError, match="unknown label 'label'") as err:
+        load_dataset(p)
+    assert err.value.line_number == 4
+
+
 # --------------------------------------------------------------- scoring
 
 

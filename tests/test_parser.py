@@ -301,5 +301,11 @@ _GATE_VOCABULARY = _VOCABULARY + [
 @example(["USD", "٣", "to", "9", "kg"])
 @example([" $", "12", "thousand", "7:30", "pm"])
 @example(["²", "kg", "7", "-", "8.30", "p.m."])
+@example(["10", "kg", "$", "5"])  # a prefix right at the last match's end
+@example(["5", "$", "6", "kg"])  # a "$" inside the last match is not tried again
+@example(["$", "5"])
+@example(["5"])  # no left neighbour
+@example(["USD", "5", "-", "$", "10"])
+@example(["7:30", "pm", "$", "5"])
 def test_gated_scan_finds_what_every_position_finds(registry, tokens):
     assert scan_measurements(tokens, registry) == _scan_everywhere(tokens, registry)

@@ -417,6 +417,20 @@ def _pairs_with_spans(sentence, config, registry):
     return out
 
 
+def test_extraction_ignores_ascii_case(registry):
+    rng = random.Random(3)
+    config = ExtractionConfig()
+    mixed = 0
+    for sentence in _generated_sentences(random.Random(3), 600):
+        cases = [rng.choice((str.upper, str.title, str.lower)) for _ in sentence.surfaces]
+        surfaces = tuple(case(s) for case, s in zip(cases, sentence.surfaces))
+        mixed += surfaces != sentence.surfaces
+        cased = AnnotatedSentence(surfaces, sentence.pos, sentence.heads)
+        expected = extract_records(sentence, config, registry)
+        assert extract_records(cased, config, registry) == expected
+    assert mixed > 1000  # nearly every sentence does change case
+
+
 def test_extraction_calls_the_negation_test_and_the_scan_by_module_name(registry, monkeypatch):
     # perfbench times the scan and counts negated sentences by patching these two names
     sentences = list(_generated_sentences(random.Random(11), 40)) + [

@@ -122,22 +122,6 @@ def test_ambiguous_short_forms_are_absent(registry):
     assert registry.lookup_unit("m").dimension is Dimension.LENGTH
 
 
-def test_currency_positions_are_where_lookup_unit_finds_a_currency(registry):
-    hour = UnitDef(("hour of day",), Dimension.TIME, 1.0)
-    marked = UnitDef(("xd", "°yd"), Dimension.CURRENCY, 2.0, requires_marker=True)
-    bare = UnitDef(("zd", "°wd"), Dimension.CURRENCY, 3.0)
-    custom = UnitRegistry([hour, marked, bare])
-    surfaces = [
-        "$", " $", "USD", "°usd", " °Usd ", "dollars", "£", "€", "°", "", "kg", "°f", "c",
-        "xd", "°xd", " °XD", "yd", "°yd", "°°yd", "zd", "°zd", "wd", "°wd", "°°wd",
-    ]
-    for reg in (registry, custom):
-        units = [reg.lookup_unit(surface) for surface in surfaces]
-        expected = [i for i, u in enumerate(units) if u and u.dimension is Dimension.CURRENCY]
-        assert reg.currency_positions(surfaces) == expected
-    assert custom.currency_positions(["xd", "°xd", "°wd", "°°wd"]) == [1, 3]
-
-
 def test_unknown_unit_returns_none(registry):
     assert registry.lookup_unit("florps") is None
 
