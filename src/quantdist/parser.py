@@ -12,7 +12,7 @@ Every production needs a digit token, one whose first character is a
 decimal digit (``str.isdecimal``, what ``\\d`` matches): a clock or a number
 starts at one, and a currency prefix is the token just before one. So
 there is one start test, the digit: the scan lists the digit tokens and
-tries the productions only there, the currency prefix on the token before
+tries the productions only there, a currency prefix on the token before
 first, so a sentence without a digit token costs no unit lookup and is not
 lowercased. The first production that matches consumes its span, and the
 scan goes on at the next digit token after it. Numbers without a

@@ -420,10 +420,10 @@ def _pairs_with_spans(sentence, config, registry):
 def test_extraction_ignores_ascii_case(registry):
     rng = random.Random(3)
     config = ExtractionConfig()
+    cases = (str.upper, str.title, str.lower)
     mixed = 0
     for sentence in _generated_sentences(random.Random(3), 600):
-        cases = [rng.choice((str.upper, str.title, str.lower)) for _ in sentence.surfaces]
-        surfaces = tuple(case(s) for case, s in zip(cases, sentence.surfaces))
+        surfaces = tuple(rng.choice(cases)(s) for s in sentence.surfaces)
         mixed += surfaces != sentence.surfaces
         cased = AnnotatedSentence(surfaces, sentence.pos, sentence.heads)
         expected = extract_records(sentence, config, registry)
