@@ -41,7 +41,7 @@ from .table import (
     BuildConfig,
     TableFile,
     aggregate,
-    finalized_config,
+    finalized_entries,
     iter_entries,
     merged_config,
     record_line,
@@ -166,8 +166,11 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_finalize(args) -> int:
-    config, entries = iter_entries(args.table)
-    write_merged(finalized_config(config, args.min_count), [entries], args.output)
+    entries = finalized_entries(*iter_entries(args.table), args.min_count)
+    try:
+        write_merged(next(entries), [entries], args.output)
+    except OverflowError as exc:  # a derived head-free sum past the float range
+        raise QuantdistError(f"finalizing {args.table}: {exc}") from None
     return 0
 
 

@@ -13,10 +13,13 @@ count, min, max, exact-sum parts and id:count buckets. ``iter_entries`` reads a
 file's entries one line at a time and rejects, at its line, a line out of
 canonical order or under a finalized table's thresholds; ``read_table``
 collects them into a QuantTable. ``merged_entries`` is the one fold of equal
-keys, by ``Distribution.update``: ``write_merged`` feeds it a k-way merge of
-entry streams and writes each line as its key closes, so ``quantdist merge``
-and ``finalize`` run in memory that does not grow with the tables, and
-``QuantTable.merge`` and ``finalize`` feed it the entries of tables.
+keys, by ``Distribution.update``, of entries in canonical order: ``write_merged``
+feeds it a k-way merge of entry streams and writes each line as its key closes,
+so ``quantdist merge`` and ``finalize`` run in memory that does not grow with the
+tables, and ``QuantTable.merge`` feeds it a k-way merge of its tables' entries.
+
+A partial table holds each record once, under its own key, and has a format of
+its own; finalizing it derives the head-free entries, in ``finalized_entries``.
 
 A table answers queries through two methods, both in the entry key's text:
 ``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
@@ -25,7 +28,7 @@ the read commands use, by bisecting the line offsets of the file and parsing
 only the lines it finds.
 
 A record, as ``extract_records`` yields it, is an entry key followed by a value
-and a token gap; ``QuantTable.observe`` credits it. The record stream from
+and a token gap; ``QuantTable.observe`` credits it once. The record stream from
 ``extract`` to ``aggregate`` is a JSON header read like a table's, pinning the
 three settings extraction knows, then per record its key columns, value and
 gap, which ``aggregate``, the per-shard step of a build, observes.
@@ -42,7 +45,7 @@ import tempfile
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 
 from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
@@ -51,7 +54,8 @@ from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import Pos, check_distance
 from .units import Dimension
 
-FORMAT_NAME = "quanttable/2"
+# a table's format by whether it is finalized; a partial one derived no head-free entry
+FORMAT_NAMES = {False: "quanttable/3", True: "quanttable/2"}
 RECORD_FORMAT = "quantrecords/2"
 
 
@@ -92,7 +96,6 @@ _HEADER_FIELDS = (
 _STREAM_FIELDS = _HEADER_FIELDS[:3]
 # header values every table carries: the bucketing is fixed in ``kernels``
 _HEADER_CONSTANTS = {
-    "format": FORMAT_NAME,
     "buckets_per_decade": BUCKETS_PER_DECADE,
     "value_floor": 10.0**-DECADES_BELOW,
 }
@@ -113,12 +116,25 @@ def merged_config(configs) -> BuildConfig:
     return replace(first, min_count=max(config.min_count for config in (first, *rest)))
 
 
-def finalized_config(config: BuildConfig, min_count: int) -> BuildConfig:
-    """The config of a table finalized at ``min_count``; finalizing twice takes the larger."""
+def finalized_entries(config: BuildConfig, entries, min_count: int):
+    """Yield the config of a table of ``config`` finalized at ``min_count``, then the
+    entries that ``merged_entries`` folds into it from ``entries``, in canonical order.
+
+    A partial table's entries of one modifier, head-free and headed, also go under its
+    head-free key, just before its headed run, so thresholds apply after that fold. A
+    finalized table's entries pass as they are, their head-free entries derived already.
+    """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    effective = max(min_count, config.min_count if config.finalized else 1)
-    return replace(config, min_count=effective, finalized=True)
+    if config.finalized:
+        yield replace(config, min_count=max(min_count, config.min_count))
+        yield from entries
+        return
+    yield replace(config, min_count=min_count, finalized=True)
+    for modifier, run in groupby(entries, key=lambda entry: entry[0][:3]):
+        run = list(run)
+        yield from (((*modifier, ""), dist) for _, dist in run)
+        yield from (entry for entry in run if entry[0][3])
 
 
 def _keeps(config: BuildConfig, key: tuple, count: int) -> bool:
@@ -177,8 +193,7 @@ class QuantTable:
 
     def observe(self, record: tuple) -> None:
         """Credit a record ``(dimension, POS, surface, head, value, gap)`` under its
-        entry key and, for a nonempty head, under its head-erased key too, which makes
-        head-free queries a plain lookup.
+        entry key, once; ``finalize`` derives the head-free entries.
 
         A new key is checked once and its tags interned: a surface or head that is not
         a str (a head-free row's head is ""), an empty surface, a tag that is no
@@ -190,21 +205,19 @@ class QuantTable:
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
         dimension, pos, surface, head, value, _ = record
-        full = (dimension, pos, surface, head)
-        for key in (full, (dimension, pos, surface, "")) if head else (full,):
-            entry = self.entries.get(key)
-            if entry is not None:
-                entry.observe(value)
-                continue
-            if not (isinstance(surface, str) and isinstance(head, str)):
-                raise ValueError("object surface or head is not text")
-            if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
-                raise ValueError("object surface or head holds a tab or line feed")
-            key = _entry_key(surface, key[3], pos, dimension)
-            entry = Distribution(exact_cap=self.config.exact_cap)
+        entry = self.entries.get((dimension, pos, surface, head))
+        if entry is not None:
             entry.observe(value)
-            self.entries[key] = entry
-            self._heads.clear()
+            return
+        if not (isinstance(surface, str) and isinstance(head, str)):
+            raise ValueError("object surface or head is not text")
+        if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
+            raise ValueError("object surface or head holds a tab or line feed")
+        key = _entry_key(surface, head, pos, dimension)
+        entry = Distribution(exact_cap=self.config.exact_cap)
+        entry.observe(value)
+        self.entries[key] = entry
+        self._heads.clear()
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -221,16 +234,19 @@ class QuantTable:
         thresholds so the result is again a valid finalized table.
         """
         tables = (self, *others)
-        return _folded(merged_config([table.config for table in tables]), tables)
+        entries = heapq.merge(*(sorted(t.entries.items()) for t in tables), key=itemgetter(0))
+        return _folded(merged_config([t.config for t in tables]), entries)
 
     def finalize(self, min_count: int) -> "QuantTable":
         """Drop rare entries and freeze the table for querying.
 
         Single-token entries need ``min_count`` observations; multiword
-        phrases additionally need the build's ``min_phrase_count``.
+        phrases additionally need the build's ``min_phrase_count``, after a
+        partial table's head-free entries are derived (``finalized_entries``).
         Finalizing twice composes to the larger threshold.
         """
-        return _folded(finalized_config(self.config, min_count), (self,))
+        entries = finalized_entries(self.config, sorted(self.entries.items()), min_count)
+        return _folded(next(entries), entries)
 
     # ------------------------------------------------------------------
     # lookup
@@ -269,10 +285,9 @@ class QuantTable:
 def merged_entries(config: BuildConfig, entries):
     """Yield one ``(key, Distribution)`` per key of ``entries``, folded in their order.
 
-    ``entries`` need only have equal keys adjacent: ``write_merged`` gives them
-    in canonical order, and ``QuantTable.finalize`` in its one table's. Each key's
-    Distributions are folded with ``update`` into a new one, so no input is
-    mutated or shared; under a finalized ``config`` a key whose total count
+    ``entries`` are in canonical order, a key repeated once per Distribution to
+    fold. Each key's Distributions are folded with ``update`` into a new one, so no
+    input is mutated or shared; under a finalized ``config`` a key whose total count
     misses the thresholds is dropped before anything is copied.
     """
     for key, group in groupby(entries, key=itemgetter(0)):
@@ -285,26 +300,17 @@ def merged_entries(config: BuildConfig, entries):
         yield key, folded
 
 
-def _folded(config: BuildConfig, tables) -> QuantTable:
-    """A new table of ``config`` holding the folded entries of ``tables``.
-
-    One table's keys are unique, so only a fold of several brings each key's entries
-    together, in table order, by looking every key of their union up in each table.
-    """
-    entries = [table.entries for table in tables]
-    items = entries[0].items()
-    if len(entries) > 1:
-        keys = dict.fromkeys(chain.from_iterable(entries))
-        items = ((key, each[key]) for key in keys for each in entries if key in each)
+def _folded(config: BuildConfig, entries) -> QuantTable:
+    """A new table of ``config`` holding ``entries``, in canonical order, folded."""
     out = QuantTable(config)
-    out.entries = dict(merged_entries(config, items))
+    out.entries = dict(merged_entries(config, entries))
     return out
 
 
 def _header_line(config: BuildConfig, fields=_HEADER_FIELDS, constants=_HEADER_CONSTANTS, **extra):
     """A JSON header line: a table's by default, a record stream's with its fields and format."""
     header = {key: getattr(config, field) for key, field, _ in fields}
-    header.update(constants, **extra)
+    header.update({"format": FORMAT_NAMES[config.finalized]}, **constants, **extra)
     return json.dumps(header, sort_keys=True)
 
 
@@ -406,7 +412,11 @@ def _read_header(line: str, fields, constants: dict, others=(), **settings):
 
 def _parse_header(line: str) -> tuple[BuildConfig, int]:
     """A header line as ``(config, promised entry count)``; ValueError if malformed."""
-    header, config = _read_header(line, _HEADER_FIELDS, _HEADER_CONSTANTS, ("entries",))
+    header, config = _read_header(line, _HEADER_FIELDS, _HEADER_CONSTANTS, ("entries", "format"))
+    found = header.get("format")
+    if found != FORMAT_NAMES[config.finalized]:
+        partial = " for a partial table; re-run aggregate" if found == FORMAT_NAMES[True] else ""
+        raise ValueError(f"unsupported format {found!r}{partial}")
     return config, _header_value(header, "entries", (int,))
 
 

@@ -490,7 +490,7 @@ _ORACLE_ANNOTATED = (
 # sha256 of the record stream of the plain text, its partial table, and the final table
 _ORACLE_DIGESTS = {
     "plain.rec": "85615affddf447bae7078b2acaedec53e8157946e2419d1f8cfb07c67ee0338e",
-    "plain.part": "7eba1386a1c2f3d541049989821c03a9517cd227ce25a93c7f49ba43e0eb8a83",
+    "plain.part": "a55f49643dd0be479f55f0bafeeff69656d285bd0eaeec9b810efe59c5b4ae7e",
     "final.table": "925b99d6f00964930092ada1b903b2268b4e5e25c072dfd3b701ccc444f43f66",
 }
 

@@ -1,4 +1,4 @@
-"""Table tests: dual keys, monoid laws, thresholds, canonical bytes."""
+"""Table tests: single credit, head-free derivation, monoid laws, thresholds, canonical bytes."""
 
 import contextlib
 import functools
@@ -53,12 +53,27 @@ def test_observe_counts():
     assert d is not None and d.count == 2
 
 
-def test_observe_dual_key_for_heads():
-    t = build([record("fast", Dimension.SPEED, 22.35, pos=Pos.ADJ, head="car")])
-    with_head = t.get(("SPEED", "ADJ", "fast", "car"))
-    head_free = t.get(("SPEED", "ADJ", "fast", ""))
-    assert with_head is not None and with_head.count == 1
-    assert head_free is not None and head_free.count == 1
+def test_observe_credits_once_and_finalize_derives_head_free(tmp_path):
+    t = build(
+        [
+            record("fast", Dimension.SPEED, 22.35, pos=Pos.ADJ, head="car"),
+            record("fast", Dimension.SPEED, 30.0, pos=Pos.ADJ, head="truck"),
+            record("fast", Dimension.SPEED, 40.0, pos=Pos.ADJ),
+        ]
+    )
+    # a partial table holds each record once: its head-free entry, the headless ones
+    assert [t.get(("SPEED", "ADJ", "fast", h)).count for h in ("", "car", "truck")] == [1, 1, 1]
+    t.write(tmp_path / "t.part")
+    with TableFile(tmp_path / "t.part") as file:  # and so does its file
+        assert file.get(("SPEED", "ADJ", "fast", "")).sorted_exact() == [40.0]
+    final = t.finalize(1)
+    head_free = final.get(("SPEED", "ADJ", "fast", ""))
+    assert head_free.count == 3 and head_free.sorted_exact() == [22.35, 30.0, 40.0]
+    assert final.get(("SPEED", "ADJ", "fast", "car")).count == 1
+    # a modifier seen only with a head gets a head-free entry at finalize, not before
+    only_headed = build([record("fast", Dimension.SPEED, 22.35, pos=Pos.ADJ, head="car")])
+    assert only_headed.get(("SPEED", "ADJ", "fast", "")) is None
+    assert only_headed.finalize(1).get(("SPEED", "ADJ", "fast", "")).count == 1
 
 
 def test_headless_record_writes_single_key():
@@ -270,6 +285,56 @@ def test_bad_header_rejected(tmp_path, capsys):
             assert f"{p}:1: bad header (repeated key 'registry')" in err
 
 
+def test_partial_table_in_the_final_format_rejected(tmp_path, capsys):
+    """A partial table whose header names the final format is rejected at line 1.
+
+    Partial tables of that format credited each headed record under its head-free key
+    too, so finalizing one now would count those records twice there.
+    """
+    t = build([record("fast", Dimension.SPEED, 22.35, pos=Pos.ADJ, head="car")])
+    old, out = tmp_path / "old.part", tmp_path / "out.table"
+    t.write(old)
+    header, entry = old.read_text(encoding="utf-8").splitlines()
+    assert json.loads(header)["format"] == "quanttable/3"
+    old.write_text(header.replace('"quanttable/3"', '"quanttable/2"') + "\n" + entry + "\n", "utf-8")
+    message = f"{old}:1: bad header (unsupported format 'quanttable/2' for a partial table"
+    with pytest.raises(LocatedInputError) as err:
+        read_table(old)
+    assert str(err.value).startswith(message)
+    assert (err.value.path, err.value.line_number) == (str(old), 1)
+    for argv in (
+        ["merge", str(old), "-o", str(out)],
+        ["finalize", str(old), "--min-count", "1", "-o", str(out)],
+        ["query", "--table", str(old), "--object", "fast", "--dim", "speed", "--pos", "adj"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+    final = tmp_path / "final.table"
+    t.finalize(1).write(final)
+    header = final.read_text(encoding="utf-8").splitlines()[0]
+    assert json.loads(header)["format"] == "quanttable/2"
+    assert read_table(final) == t.finalize(1)
+    # and a finalized table in the partial format is no table either
+    final.write_text(final.read_text("utf-8").replace('"quanttable/2"', '"quanttable/3"'), "utf-8")
+    with pytest.raises(LocatedInputError, match=f"^{final}:1: bad header"):
+        read_table(final)
+
+
+def test_head_free_fold_past_the_float_range_is_a_data_error(tmp_path, capsys):
+    """Each entry's sum is in range, their head-free fold is not: finalize reports it."""
+    t = build([record("fast", Dimension.SPEED, 1e308, pos=Pos.ADJ, head=h) for h in ("a", "b")])
+    with pytest.raises(OverflowError):
+        t.finalize(1)
+    part, out = tmp_path / "t.part", tmp_path / "out.table"
+    t.write(part)
+    assert main(["finalize", str(part), "--min-count", "1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: finalizing {part}: running sum overflowed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -316,6 +381,7 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
     cap_two = header.replace('"exact_cap": 1', '"exact_cap": 2')
     cap_4096 = header.replace('"exact_cap": 1', '"exact_cap": 4096')
     final = header.replace('"finalized": false', '"finalized": true')  # min_phrase_count 5
+    final = final.replace('"quanttable/3"', '"quanttable/2"')  # a finalized table's format
     final_3 = final.replace('"min_count": 1', '"min_count": 3')
     bad_entries = [
         (header, entry.rsplit("\t", 1)[0], "expected 5 or 9 columns, got 8"),
@@ -509,7 +575,7 @@ def test_table_file_parses_each_found_line_once(tmp_path, monkeypatch):
     path = tmp_path / "t.tsv"
     build(
         [record("fast", Dimension.SPEED, v, pos=Pos.ADJ, head=h) for v in (1.0, 2.0) for h in "ab"]
-    ).write(path)
+    ).finalize(1).write(path)  # which derives the head-free entry
     parsed = []
     entry_value = table_mod._entry_value
 
@@ -604,3 +670,56 @@ def test_any_sharding_serializes_like_one_pass(tagged, order):
             assert fh.read() == whole.encode("utf-8")
         with open(final, "rb") as fh:
             assert fh.read() == one_pass.finalize(2).serialize().encode("utf-8")
+
+
+def credited_twice(records, exact_cap, min_count):
+    """Reference: the bytes of ``records`` finalized at ``min_count`` when a partial table
+    credited each headed record under its own key and again under its head-free key.
+
+    ``merged_entries`` folds that table's entries under the finalized config and derives
+    nothing, so its head-free entries are the ones observed.
+    """
+    partial = QuantTable(BuildConfig(exact_cap=exact_cap))
+    for dimension, pos, surface, head, value, gap in records:
+        partial.observe((dimension, pos, surface, head, value, gap))
+        if head:
+            partial.observe((dimension, pos, surface, "", value, gap))
+    config = BuildConfig(exact_cap=exact_cap, min_count=min_count, finalized=True)
+    final = QuantTable(config)
+    final.entries = dict(table_mod.merged_entries(config, sorted(partial.entries.items())))
+    return final.serialize()
+
+
+_HEADED_RECORDS = st.builds(
+    record,
+    st.sampled_from(["fast", "heavy", "race car", "car"]),
+    st.sampled_from([Dimension.MASS, Dimension.SPEED]),
+    st.sampled_from([-3.0, 0.0, 1.0, 2.5, 40.0, 1e4]) | st.floats(-1e300, 1e300),
+    pos=st.sampled_from([Pos.ADJ, Pos.NOUN]),
+    head=st.sampled_from([None, "car", "truck", "race car"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_HEADED_RECORDS, st.integers(0, N_SHARDS - 1)), max_size=40),
+    st.integers(1, 4),
+)
+def test_finalize_derives_head_free_entries_like_crediting_twice(tagged, min_count):
+    """Finalizing, in memory or through the CLI over any sharding, writes the bytes of
+    the table that credited each headed record twice, and finalizing again folds nothing.
+    """
+    records = [r for r, _ in tagged]
+    expected = credited_twice(records, 3, min_count)
+    table = build(records, exact_cap=3)
+    assert table.finalize(min_count).serialize() == expected
+    assert table.finalize(2).finalize(3).serialize() == table.finalize(3).serialize()
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"{i}.part") for i in range(N_SHARDS)]
+        for i, path in enumerate(paths):
+            build([r for r, shard in tagged if shard == i], exact_cap=3).write(path)
+        merged, final = os.path.join(d, "merged.part"), os.path.join(d, "final.table")
+        assert main(["merge", *paths, "-o", merged]) == 0
+        assert main(["finalize", merged, "--min-count", str(min_count), "-o", final]) == 0
+        with open(final, "rb") as fh:
+            assert fh.read() == expected.encode("utf-8")
