@@ -1,20 +1,23 @@
 """Mergeable value distributions with exact sums and geometric histograms.
 
-A Distribution accumulates observed standard-unit values. It always
-maintains the bucketed histogram; alongside it, raw samples are kept
-until ``exact_cap`` is exceeded, after which they are dropped and stats
-fall back to histogram estimates. ``Distribution.of`` builds the same
-summary from a batch of kept samples, one pass per field, as a table
-reader does. Folding with ``update`` is commutative and associative, and
-every derived artifact (sum expansion, histogram, sorted samples) is a
-pure function of the observed multiset, so shards can be combined in any
-order and still serialize byte-identically.
+A Distribution summarises a multiset of standard-unit values: count,
+extrema, exact sum and bucketed histogram, and the values themselves
+(kept samples) up to ``exact_cap``; past the cap they are dropped and
+stats fall back to histogram estimates, clamped into the exact
+[minimum, maximum]. ``Distribution.of`` is the one way to build a summary
+from values: it builds every field from a batch in one pass per field, the
+kept samples or, past the cap, the spilled summary. Folding with
+``update`` is commutative and associative, and every derived artifact (sum
+expansion, histogram, sorted samples) is a pure function of the multiset,
+so shards can be combined in any order and still serialize byte-identically.
 
 The sum is one exact integer: every finite double is a whole multiple of
 2**-1074, the smallest subnormal, so ``_sum`` counts those units and a
 Python int adds them without rounding, in any order (a long accumulator
 in the sense of Kulisch). ``sum()`` is that integer correctly rounded to
 a float, and ``sum_partials()`` its greedy round-to-nearest expansion.
+Only values of magnitude ``HUGE`` or more can carry a sum past the float
+range: below it, that would take more than 2**63 values.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ _ONE = 1 << 1074  # 1.0 in units of 2**-1074
 # halfway from the largest double to 2**1024, in units: exact sums this
 # large round (ties to even) to an infinite float
 _OVERFLOW = (1 << 2098) - (1 << 2044)
+HUGE = 2.0**960
 
 
 def exact_units(x: float) -> int:
@@ -63,43 +67,22 @@ class Distribution:
 
     @classmethod
     def of(cls, samples: list[float], exact_cap: int = DEFAULT_EXACT_CAP) -> "Distribution":
-        """The kept-samples summary of ``samples``, a list it takes over.
+        """The summary of ``samples``, a list it takes over: it keeps them, or past
+        ``exact_cap`` spills them, and builds each field in one pass.
 
-        Equal to observing each sample in turn, but computed one pass per
-        field. ValueError for a non-finite sample or more samples than
-        ``exact_cap``; OverflowError for a sum past the float range.
+        ValueError for a non-finite sample; OverflowError for a sum past the float range.
         """
         if not all(map(math.isfinite, samples)):
             raise ValueError("non-finite sample")
-        if len(samples) > exact_cap:
-            raise ValueError(f"{len(samples)} samples exceed exact_cap {exact_cap}")
         if 0.0 in samples:
             samples = [v + 0.0 for v in samples]  # fold -0.0
         out = cls.__new__(cls)  # every slot is set here
-        out.exact_cap, out.count, out.exact = exact_cap, len(samples), samples
+        out.exact_cap, out.count = exact_cap, len(samples)
+        out.exact = samples if len(samples) <= exact_cap else None
         out.minimum, out.maximum = min(samples, default=None), max(samples, default=None)
         out._sum = checked_sum(sum(map(exact_units, samples)))
         out.buckets = kernels.accumulate(samples)
         return out
-
-    # ------------------------------------------------------------------
-    # ingestion
-
-    def observe(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"cannot observe non-finite value {value!r}")
-        value = value + 0.0  # fold -0.0
-        self._sum = checked_sum(self._sum + exact_units(value))
-        self.count += 1
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        self.buckets[kernels.bucket_index(value)] += 1
-        if self.exact is not None:
-            self.exact.append(value)
-            if len(self.exact) > self.exact_cap:
-                self.exact = None  # spill: histogram already has everything
 
     def validate(self) -> None:
         """Raise ValueError unless the fields describe one multiset of values.
@@ -225,11 +208,11 @@ class Distribution:
 
         Kept samples are sorted once. Otherwise each value is a histogram
         estimate, within one bucket width of the true sample for magnitudes
-        inside the covered range.
+        inside the covered range, and clamped into [minimum, maximum].
         """
         if self.exact is not None:
             return sorted(self.exact)
-        return _HistogramRanks(self.buckets)
+        return _HistogramRanks(self.buckets, self.minimum, self.maximum)
 
     def median(self) -> float:
         """Median with a geometric midpoint for even same-sign middles."""
@@ -261,10 +244,12 @@ class Distribution:
         hi = ranked[hi_rank - 1]
         frac = pos - lo_rank
         if lo > 0 and hi > 0:
-            return lo * (hi / lo) ** frac
-        if lo < 0 and hi < 0:
-            return -(-lo) * ((-hi) / (-lo)) ** frac
-        return lo + (hi - lo) * frac
+            between = lo * (hi / lo) ** frac
+        elif lo < 0 and hi < 0:
+            between = -(-lo) * ((-hi) / (-lo)) ** frac
+        else:
+            between = lo + (hi - lo) * frac
+        return lo if between < lo else hi if between > hi else between  # rounding stays inside
 
     def stats(self) -> dict:
         """Summary fields used by query answers and exports."""
@@ -301,26 +286,30 @@ class Distribution:
 class _HistogramRanks:
     """Histogram estimates of the samples in ascending order, indexed like a list."""
 
-    def __init__(self, buckets: Counter):
+    def __init__(self, buckets: Counter, low: float, high: float):
         self.buckets = sorted(buckets.items())
+        self.low, self.high = low, high
 
     def __getitem__(self, index: int) -> float:
         rank = index + 1
         seen = 0
         for bid, n in self.buckets:
             if rank <= seen + n:
-                return _bucket_value(bid, rank - seen, n)
+                estimate = _bucket_value(bid, rank - seen, n)
+                return self.low if estimate < self.low else min(estimate, self.high)
             seen += n
         raise AssertionError("bucket mass does not cover count")
 
 
 def _middle(a: float, b: float) -> float:
-    """Midpoint of the two central samples: geometric when signs agree."""
+    """Midpoint of the two central samples, ``a <= b``: geometric when signs agree."""
     if a > 0 and b > 0:
-        return math.sqrt(a) * math.sqrt(b)
-    if a < 0 and b < 0:
-        return -(math.sqrt(-a) * math.sqrt(-b))
-    return (a + b) / 2.0
+        between = math.sqrt(a) * math.sqrt(b)
+    elif a < 0 and b < 0:
+        between = -(math.sqrt(-a) * math.sqrt(-b))
+    else:
+        between = (a + b) / 2.0
+    return a if between < a else b if between > b else between  # rounding stays inside
 
 
 def _bucket_value(signed_id: int, j: int, n: int) -> float:

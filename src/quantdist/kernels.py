@@ -5,11 +5,12 @@ bucket 0 reserved for exact zero and negative values mirrored to negative
 ids, so ascending signed id is ascending value. Values outside the covered
 magnitude range land in the nearest edge bucket.
 
-``bucket_index`` is the one bucketing implementation. ``Distribution.observe``
-calls it once per value, and ``accumulate``, its batch form that
-``Distribution.of`` uses to read a kept-samples table entry, once per sample.
-Both look it up through this module's attribute, so a tracer that replaces
-the attribute sees every call.
+``bucket_index`` is the one bucketing implementation. ``accumulate``, its
+batch form, calls it once per value for ``Distribution.of``, which builds
+every summary from values: a final table's entries, a table line read back,
+and a partial table's spill and its later batches. It looks ``bucket_index``
+up through this module's attribute, so a tracer that replaces the attribute
+sees every call; ``Distribution.validate`` calls it for a summary's extrema.
 """
 
 from __future__ import annotations

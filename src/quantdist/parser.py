@@ -100,8 +100,15 @@ class Mention(NamedTuple):
         return self.quantity.dimension
 
 
+class Tokens(tuple):
+    """A token sequence whose scan keeps the tokens lowercased, in ``low``."""
+
+    low: list[str] | None = None
+
+
 def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Mention]:
-    """All measurement mentions in a token sequence of any case, left to right."""
+    """All measurement mentions in a token sequence of any case, left to right. The
+    scan reads the tokens lowercased, a list that ``Tokens`` keep for a later reader."""
     digits = [i for i, token in enumerate(tokens) if token[:1].isdecimal()]
     return _Scanner(tokens, registry).run(digits) if digits else []
 
@@ -109,6 +116,8 @@ def scan_measurements(tokens: Sequence[str], registry: UnitRegistry) -> list[Men
 class _Scanner:
     def __init__(self, tokens: Sequence[str], registry: UnitRegistry):
         self.low = [t.lower() for t in tokens]
+        if isinstance(tokens, Tokens):
+            tokens.low = self.low
         self.registry = registry
         self.n = len(tokens)
 

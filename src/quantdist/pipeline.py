@@ -19,7 +19,7 @@ from importlib import resources
 from itertools import product
 
 from .errors import LocatedLines
-from .parser import scan_measurements, tokenize
+from .parser import Tokens, scan_measurements, tokenize
 from .units import UnitRegistry
 
 NEGATION_WORDS = frozenset({"not", "no", "without", "neither", "nor"})
@@ -153,10 +153,11 @@ def extract_records(
     """
     if contains_negation(sentence.surfaces):
         return []
-    mentions = scan_measurements(sentence.surfaces, registry)
+    tokens = Tokens(sentence.surfaces)  # the scan lowercases them once, for both readers
+    mentions = scan_measurements(tokens, registry)
     if not mentions:
         return []
-    low = [s.lower() for s in sentence.surfaces]
+    low = tokens.low
     spans = [(m.start, m.end) for m in mentions]
     candidates = [
         candidate

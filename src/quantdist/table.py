@@ -13,13 +13,16 @@ count, min, max, exact-sum parts and id:count buckets. ``iter_entries`` reads a
 file's entries one line at a time and rejects, at its line, a line out of
 canonical order or under a finalized table's thresholds; ``read_table``
 collects them into a QuantTable. ``merged_entries`` is the one fold of equal
-keys, by ``Distribution.update``, of entries in canonical order: ``write_merged``
+keys, joining lists of values and folding Distributions with ``update``, of
+entries in canonical order: ``write_merged``
 feeds it a k-way merge of entry streams and writes each line as its key closes,
 so ``quantdist merge`` and ``finalize`` run in memory that does not grow with the
 tables, and ``QuantTable.merge`` feeds it a k-way merge of its tables' entries.
 
 A partial table holds each record once, under its own key, and has a format of
 its own; finalizing it derives the head-free entries, in ``finalized_entries``.
+It keeps a key's values as a plain list until they spill (``QuantTable``), as its
+readers do, so a Distribution is built once per final entry, or for a query.
 
 A table answers queries through two methods, both in the entry key's text:
 ``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
@@ -48,7 +51,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 
-from .distribution import DEFAULT_EXACT_CAP, Distribution, checked_sum, exact_units
+from .distribution import DEFAULT_EXACT_CAP, HUGE, Distribution, checked_sum, exact_units
 from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import Pos, check_distance
@@ -164,20 +167,36 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
 
 
 class QuantTable:
-    """Entries keyed by the entry key ``(dimension, POS, surface, head)``, each a Distribution.
+    """Entries keyed by the entry key ``(dimension, POS, surface, head)``.
 
-    ``observe`` takes a record row, ``get`` an entry key and ``heads_for`` a key's
-    first three columns: one key shape, all text. ``heads_for`` answers from an
-    index of the headed entries that it builds one (dimension, POS) slice at a
-    time, on first use. The index holds the entries' own Distributions, so
-    observing into an existing entry keeps it current; adding a key through
-    ``observe`` clears it.
+    A finalized table's entry is a Distribution. A partial table's entry is the list of
+    a key's values, at most ``exact_cap`` of them and none of magnitude ``HUGE``, the
+    only values that can carry a sum past the float range; else it is the key's
+    Distribution. ``observe`` adds a spilled key's values to it in batches of at most
+    ``exact_cap``, which reading ``entries`` folds in. ``get`` takes an entry key and
+    ``heads_for`` a key's first three columns, one key shape, all text, and both
+    answer with Distributions. ``heads_for`` answers from an index of the headed
+    entries that it builds one (dimension, POS) slice at a time, on first use;
+    observing a headed record clears it.
     """
 
     def __init__(self, config: BuildConfig | None = None):
         self.config = config or BuildConfig()
-        self.entries: dict[tuple[str, str, str, str], Distribution] = {}
-        # (dimension name, POS name) -> modifier surface -> head -> entry
+        self.entries = {}
+
+    @property
+    def entries(self) -> dict:
+        if self._batches:
+            for key, batch in self._batches.items():
+                self._entries[key].update(Distribution.of(batch, self.config.exact_cap))
+            self._batches.clear()
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: dict) -> None:
+        # a finalized table takes no values, so it has no batches
+        self._entries, self._batches = entries, None if self.config.finalized else {}
+        # (dimension name, POS name) -> modifier surface -> head -> Distribution
         self._heads: dict[tuple[str, str], dict[str, dict[str, Distribution]]] = {}
 
     def __len__(self) -> int:
@@ -186,7 +205,7 @@ class QuantTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantTable):
             return NotImplemented
-        return self.config == other.config and self.entries == other.entries
+        return self.serialize() == other.serialize()
 
     # ------------------------------------------------------------------
     # building
@@ -199,25 +218,41 @@ class QuantTable:
         a str (a head-free row's head is ""), an empty surface, a tag that is no
         member's name (an enum member is not its name), or a tab or a line feed in the
         surface or head, which no table or record line can hold, raises ValueError.
-        So does a value that is not finite. Either leaves the table as it was: a new
-        key is added only once its first value is in.
+        So does a value that is not finite, and a sum past the float range raises
+        OverflowError. Any of these leaves the table as it was.
         """
         if self.config.finalized:
             raise ConfigMismatchError("cannot observe into a finalized table")
         dimension, pos, surface, head, value, _ = record
-        entry = self.entries.get((dimension, pos, surface, head))
-        if entry is not None:
-            entry.observe(value)
-            return
-        if not (isinstance(surface, str) and isinstance(head, str)):
-            raise ValueError("object surface or head is not text")
-        if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
-            raise ValueError("object surface or head holds a tab or line feed")
-        key = _entry_key(surface, head, pos, dimension)
-        entry = Distribution(exact_cap=self.config.exact_cap)
-        entry.observe(value)
-        self.entries[key] = entry
-        self._heads.clear()
+        key = (dimension, pos, surface, head)
+        entry = self._entries.get(key)
+        if entry is None:
+            if not (isinstance(surface, str) and isinstance(head, str)):
+                raise ValueError("object surface or head is not text")
+            if "\t" in surface or "\n" in surface or "\t" in head or "\n" in head:
+                raise ValueError("object surface or head holds a tab or line feed")
+            key = _entry_key(surface, head, pos, dimension)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot observe non-finite value {value!r}")
+        value += 0.0  # fold -0.0
+        cap = self.config.exact_cap
+        if entry is None:
+            entry = self._entries[key] = []
+        if head:  # the head index holds a headed entry's Distribution of the moment
+            self._heads.clear()
+        if type(entry) is list and abs(value) < HUGE:
+            entry.append(value)
+            if len(entry) > cap:  # spill
+                self._entries[key] = Distribution.of(entry, cap)
+        elif type(entry) is list:  # a key holding a magnitude of HUGE keeps a Distribution
+            self._entries[key] = Distribution.of(entry + [value], cap)
+        elif abs(value) < HUGE and -HUGE < entry.minimum and entry.maximum < HUGE:
+            batch = self._batches.setdefault(key, [])  # of at most exact_cap values
+            batch.append(value)
+            if len(batch) > cap:
+                entry.update(Distribution.of(self._batches.pop(key), cap))
+        else:  # whose sum is checked at each value, once the batches are folded in
+            self.entries[key].update(Distribution.of([value], cap))
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -252,8 +287,10 @@ class QuantTable:
     # lookup
 
     def get(self, key: tuple) -> Distribution | None:
-        """The entry under the entry key ``(dimension, POS, surface, head)``, or None."""
-        return self.entries.get(key)
+        """The Distribution under the entry key ``(dimension, POS, surface, head)``, or None."""
+        if self._batches is None:  # a finalized table, whose entries are Distributions
+            return self._entries.get(key)
+        return _summary(self.entries.get(key), self.config.exact_cap)
 
     def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
@@ -264,9 +301,9 @@ class QuantTable:
         index = self._heads.get((dimension, pos))
         if index is None:
             index = self._heads[(dimension, pos)] = {}
-            for (dim, p, modifier, head), dist in self.entries.items():
+            for dim, p, modifier, head in self.entries:
                 if head and dim == dimension and p == pos:
-                    index.setdefault(modifier, {})[head] = dist
+                    index.setdefault(modifier, {})[head] = self.get((dim, p, modifier, head))
         return dict(index.get(surface, ()))
 
     # ------------------------------------------------------------------
@@ -282,22 +319,36 @@ class QuantTable:
             fh.write(self.serialize())
 
 
-def merged_entries(config: BuildConfig, entries):
-    """Yield one ``(key, Distribution)`` per key of ``entries``, folded in their order.
+def _summary(entry, exact_cap: int) -> Distribution | None:
+    """An entry as a Distribution: a list of values is summarised, not taken over."""
+    return Distribution.of(entry[:], exact_cap) if type(entry) is list else entry
 
-    ``entries`` are in canonical order, a key repeated once per Distribution to
-    fold. Each key's Distributions are folded with ``update`` into a new one, so no
-    input is mutated or shared; under a finalized ``config`` a key whose total count
-    misses the thresholds is dropped before anything is copied.
+
+def merged_entries(config: BuildConfig, entries):
+    """Yield one ``(key, entry)`` per key of ``entries``, folded in their order.
+
+    ``entries`` are in canonical order, a key repeated once per entry to fold, each a
+    list of values or a Distribution. A key's lists are joined and its Distributions
+    folded with ``update`` into a new entry, so no input is mutated or shared: a list
+    again if the key has no Distribution and, under a partial ``config``, at most
+    ``exact_cap`` values. Under a finalized ``config`` a key whose total count misses
+    the thresholds is dropped before its entry is built.
     """
+    cap = config.exact_cap
     for key, group in groupby(entries, key=itemgetter(0)):
-        dists = [dist for _, dist in group]
-        if config.finalized and not _keeps(config, key, sum(dist.count for dist in dists)):
+        values, dists = [], []
+        for _, entry in group:
+            (values.extend if type(entry) is list else dists.append)(entry)
+        count = len(values) + sum(dist.count for dist in dists) if dists else len(values)
+        if config.finalized and not _keeps(config, key, count):
             continue
-        folded = Distribution(config.exact_cap)
-        for dist in dists:
-            folded.update(dist)
-        yield key, folded
+        if dists or config.finalized or count > cap:
+            folded = Distribution.of(values, cap)
+            for dist in dists:
+                folded.update(dist)
+            yield key, folded
+        else:
+            yield key, values
 
 
 def _folded(config: BuildConfig, entries) -> QuantTable:
@@ -319,31 +370,40 @@ def _key_columns(dimension: str, pos: str, surface: str, head: str) -> str:
     return f"{surface}\t{head}\t{pos}\t{dimension}"
 
 
-def _entry_line(key: tuple, dist: Distribution) -> str:
+def _entry_line(key: tuple, entry) -> str:
     """One entry line, without its line break: the kept samples, or the spilled summary."""
     prefix = _key_columns(*key) + "\t"
-    if dist.exact is not None:
-        return prefix + " ".join(map(repr, dist.sorted_exact()))
-    buckets = " ".join(f"{bid}:{dist.buckets[bid]}" for bid in sorted(dist.buckets))
-    total = " ".join(map(repr, dist.sum_partials())) or "0.0"
-    return f"{prefix}{dist.count}\t{dist.minimum!r}\t{dist.maximum!r}\t{total}\t{buckets}"
+    samples = entry if type(entry) is list else entry.exact
+    if samples is not None:
+        return prefix + " ".join(map(repr, sorted(samples)))
+    buckets = " ".join(f"{bid}:{entry.buckets[bid]}" for bid in sorted(entry.buckets))
+    total = " ".join(map(repr, entry.sum_partials())) or "0.0"
+    return f"{prefix}{entry.count}\t{entry.minimum!r}\t{entry.maximum!r}\t{total}\t{buckets}"
 
 
-def _entry_value(config: BuildConfig, key: tuple, rest: str) -> Distribution:
-    """The Distribution of an entry line's columns after ``key``, either shape.
+def _entry_value(config: BuildConfig, key: tuple, rest: str):
+    """The entry of an entry line's columns after ``key``, either shape: a partial
+    table's kept line is the list of its values unless one has a magnitude of ``HUGE``,
+    and any other line a Distribution.
 
     ValueError if malformed, or under a finalized ``config``'s thresholds.
     """
-    values = rest.split("\t")
+    values, cap = rest.split("\t"), config.exact_cap
     if len(values) == 1:
-        dist = Distribution.of(list(map(float, rest.split(" "))), config.exact_cap)
+        entry = list(map(float, rest.split(" ")))
+        if len(entry) > cap:
+            raise ValueError(f"{len(entry)} samples exceed exact_cap {cap}")
+        if config.finalized or not all(abs(v) < HUGE for v in entry):  # or not finite
+            entry = Distribution.of(entry, cap)
+        elif 0.0 in entry:
+            entry = [v + 0.0 for v in entry]  # fold -0.0
     elif len(values) == 5:
-        dist = _spilled(values, config.exact_cap)
+        entry = _spilled(values, cap)
     else:
         raise ValueError(f"expected 5 or 9 columns, got {4 + len(values)}")
-    if config.finalized and not _keeps(config, key, dist.count):
-        raise ValueError(f"count {dist.count} is under the finalized table's thresholds")
-    return dist
+    if config.finalized and not _keeps(config, key, entry.count):
+        raise ValueError(f"count {entry.count} is under the finalized table's thresholds")
+    return entry
 
 
 def _spilled(values: list, exact_cap: int) -> Distribution:
@@ -538,7 +598,8 @@ class TableFile:
             self._file.seek(offset)
             line = self._file.readline().decode("utf-8").rstrip("\r\n")
             try:
-                self._found[key] = _entry_value(self.config, key, line.split("\t", 4)[4])
+                entry = _entry_value(self.config, key, line.split("\t", 4)[4])
+                self._found[key] = _summary(entry, self.config.exact_cap)
             except (ValueError, OverflowError) as exc:
                 self._file.seek(0)
                 line_number = self._file.read(offset).count(b"\n") + 1

@@ -226,11 +226,8 @@ def test_criterion_4_aggregation_monoid():
         for _ in range(1000):
             n = rng.randint(1, 120)
             values = [10.0 ** rng.uniform(-6, 6) for _ in range(n)]
-            exact = Distribution(exact_cap=len(values))
-            spilled = Distribution(exact_cap=0)
-            for v in values:
-                exact.observe(v)
-                spilled.observe(v)
+            exact = Distribution.of(list(values), exact_cap=len(values))
+            spilled = Distribution.of(list(values), exact_cap=0)
             ratio = spilled.median() / exact.median()
             assert (1.0 / width) * (1 - 1e-9) <= ratio <= width * (1 + 1e-9)
 

@@ -875,6 +875,30 @@ def test_merge_memory_does_not_grow_with_its_inputs(tmp_path):
     assert peaks[1] < 1.2 * peaks[0], peaks
 
 
+def test_aggregate_memory_grows_with_entries_not_records(tmp_path):
+    """``aggregate`` keeps a spilled key's summary and one batch of its later values: its
+    peak allocation stays flat when one key's records grow 10x."""
+    streams = {}
+    for n in (2_000, 20_000):
+        streams[n] = str(tmp_path / f"{n}.records")
+        with open(streams[n], "w", encoding="utf-8") as fh:
+            fh.write(_STREAM_HEADER)
+            fh.writelines(f"car\t\tNOUN\tMASS\t{1.5 ** (i % 40)!r}\t0\n" for i in range(n))
+    out = str(tmp_path / "t.part")
+    argv = ["aggregate", "--exact-cap", "16", "-o", out]
+    assert main([*argv, streams[2_000]]) == 0  # one-time allocations, untraced
+    peaks = []
+    for n in (2_000, 20_000):
+        gc.collect()  # no earlier test's garbage is finalized while tracing
+        tracemalloc.start()
+        try:
+            assert main([*argv, streams[n]]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
 def test_read_commands_memory_does_not_grow_with_the_table(tmp_path, capsys):
     """``query`` and ``compare`` bisect the table file: their peak allocation stays flat
     when it grows 4x."""

@@ -50,9 +50,10 @@ def random_values(rng: random.Random, n: int, positive_only=False):
 
 
 def build(values, cap=4096):
+    """``values`` folded into one summary one at a time, as a stream adds them."""
     d = Distribution(exact_cap=cap)
     for v in values:
-        d.observe(v)
+        d.update(Distribution.of([v], cap))
     return d
 
 
@@ -107,10 +108,7 @@ def test_canonical_partials_order_independent():
     for _ in range(20):
         rng.shuffle(values)
         parts = []
-        d = Distribution(exact_cap=0)
-        for v in values:
-            d.observe(v)
-        parts = d.sum_partials()
+        parts = build(values, cap=0).sum_partials()
         if reference is None:
             reference = parts
         assert parts == reference  # exact float equality, element by element
@@ -168,7 +166,7 @@ def test_merge_shard_invariance():
         k = rng.randint(1, 6)
         shards = [Distribution() for _ in range(k)]
         for v in values:
-            shards[rng.randrange(k)].observe(v)
+            shards[rng.randrange(k)].update(Distribution.of([v]))
         rng.shuffle(shards)
         folded = copy.deepcopy(shards[0])
         for s in shards[1:]:
@@ -193,12 +191,11 @@ def test_merge_cap_mismatch_rejected():
 
 
 def test_spill_drops_samples_keeps_histogram():
-    d = Distribution(exact_cap=3)
-    for v in (1.0, 2.0, 3.0):
-        d.observe(v)
+    d = build([1.0, 2.0, 3.0], cap=3)
     assert d.is_exact
-    d.observe(4.0)
+    d.update(Distribution.of([4.0], 3))
     assert not d.is_exact
+    assert d == Distribution.of([1.0, 2.0, 3.0, 4.0], 3)  # a batch past the cap spills too
     assert d.count == 4
     assert sum(d.buckets.values()) == 4
     assert d.minimum == 1.0 and d.maximum == 4.0
@@ -215,11 +212,9 @@ def test_spill_via_merge():
 
 
 def test_rejects_non_finite():
-    d = Distribution()
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            d.observe(bad)
-    assert d.count == 0
+            Distribution.of([1.0, bad])
 
 
 def test_negative_zero_folds_to_zero():
@@ -296,10 +291,10 @@ def test_sum_expansion_matches_fraction_oracle(values):
             # the running sum must round to a finite float at every step
             before = copy.deepcopy(d)
             with pytest.raises(OverflowError):
-                d.observe(v)
+                d.update(Distribution.of([v], 0))
             assert d == before
             return
-        d.observe(v)
+        d.update(Distribution.of([v], 0))
     expected = oracle_expansion(total)
     assert d.sum_partials() == expected
     assert d.sum() == (expected[0] if expected else 0.0)
@@ -308,7 +303,7 @@ def test_sum_expansion_matches_fraction_oracle(values):
 def test_sum_overflow_raises_and_leaves_state():
     d = build([1e308])
     with pytest.raises(OverflowError):
-        d.observe(1e308)
+        d.update(Distribution.of([1e308]))
     assert d == build([1e308])
     a, b = build([1e308]), build([1e308])
     with pytest.raises(OverflowError):
@@ -348,20 +343,14 @@ def test_update_in_place_equals_merge():
     st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12),
 )
 def test_observed_and_merged_summaries_validate(a, b):
-    left, right = Distribution(exact_cap=8), Distribution(exact_cap=8)
-    for v in a:
-        left.observe(v)
-    for v in b:
-        right.observe(v)
+    left, right = build(a, cap=8), build(b, cap=8)
     for dist in (left, right, merged(left, right)):
         dist.validate()
 
 
 def test_validate_rejects_inconsistent_fields():
     def broken(**fields):
-        d = Distribution(exact_cap=4)
-        for v in (2.0, 3.0, 30.0):
-            d.observe(v)
+        d = Distribution.of([2.0, 3.0, 30.0], 4)
         for name, value in fields.items():
             setattr(d, name, value)
         return d
@@ -383,12 +372,15 @@ def test_validate_rejects_inconsistent_fields():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12))
-def test_of_equals_observing_each_sample(values):
-    """The batch constructor a table reader uses builds what observing builds, -0.0 folded."""
-    batch, observed = Distribution.of(list(values), 12), build(values, cap=12)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=12), st.integers(0, 13))
+def test_of_equals_observing_each_sample(values, cap):
+    """One batch builds what folding its values one at a time builds, -0.0 folded, kept
+    samples or past ``cap`` the spilled summary."""
+    batch, observed = Distribution.of(list(values), cap), build(values, cap=cap)
     assert batch == observed
-    assert list(map(repr, batch.sorted_exact())) == list(map(repr, observed.sorted_exact()))
+    assert batch.is_exact == (len(values) <= cap)
+    if batch.is_exact:
+        assert list(map(repr, batch.sorted_exact())) == list(map(repr, observed.sorted_exact()))
     batch.validate()
 
 
@@ -396,8 +388,36 @@ def test_of_rejects_a_bad_batch():
     for samples, cap, error, message in [
         ([1.0, math.nan], 4, ValueError, "non-finite sample"),
         ([-math.inf], 4, ValueError, "non-finite sample"),
-        ([1.0, 2.0, 3.0], 2, ValueError, "3 samples exceed exact_cap 2"),
         ([1e308, 1e308], 4, OverflowError, "overflowed"),
     ]:
         with pytest.raises(error, match=message):
             Distribution.of(samples, cap)
+
+
+def test_spilled_estimates_are_clamped_into_min_and_max():
+    """Every magnitude at or past 1e12 lands in the top bucket, whose estimates lie
+    below 1e12; a spilled entry answers inside its own exact [min, max] all the same."""
+    d = Distribution.of([2e12] * 3 + [5e14] * 4, exact_cap=4)
+    assert not d.is_exact
+    assert d.median() == 2e12  # 8.91e11 unclamped, below the minimum
+    assert [d.quantile(q) for q in (0.0, 0.1, 0.9, 1.0)] == [2e12, 2e12, 2e12, 2e12]
+    stats = d.stats()
+    assert d.minimum <= stats["p5"] <= stats["median"] <= stats["p95"] <= d.maximum
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    st.integers(0, 32),
+    st.floats(0.0, 1.0),
+)
+def test_median_and_quantiles_lie_in_min_and_max(values, cap, q):
+    """Over finite multisets, subnormals and values near the float maximum included, a
+    summary kept or spilled answers its median and quantiles inside [min, max]."""
+    try:
+        d = Distribution.of(list(values), cap)
+    except OverflowError:  # a sum past the float range is no summary
+        return
+    stats = d.stats()
+    for answer in (d.median(), d.quantile(q), stats["median"], stats["p5"], stats["p95"]):
+        assert d.minimum <= answer <= d.maximum, (answer, d)

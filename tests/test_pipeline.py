@@ -431,6 +431,32 @@ def test_extraction_ignores_ascii_case(registry):
     assert mixed > 1000  # nearly every sentence does change case
 
 
+class _CountedLower(str):
+    """A token that counts how often it is lowercased."""
+
+    calls = 0
+
+    def lower(self):
+        _CountedLower.calls += 1
+        return str.lower(self)
+
+
+def test_extraction_lowercases_a_sentence_once(registry):
+    """The scan and the candidate objects read one lowercased list, made only for a
+    sentence with a digit token."""
+    config = ExtractionConfig()
+    for text, lowered in (("The Truck weighs 40 KG.", 1), ("The sky is Blue.", 0)):
+        sentence = AnnotatedSentence.from_plain(text)
+        counted = AnnotatedSentence(
+            tuple(map(_CountedLower, sentence.surfaces)), sentence.pos, sentence.heads
+        )
+        _CountedLower.calls = 0
+        assert extract_records(counted, config, registry) == extract_records(
+            sentence, config, registry
+        )
+        assert _CountedLower.calls == lowered * len(sentence.surfaces), text
+
+
 def test_extraction_calls_the_negation_test_and_the_scan_by_module_name(registry, monkeypatch):
     # perfbench times the scan and counts negated sentences by patching these two names
     sentences = list(_generated_sentences(random.Random(11), 40)) + [

@@ -1,12 +1,16 @@
 """Table tests: single credit, head-free derivation, monoid laws, thresholds, canonical bytes."""
 
 import contextlib
+import copy
 import functools
 import io
 import json
 import os
 import random
+import sys
 import tempfile
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -441,10 +445,15 @@ def test_heads_for():
 def scanned_heads(table, surface, pos, dimension):
     """Reference for ``heads_for``: one pass over every entry, keyed (dimension, POS, surface, head)."""
     return {
-        h: dist
-        for (d, p, s, h), dist in table.entries.items()
+        h: entry
+        for (d, p, s, h), entry in table.entries.items()
         if d == dimension.name and p == pos.name and s == surface and h
     }
+
+
+def summarised(entry, exact_cap):
+    """A table entry as a Distribution: a partial table's list of values is summarised."""
+    return entry if isinstance(entry, Distribution) else Distribution.of(list(entry), exact_cap)
 
 
 def assert_heads_match_scan(table, headed=False):
@@ -456,8 +465,10 @@ def assert_heads_match_scan(table, headed=False):
             for dimension in (Dimension.MASS, Dimension.SPEED, Dimension.LENGTH):
                 got = table.heads_for(dimension.name, pos.name, surface)
                 want = scanned_heads(table, surface, pos, dimension)
-                assert got == want, (surface, pos, dimension)
-                assert all(got[head] is want[head] for head in want)
+                cap = table.config.exact_cap
+                assert got == {h: summarised(e, cap) for h, e in want.items()}, (surface, pos)
+                # a Distribution entry is answered as itself, a list of values anew
+                assert all(got[h] is e for h, e in want.items() if isinstance(e, Distribution))
                 found = found or bool(want)
     assert found or not headed
 
@@ -723,3 +734,150 @@ def test_finalize_derives_head_free_entries_like_crediting_twice(tagged, min_cou
         assert main(["finalize", merged, "--min-count", str(min_count), "-o", final]) == 0
         with open(final, "rb") as fh:
             assert fh.read() == expected.encode("utf-8")
+
+
+_TOP = sys.float_info.max
+_OVERFLOW = Fraction(2**1024 - 2**970)  # an exact sum this large rounds to an infinite float
+_ORACLE_SUBJECTS = [
+    ("car", Pos.NOUN, None),
+    ("race car", Pos.NOUN, "car"),
+    ("fast", Pos.ADJ, None),
+    ("fast", Pos.ADJ, "car"),
+    ("fast", Pos.ADJ, "truck"),
+]
+# at most 40 values of magnitude _TOP / 64 or less: no sum of them leaves the float range
+_ORACLE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.5, 1e12, 2.0**960, _TOP / 64]
+) | st.floats(-_TOP / 64, _TOP / 64)
+_ORACLE_RECORDS = st.lists(
+    st.tuples(
+        st.builds(
+            lambda subject, dim, value: record(subject[0], dim, value, subject[1], subject[2]),
+            st.sampled_from(_ORACLE_SUBJECTS),
+            st.sampled_from([Dimension.MASS, Dimension.SPEED]),
+            _ORACLE_VALUES,
+        ),
+        st.integers(0, N_SHARDS - 1),
+    ),
+    max_size=40,
+)
+
+
+def reference_table(records, config):
+    """The table of ``records`` built from each key's whole multiset with ``Distribution.of``:
+    under a finalized ``config`` each modifier's values also go under its head-free key,
+    and keys under the thresholds are dropped."""
+    values = {}
+    for dimension, pos, surface, head, value, _ in records:
+        keys = [(dimension, pos, surface, head)]
+        if config.finalized and head:
+            keys.append((dimension, pos, surface, ""))
+        for key in keys:
+            values.setdefault(key, []).append(value)
+    least = lambda key: max(config.min_count, config.min_phrase_count if " " in key[2] else 1)
+    table = QuantTable(config)
+    table.entries = {
+        key: Distribution.of(list(vs), config.exact_cap)
+        for key, vs in values.items()
+        if not config.finalized or len(vs) >= least(key)
+    }
+    return table
+
+
+def assert_answers_like(table, reference):
+    """``get`` and ``heads_for`` answer with the reference's Distributions, and a miss with None."""
+    for key, dist in reference.entries.items():
+        got = table.get(key)
+        assert isinstance(got, Distribution) and got == dist, key
+        heads = {k[3]: d for k, d in reference.entries.items() if k[:3] == key[:3] and k[3]}
+        assert table.heads_for(*key[:3]) == heads, key
+    assert table.get(("MASS", "NOUN", "absent", "")) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ORACLE_RECORDS, st.sampled_from([0, 1, 2, 16]), st.permutations(range(N_SHARDS)))
+def test_partial_and_final_tables_match_a_whole_multiset_reference(tagged, exact_cap, order):
+    """However records are sharded and merged, the partial and final tables serialize and
+    answer like a reference that summarises each key's whole multiset at once."""
+    records = [r for r, _ in tagged]
+    config = BuildConfig(exact_cap=exact_cap)
+    final_config = replace(config, min_count=2, finalized=True)
+    partial, final = reference_table(records, config), reference_table(records, final_config)
+    one_pass = build(records, exact_cap=exact_cap)
+    shards = [build([r for r, shard in tagged if shard == i], exact_cap=exact_cap) for i in order]
+    before = [(shard.serialize(), copy.deepcopy(shard.entries)) for shard in shards]
+    pairwise = functools.reduce(lambda a, b: a.merge(b), shards)
+    merged = shards[0].merge(*shards[1:])
+    assert [(shard.serialize(), shard.entries) for shard in shards] == before  # inputs untouched
+    for table in (one_pass, pairwise, merged):
+        assert table.serialize() == partial.serialize()
+        assert_answers_like(table, partial)
+        finalized = table.finalize(2)
+        assert finalized.serialize() == final.serialize()
+        assert_answers_like(finalized, final)
+    with tempfile.TemporaryDirectory() as d:  # a partial table read back answers alike
+        path = os.path.join(d, "t.part")
+        one_pass.write(path)
+        assert_answers_like(read_table(path), partial)
+
+
+def overflow_record(records):
+    """The index of the first record whose key's exact running sum rounds to an infinite
+    float, or None: the reference for where observing ``records`` in order fails."""
+    sums = {}
+    for i, (dimension, pos, surface, head, value, _) in enumerate(records):
+        key = (dimension, pos, surface, head)
+        sums[key] = sums.get(key, 0) + Fraction(value)
+        if abs(sums[key]) >= _OVERFLOW:
+            return i
+    return None
+
+
+def assert_overflow_at_its_record(records, exact_cap):
+    """Observing ``records`` fails at the reference's record, leaving the table as it was."""
+    assert_overflow_at(QuantTable(BuildConfig(exact_cap=exact_cap)), records, overflow_record(records))
+
+
+def assert_overflow_at(table, records, failing):
+    """Observing ``records`` into ``table`` fails at index ``failing``, leaving it as it was."""
+    for i, r in enumerate(records):
+        if i == failing:
+            before = table.serialize()
+            with pytest.raises(OverflowError):
+                table.observe(r)
+            assert table.serialize() == before
+            return
+        table.observe(r)
+    assert failing is None
+
+
+_BIG_VALUES = st.sampled_from(
+    [_TOP, -_TOP, 2.0**1000, -(2.0**1000), 1.9 * 2.0**959, -1.9 * 2.0**959, 1.0, -0.0, 5e-324]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["car", "truck"]), _BIG_VALUES), max_size=30),
+    st.sampled_from([0, 1, 2, 16]),
+)
+def test_a_running_sum_overflows_at_the_record_of_a_fraction_reference(rows, exact_cap):
+    records = [record(surface, Dimension.MASS, value) for surface, value in rows]
+    assert_overflow_at_its_record(records, exact_cap)
+
+
+def test_a_near_maximum_value_then_many_small_ones_overflow_at_their_record():
+    """Values below 2**960 move a sum past the float range only once a key holds one at or
+    above it: here the 1,078th value of 1.9 * 2**959 after the largest float."""
+    small = 1.9 * 2.0**959
+    records = [record("car", Dimension.MASS, _TOP)] + [record("car", Dimension.MASS, small)] * 1200
+    assert overflow_record(records) == 1078
+    for exact_cap in (0, 1, 2, 16, 4096):
+        assert_overflow_at_its_record(records, exact_cap)
+        # and so does a table that holds the largest float from a merge or from a file
+        first = build(records[:1], exact_cap=exact_cap)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.part")
+            first.write(path)
+            for table in (first.merge(QuantTable(first.config)), read_table(path)):
+                assert_overflow_at(table, records[1:], 1077)
