@@ -7,8 +7,8 @@ magnitude range land in the nearest edge bucket.
 
 ``bucket_index`` is the one bucketing implementation. ``accumulate``, its
 batch form, calls it once per value for ``Distribution.of``, which builds
-every summary from values: a final table's entries, a table line read back,
-and a partial table's spill and its later batches. It looks ``bucket_index``
+every summary from values: a spill and its later batches, a table line read
+back, and a finalized table's kept entry once read. It looks ``bucket_index``
 up through this module's attribute, so a tracer that replaces the attribute
 sees every call; ``Distribution.validate`` calls it for a summary's extrema.
 """

@@ -21,8 +21,8 @@ tables, and ``QuantTable.merge`` feeds it a k-way merge of its tables' entries.
 
 A partial table holds each record once, under its own key, and has a format of
 its own; finalizing it derives the head-free entries, in ``finalized_entries``.
-It keeps a key's values as a plain list until they spill (``QuantTable``), as its
-readers do, so a Distribution is built once per final entry, or for a query.
+A table keeps a key's values as a list until they spill (``QuantTable``), so a
+Distribution is built for a spilled key, a line read back or a query, not to write.
 
 A table answers queries through two methods, both in the entry key's text:
 ``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
@@ -134,10 +134,15 @@ def finalized_entries(config: BuildConfig, entries, min_count: int):
         yield from entries
         return
     yield replace(config, min_count=min_count, finalized=True)
-    for modifier, run in groupby(entries, key=lambda entry: entry[0][:3]):
-        run = list(run)
-        yield from (((*modifier, ""), dist) for _, dist in run)
-        yield from (entry for entry in run if entry[0][3])
+    modifier, headed = None, []
+    for key, entry in entries:
+        if key[:3] != modifier:  # a new modifier, whose head-free key sorts first
+            yield from headed
+            modifier, head_free, headed = key[:3], (*key[:3], ""), []
+        if key[3]:
+            headed.append((key, entry))
+        yield (head_free if key[3] else key), entry
+    yield from headed
 
 
 def _keeps(config: BuildConfig, key: tuple, count: int) -> bool:
@@ -169,15 +174,15 @@ def _entry_key(surface: str, head: str, pos: str, dimension: str) -> tuple:
 class QuantTable:
     """Entries keyed by the entry key ``(dimension, POS, surface, head)``.
 
-    A finalized table's entry is a Distribution. A partial table's entry is the list of
-    a key's values, at most ``exact_cap`` of them and none of magnitude ``HUGE``, the
-    only values that can carry a sum past the float range; else it is the key's
-    Distribution. ``observe`` adds a spilled key's values to it in batches of at most
-    ``exact_cap``, which reading ``entries`` folds in. ``get`` takes an entry key and
-    ``heads_for`` a key's first three columns, one key shape, all text, and both
-    answer with Distributions. ``heads_for`` answers from an index of the headed
-    entries that it builds one (dimension, POS) slice at a time, on first use;
-    observing a headed record clears it.
+    An entry is the list of a key's values, at most ``exact_cap`` of them and none of
+    magnitude ``HUGE``, the only values that can carry a sum past the float range; else
+    it is the key's Distribution. ``observe`` adds a spilled key's values to it in
+    batches of at most ``exact_cap``, which reading ``entries`` folds in; a finalized
+    table, which is frozen, keeps a list's summary once ``entries``, ``get`` or
+    ``heads_for`` reads it. ``get`` takes an entry key and ``heads_for`` a key's first
+    three columns, one key shape, all text, and both answer with Distributions.
+    ``heads_for`` answers from an index of the headed entries that it builds one
+    (dimension, POS) slice at a time, on first use; observing a headed record clears it.
     """
 
     def __init__(self, config: BuildConfig | None = None):
@@ -186,6 +191,14 @@ class QuantTable:
 
     @property
     def entries(self) -> dict:
+        if self._batches is None and not self._summarised:  # ``get`` keeps each summary
+            for key in self._entries:
+                self.get(key)
+            self._summarised = True
+        return self._held()
+
+    def _held(self) -> dict:
+        """The entries as held, lists and Distributions, with every batch folded in."""
         if self._batches:
             for key, batch in self._batches.items():
                 self._entries[key].update(Distribution.of(batch, self.config.exact_cap))
@@ -196,11 +209,12 @@ class QuantTable:
     def entries(self, entries: dict) -> None:
         # a finalized table takes no values, so it has no batches
         self._entries, self._batches = entries, None if self.config.finalized else {}
+        self._summarised = self.config.finalized and list not in map(type, entries.values())
         # (dimension name, POS name) -> modifier surface -> head -> Distribution
         self._heads: dict[tuple[str, str], dict[str, dict[str, Distribution]]] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantTable):
@@ -269,7 +283,7 @@ class QuantTable:
         thresholds so the result is again a valid finalized table.
         """
         tables = (self, *others)
-        entries = heapq.merge(*(sorted(t.entries.items()) for t in tables), key=itemgetter(0))
+        entries = heapq.merge(*(sorted(t._held().items()) for t in tables), key=itemgetter(0))
         return _folded(merged_config([t.config for t in tables]), entries)
 
     def finalize(self, min_count: int) -> "QuantTable":
@@ -280,7 +294,7 @@ class QuantTable:
         partial table's head-free entries are derived (``finalized_entries``).
         Finalizing twice composes to the larger threshold.
         """
-        entries = finalized_entries(self.config, sorted(self.entries.items()), min_count)
+        entries = finalized_entries(self.config, sorted(self._held().items()), min_count)
         return _folded(next(entries), entries)
 
     # ------------------------------------------------------------------
@@ -288,9 +302,12 @@ class QuantTable:
 
     def get(self, key: tuple) -> Distribution | None:
         """The Distribution under the entry key ``(dimension, POS, surface, head)``, or None."""
-        if self._batches is None:  # a finalized table, whose entries are Distributions
+        if self._summarised:  # a finalized table whose every entry is a Distribution
             return self._entries.get(key)
-        return _summary(self.entries.get(key), self.config.exact_cap)
+        entry = self._held().get(key)
+        if type(entry) is list and self._batches is None:  # a frozen table keeps its summary
+            entry = self._entries[key] = Distribution.of(entry, self.config.exact_cap)
+        return _summary(entry, self.config.exact_cap)
 
     def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
@@ -301,7 +318,7 @@ class QuantTable:
         index = self._heads.get((dimension, pos))
         if index is None:
             index = self._heads[(dimension, pos)] = {}
-            for dim, p, modifier, head in self.entries:
+            for dim, p, modifier, head in self._entries:
                 if head and dim == dimension and p == pos:
                     index.setdefault(modifier, {})[head] = self.get((dim, p, modifier, head))
         return dict(index.get(surface, ()))
@@ -310,8 +327,8 @@ class QuantTable:
     # serialization
 
     def serialize(self) -> str:
-        lines = [_header_line(self.config, entries=len(self.entries))]
-        lines += [_entry_line(key, self.entries[key]) for key in sorted(self.entries)]
+        lines = [_header_line(self.config, entries=len(self._entries))]
+        lines += [_entry_line(*entry) for entry in sorted(self._held().items())]
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -330,25 +347,23 @@ def merged_entries(config: BuildConfig, entries):
     ``entries`` are in canonical order, a key repeated once per entry to fold, each a
     list of values or a Distribution. A key's lists are joined and its Distributions
     folded with ``update`` into a new entry, so no input is mutated or shared: a list
-    again if the key has no Distribution and, under a partial ``config``, at most
-    ``exact_cap`` values. Under a finalized ``config`` a key whose total count misses
+    again if the key has no Distribution and at most ``exact_cap`` values, under any
+    ``config``. Under a finalized ``config`` a key whose total count misses
     the thresholds is dropped before its entry is built.
     """
     cap = config.exact_cap
     for key, group in groupby(entries, key=itemgetter(0)):
-        values, dists = [], []
+        joined, dists = [], []
         for _, entry in group:
-            (values.extend if type(entry) is list else dists.append)(entry)
-        count = len(values) + sum(dist.count for dist in dists) if dists else len(values)
+            (joined.extend if type(entry) is list else dists.append)(entry)
+        count = len(joined) + sum(dist.count for dist in dists) if dists else len(joined)
         if config.finalized and not _keeps(config, key, count):
             continue
-        if dists or config.finalized or count > cap:
-            folded = Distribution.of(values, cap)
+        if dists or count > cap:
+            joined = Distribution.of(joined, cap)
             for dist in dists:
-                folded.update(dist)
-            yield key, folded
-        else:
-            yield key, values
+                joined.update(dist)
+        yield key, joined
 
 
 def _folded(config: BuildConfig, entries) -> QuantTable:
@@ -700,8 +715,6 @@ def aggregate(paths, exact_cap: int) -> QuantTable:
                     # the key columns are checked before the value
                     dimension, pos, surface, head = _entry_key(surface, head, pos, dimension)
                     value = float(value_s)
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite value {value_s!r}")
                     gap = int(gap_s)
                     if gap < 0 or (config.distance is not None and gap >= config.distance):
                         raise ValueError(f"token gap {gap} outside the extraction window")

@@ -821,6 +821,83 @@ def test_partial_and_final_tables_match_a_whole_multiset_reference(tagged, exact
         assert_answers_like(read_table(path), partial)
 
 
+def counted_of(monkeypatch) -> list:
+    """From now on, the number of values of each ``Distribution.of`` call, in call order."""
+    calls, of = [], Distribution.of
+
+    def counted(samples, *args):
+        calls.append(len(samples))
+        return of(samples, *args)
+
+    monkeypatch.setattr(Distribution, "of", staticmethod(counted))
+    return calls
+
+
+def spilled_lines(text: str) -> int:
+    """How many entry lines of a table's text hold a spilled summary, not its samples."""
+    return sum(len(line.split("\t")) == 9 for line in text.splitlines()[1:])
+
+
+def test_finalize_builds_a_distribution_only_for_a_spilled_key(tmp_path, monkeypatch):
+    """In memory and through ``quantdist finalize``, finalizing calls ``Distribution.of`` once
+    per spilled key and writes each kept line from its values."""
+    records = [record("car", Dimension.MASS, float(v)) for v in range(6)]  # spills when observed
+    records += [  # whose head-free entry spills only when finalize derives it
+        record("fast", Dimension.SPEED, float(v), pos=Pos.ADJ, head=head)
+        for v, head in enumerate(["car", "car", "truck", "truck", None])
+    ]
+    records += [record("goose", Dimension.MASS, 4.0)] * 2
+    partial = build(records, exact_cap=4)
+    partial.write(tmp_path / "t.part")  # which folds the pending batch of "car" in
+    expected = partial.finalize(1).serialize()
+    assert spilled_lines(expected) == 2
+    calls = counted_of(monkeypatch)
+    final = partial.finalize(1)
+    assert final.serialize() == expected and len(calls) == 2
+    del calls[:]
+    out = tmp_path / "t.table"
+    assert main(["finalize", str(tmp_path / "t.part"), "--min-count", "1", "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected and len(calls) == 2
+    assert all(isinstance(dist, Distribution) for dist in final.entries.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ORACLE_RECORDS, st.sampled_from([0, 1, 2, 16]))
+def test_a_finalized_table_keeps_the_summary_that_a_read_builds(tagged, exact_cap):
+    """A finalized table's ``get``, ``heads_for`` and ``entries`` answer with the reference's
+    Distributions, whichever reads first, and every later read with the same objects."""
+    records = [r for r, _ in tagged]
+    reference = reference_table(records, BuildConfig(exact_cap=exact_cap, min_count=2, finalized=True))
+    final = build(records, exact_cap=exact_cap).finalize(2)
+    assert_answers_like(final, reference)  # get and heads_for read first
+    for key in reference.entries:
+        assert final.get(key) is final.get(key)
+        assert all(d is final.get((*key[:3], h)) for h, d in final.heads_for(*key[:3]).items())
+    assert final.entries == reference.entries
+    assert all(dist is final.get(key) for key, dist in final.entries.items())
+    fresh = build(records, exact_cap=exact_cap).finalize(2)
+    assert fresh.entries == reference.entries  # entries reads first
+    assert all(type(dist) is Distribution and dist is fresh.get(key) for key, dist in fresh.entries.items())
+    assert final.serialize() == fresh.serialize() == reference.serialize()
+
+
+def test_read_table_builds_every_entry_of_a_finalized_file_as_it_reads(tmp_path, monkeypatch):
+    """``read_table`` calls ``Distribution.of`` for each kept line of a finalized file as it
+    reads it, so its table holds a Distribution for every entry and a query builds none."""
+    final = build(random_records(random.Random(3), 300), exact_cap=8).finalize(2)
+    final.write(tmp_path / "t.table")
+    text = final.serialize()
+    calls = counted_of(monkeypatch)
+    back = read_table(tmp_path / "t.table")
+    kept = len(back) - spilled_lines(text)
+    assert kept > 0 and spilled_lines(text) > 0 and len(calls) == kept
+    for dimension, pos, surface, head in list(back.entries):
+        assert isinstance(back.get((dimension, pos, surface, head)), Distribution)
+        back.heads_for(dimension, pos, surface)
+    assert all(type(dist) is Distribution for dist in back.entries.values())
+    assert len(calls) == kept and back.serialize() == text
+
+
 def overflow_record(records):
     """The index of the first record whose key's exact running sum rounds to an infinite
     float, or None: the reference for where observing ``records`` in order fails."""
