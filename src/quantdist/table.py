@@ -26,9 +26,10 @@ Distribution is built for a spilled key, a line read back or a query, not to wri
 
 A table answers queries through two methods, both in the entry key's text:
 ``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
-first three columns. A QuantTable answers from its dict, and a TableFile, which
-the read commands use, by bisecting the line offsets of the file and parsing
-only the lines it finds.
+first three columns. A QuantTable answers from its dict, indexing the headed
+entries of a (dimension, POS) at each ``heads_for`` and keeping that index only
+once finalized, and a TableFile, which the read commands use, by bisecting the
+line offsets of the file and parsing only the lines it finds.
 
 A record, as ``extract_records`` yields it, is an entry key followed by a value
 and a token gap; ``QuantTable.observe`` credits it once. The record stream from
@@ -176,25 +177,29 @@ class QuantTable:
 
     An entry is the list of a key's values, at most ``exact_cap`` of them and none of
     magnitude ``HUGE``, the only values that can carry a sum past the float range; else
-    it is the key's Distribution. ``observe`` adds a spilled key's values to it in
-    batches of at most ``exact_cap``, which reading ``entries`` folds in; a finalized
-    table, which is frozen, keeps a list's summary once ``entries``, ``get`` or
-    ``heads_for`` reads it. ``get`` takes an entry key and ``heads_for`` a key's first
-    three columns, one key shape, all text, and both answer with Distributions.
-    ``heads_for`` answers from an index of the headed entries that it builds one
-    (dimension, POS) slice at a time, on first use; observing a headed record clears it.
+    it is the key's Distribution. ``QuantTable(config, entries)`` takes over the
+    ``entries`` dict, and ``__init__`` alone sets up a table's state. ``observe`` adds a
+    spilled key's values to it in batches of at most ``exact_cap``, which reading
+    ``entries`` folds in; a finalized table, which is frozen, keeps a list's summary
+    once ``entries``, ``get`` or ``heads_for`` reads it. ``get`` takes an entry key and
+    ``heads_for`` a key's first three columns, one key shape, all text, and both answer
+    with Distributions.
     """
 
-    def __init__(self, config: BuildConfig | None = None):
+    def __init__(self, config: BuildConfig | None = None, entries: dict | None = None):
         self.config = config or BuildConfig()
-        self.entries = {}
+        self._entries = {} if entries is None else entries
+        # a finalized table takes no values, so it has no batches
+        self._batches = None if self.config.finalized else {}
+        self._summarised = self.config.finalized and list not in map(type, self._entries.values())
+        # a finalized table's (dimension name, POS name) -> modifier surface -> head -> Distribution
+        self._heads: dict[tuple[str, str], dict[str, dict[str, Distribution]]] = {}
 
     @property
     def entries(self) -> dict:
         if self._batches is None and not self._summarised:  # ``get`` keeps each summary
             for key in self._entries:
                 self.get(key)
-            self._summarised = True
         return self._held()
 
     def _held(self) -> dict:
@@ -204,14 +209,6 @@ class QuantTable:
                 self._entries[key].update(Distribution.of(batch, self.config.exact_cap))
             self._batches.clear()
         return self._entries
-
-    @entries.setter
-    def entries(self, entries: dict) -> None:
-        # a finalized table takes no values, so it has no batches
-        self._entries, self._batches = entries, None if self.config.finalized else {}
-        self._summarised = self.config.finalized and list not in map(type, entries.values())
-        # (dimension name, POS name) -> modifier surface -> head -> Distribution
-        self._heads: dict[tuple[str, str], dict[str, dict[str, Distribution]]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -252,8 +249,6 @@ class QuantTable:
         cap = self.config.exact_cap
         if entry is None:
             entry = self._entries[key] = []
-        if head:  # the head index holds a headed entry's Distribution of the moment
-            self._heads.clear()
         if type(entry) is list and abs(value) < HUGE:
             entry.append(value)
             if len(entry) > cap:  # spill
@@ -266,7 +261,7 @@ class QuantTable:
             if len(batch) > cap:
                 entry.update(Distribution.of(self._batches.pop(key), cap))
         else:  # whose sum is checked at each value, once the batches are folded in
-            self.entries[key].update(Distribution.of([value], cap))
+            self._held()[key].update(Distribution.of([value], cap))
 
     def observe_all(self, records) -> None:
         for record in records:
@@ -283,8 +278,9 @@ class QuantTable:
         thresholds so the result is again a valid finalized table.
         """
         tables = (self, *others)
+        config = merged_config([t.config for t in tables])
         entries = heapq.merge(*(sorted(t._held().items()) for t in tables), key=itemgetter(0))
-        return _folded(merged_config([t.config for t in tables]), entries)
+        return QuantTable(config, dict(merged_entries(config, entries)))
 
     def finalize(self, min_count: int) -> "QuantTable":
         """Drop rare entries and freeze the table for querying.
@@ -295,7 +291,8 @@ class QuantTable:
         Finalizing twice composes to the larger threshold.
         """
         entries = finalized_entries(self.config, sorted(self._held().items()), min_count)
-        return _folded(next(entries), entries)
+        config = next(entries)
+        return QuantTable(config, dict(merged_entries(config, entries)))
 
     # ------------------------------------------------------------------
     # lookup
@@ -312,15 +309,18 @@ class QuantTable:
     def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
 
-        The first call for a (dimension, POS) indexes that pair's headed
-        entries in one pass; later calls are lookups.
+        A call indexes the headed entries of its (dimension, POS) in one pass. A
+        finalized table, whose answers never change, keeps that index, so later calls
+        are lookups; a partial table keeps none, so its answers are never stale.
         """
         index = self._heads.get((dimension, pos))
         if index is None:
-            index = self._heads[(dimension, pos)] = {}
+            index = {}
             for dim, p, modifier, head in self._entries:
                 if head and dim == dimension and p == pos:
                     index.setdefault(modifier, {})[head] = self.get((dim, p, modifier, head))
+            if self._batches is None:
+                self._heads[(dimension, pos)] = index
         return dict(index.get(surface, ()))
 
     # ------------------------------------------------------------------
@@ -364,13 +364,6 @@ def merged_entries(config: BuildConfig, entries):
             for dist in dists:
                 joined.update(dist)
         yield key, joined
-
-
-def _folded(config: BuildConfig, entries) -> QuantTable:
-    """A new table of ``config`` holding ``entries``, in canonical order, folded."""
-    out = QuantTable(config)
-    out.entries = dict(merged_entries(config, entries))
-    return out
 
 
 def _header_line(config: BuildConfig, fields=_HEADER_FIELDS, constants=_HEADER_CONSTANTS, **extra):
@@ -560,9 +553,7 @@ def _entry_rows(lines: LocatedLines):
 def read_table(path) -> QuantTable:
     """Parse a table file; malformed, out-of-order or truncated input raises LocatedInputError."""
     config, entries = iter_entries(path)
-    table = QuantTable(config)
-    table.entries = dict(entries)
-    return table
+    return QuantTable(config, dict(entries))
 
 
 class TableFile:

@@ -1204,6 +1204,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "quantdist.cli", "--help"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert "quantdist" in proc.stdout

@@ -92,6 +92,6 @@ def test_accumulate_counts():
 def test_import_leaves_numpy_unloaded():
     code = "import sys, quantdist, quantdist.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert out.stdout.strip() == "False"

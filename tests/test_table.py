@@ -442,6 +442,30 @@ def test_heads_for():
     assert_heads_match_scan(t, headed=True)
 
 
+def test_heads_for_on_a_partial_table_counts_values_observed_after_it():
+    fast_car = record("fast", Dimension.SPEED, 30.0, pos=Pos.ADJ, head="car")
+    t = build([fast_car], exact_cap=2)
+    assert t.heads_for("SPEED", "ADJ", "fast")["car"].count == 1
+    t.observe_all([fast_car] * 3)  # the key spills past exact_cap, and its batch is pending
+    assert t.heads_for("SPEED", "ADJ", "fast")["car"].count == 4
+
+
+def test_heads_for_on_a_finalized_table_indexes_a_slice_once(monkeypatch):
+    records = [
+        record("fast", Dimension.SPEED, 30.0, pos=Pos.ADJ, head="car"),
+        record("fast", Dimension.SPEED, 40.0, pos=Pos.ADJ, head="truck"),
+        record("slow", Dimension.SPEED, 5.0, pos=Pos.ADJ, head="car"),
+    ]
+    final = build(records).finalize(1)
+    calls = []
+    get = QuantTable.get
+    monkeypatch.setattr(QuantTable, "get", lambda self, key: calls.append(key) or get(self, key))
+    assert set(final.heads_for("SPEED", "ADJ", "fast")) == {"car", "truck"}
+    assert len(calls) == 3  # every headed entry of the (SPEED, ADJ) slice
+    assert set(final.heads_for("SPEED", "ADJ", "slow")) == {"car"}
+    assert len(calls) == 3
+
+
 def scanned_heads(table, surface, pos, dimension):
     """Reference for ``heads_for``: one pass over every entry, keyed (dimension, POS, surface, head)."""
     return {
@@ -696,8 +720,7 @@ def credited_twice(records, exact_cap, min_count):
         if head:
             partial.observe((dimension, pos, surface, "", value, gap))
     config = BuildConfig(exact_cap=exact_cap, min_count=min_count, finalized=True)
-    final = QuantTable(config)
-    final.entries = dict(table_mod.merged_entries(config, sorted(partial.entries.items())))
+    final = QuantTable(config, dict(table_mod.merged_entries(config, sorted(partial.entries.items()))))
     return final.serialize()
 
 
@@ -775,13 +798,11 @@ def reference_table(records, config):
         for key in keys:
             values.setdefault(key, []).append(value)
     least = lambda key: max(config.min_count, config.min_phrase_count if " " in key[2] else 1)
-    table = QuantTable(config)
-    table.entries = {
+    return QuantTable(config, {
         key: Distribution.of(list(vs), config.exact_cap)
         for key, vs in values.items()
         if not config.finalized or len(vs) >= least(key)
-    }
-    return table
+    })
 
 
 def assert_answers_like(table, reference):
