@@ -4,12 +4,15 @@ A Distribution summarises a multiset of standard-unit values: count,
 extrema, exact sum and bucketed histogram, and the values themselves
 (kept samples) up to ``exact_cap``; past the cap they are dropped and
 stats fall back to histogram estimates, clamped into the exact
-[minimum, maximum]. ``Distribution.of`` is the one way to build a summary
-from values: it builds every field from a batch in one pass per field, the
-kept samples or, past the cap, the spilled summary. Folding with
-``update`` is commutative and associative, and every derived artifact (sum
-expansion, histogram, sorted samples) is a pure function of the multiset,
-so shards can be combined in any order and still serialize byte-identically.
+[minimum, maximum]. A kept Distribution holds its samples in ascending
+order: ``Distribution.of``, the one way to build a summary from values,
+sorts the list it takes over when it keeps it, ``update`` keeps the order,
+and medians and quantiles index the list directly. ``of`` builds every
+field from a batch in one pass per field, the kept samples or, past the
+cap, the spilled summary. Folding with ``update`` is commutative and
+associative, and every derived artifact (sum expansion, histogram, kept
+samples) is a pure function of the multiset, so shards can be combined in
+any order and still serialize byte-identically.
 
 The sum is one exact integer: every finite double is a whole multiple of
 2**-1074, the smallest subnormal, so ``_sum`` counts those units and a
@@ -23,6 +26,7 @@ range: below it, that would take more than 2**63 values.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 
 from . import kernels
@@ -67,8 +71,8 @@ class Distribution:
 
     @classmethod
     def of(cls, samples: list[float], exact_cap: int = DEFAULT_EXACT_CAP) -> "Distribution":
-        """The summary of ``samples``, a list it takes over: it keeps them, or past
-        ``exact_cap`` spills them, and builds each field in one pass.
+        """The summary of ``samples``, a list it takes over: it keeps them sorted, or
+        past ``exact_cap`` spills them, and builds each field in one pass.
 
         ValueError for a non-finite sample; OverflowError for a sum past the float range.
         """
@@ -78,8 +82,13 @@ class Distribution:
             samples = [v + 0.0 for v in samples]  # fold -0.0
         out = cls.__new__(cls)  # every slot is set here
         out.exact_cap, out.count = exact_cap, len(samples)
-        out.exact = samples if len(samples) <= exact_cap else None
-        out.minimum, out.maximum = min(samples, default=None), max(samples, default=None)
+        if len(samples) <= exact_cap:
+            samples.sort()
+            out.exact = samples
+            out.minimum, out.maximum = (samples[0], samples[-1]) if samples else (None, None)
+        else:
+            out.exact = None
+            out.minimum, out.maximum = min(samples), max(samples)
         out._sum = checked_sum(sum(map(exact_units, samples)))
         out.buckets = kernels.accumulate(samples)
         return out
@@ -89,7 +98,7 @@ class Distribution:
 
         Bucket counts must be positive and add up to ``count``; min and max
         must be ordered and fall in the lowest and highest buckets; kept
-        samples must number ``count``, fit under ``exact_cap`` and run from
+        samples must number ``count``, fit under ``exact_cap`` and ascend from
         min to max, and a summary without them must count more than
         ``exact_cap``, since only a spill past the cap drops them. The
         checks are C-level passes over the buckets and samples: nothing is
@@ -111,10 +120,15 @@ class Distribution:
         if low_id != min(buckets) or high_id != max(buckets):
             raise ValueError("min and max do not fall in the lowest and highest buckets")
         if exact is not None and (
-            len(exact) != count or count > self.exact_cap or min(exact) != lo or max(exact) != hi
+            len(exact) != count
+            or count > self.exact_cap
+            or exact[0] != lo
+            or exact[-1] != hi
+            or not all(map(operator.le, exact, exact[1:]))
         ):
             raise ValueError(
-                "kept samples must number the count, fit under exact_cap and run from min to max"
+                "kept samples must number the count, fit under exact_cap"
+                " and run from min to max in ascending order"
             )
         if exact is None and count <= self.exact_cap:
             raise ValueError(
@@ -146,21 +160,20 @@ class Distribution:
         if self.exact is not None:
             if other.exact is None or len(self.exact) + len(other.exact) > self.exact_cap:
                 self.exact = None
-            else:
+            else:  # timsort merges the two ascending runs in linear time
                 self.exact.extend(other.exact)
+                self.exact.sort()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        mine = None if self.exact is None else sorted(self.exact)
-        theirs = None if other.exact is None else sorted(other.exact)
         return (
             self.count == other.count
             and self.minimum == other.minimum
             and self.maximum == other.maximum
             and self._sum == other._sum
             and +self.buckets == +other.buckets
-            and mine == theirs
+            and self.exact == other.exact
             and self.exact_cap == other.exact_cap
         )
 
@@ -201,17 +214,17 @@ class Distribution:
     def sorted_exact(self) -> list[float]:
         if self.exact is None:
             raise ValueError("exact samples were spilled")
-        return sorted(self.exact)
+        return self.exact[:]
 
     def _ranked(self):
         """Values in ascending order, rank r at index r - 1.
 
-        Kept samples are sorted once. Otherwise each value is a histogram
+        Kept samples are that list already. Otherwise each value is a histogram
         estimate, within one bucket width of the true sample for magnitudes
         inside the covered range, and clamped into [minimum, maximum].
         """
         if self.exact is not None:
-            return sorted(self.exact)
+            return self.exact
         return _HistogramRanks(self.buckets, self.minimum, self.maximum)
 
     def median(self) -> float:

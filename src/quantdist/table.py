@@ -200,6 +200,7 @@ class QuantTable:
         if self._batches is None and not self._summarised:  # ``get`` keeps each summary
             for key in self._entries:
                 self.get(key)
+            self._summarised = True
         return self._held()
 
     def _held(self) -> dict:

@@ -260,7 +260,7 @@ def test_stats_payload():
         s = d.stats()
         assert s["median"] == d.median()
         assert (s["p5"], s["p95"]) == (d.quantile(0.05), d.quantile(0.95))
-        assert d.exact == (values if cap else None)  # stats never reorder kept samples
+        assert d.exact == (sorted(values) if cap else None)  # kept samples ascend
 
 
 def test_canonical_partials_zero_sum():
@@ -421,3 +421,76 @@ def test_median_and_quantiles_lie_in_min_and_max(values, cap, q):
     stats = d.stats()
     for answer in (d.median(), d.quantile(q), stats["median"], stats["p5"], stats["p95"]):
         assert d.minimum <= answer <= d.maximum, (answer, d)
+
+
+def oracle_quantile(values, q):
+    """Order statistic at fraction q of the sorted values, interpolated in log space
+    between same-sign neighbours and linearly across zero."""
+    s = sorted(values)
+    pos = 1 + q * (len(s) - 1)
+    lo, hi = s[math.floor(pos) - 1], s[math.ceil(pos) - 1]
+    frac = pos - math.floor(pos)
+    if lo == hi or not frac:
+        return lo
+    if lo > 0 and hi > 0:
+        return math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * frac)
+    if lo < 0 and hi < 0:
+        return -math.exp(math.log(-lo) + (math.log(-hi) - math.log(-lo)) * frac)
+    return lo + (hi - lo) * frac
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+    st.integers(0, 13),
+    st.randoms(use_true_random=False),
+)
+def test_kept_samples_ascend_in_every_fold_order(values, cap, rng):
+    """``Distribution.of`` and any fold order of single-value updates keep the same
+    list, ``sorted(values)`` when kept, and ``validate`` rejects it out of order."""
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    try:
+        dists = [Distribution.of(list(values), cap), build(values, cap), build(shuffled, cap)]
+    except OverflowError:  # a sum past the float range is no summary
+        return
+    exact = dists[0].exact
+    assert all(repr(d.exact) == repr(exact) for d in dists)
+    if len(values) > cap:
+        assert exact is None
+        return
+    assert exact == sorted(values)
+    d = dists[0]
+    d.validate()
+    if exact[0] != exact[-1]:
+        d.exact = exact[::-1]
+        with pytest.raises(ValueError, match="ascending"):
+            d.validate()
+    if len(set(exact[1:-1])) > 1:  # the ends in place, the middle out of order
+        d.exact = [exact[0], *exact[-2:0:-1], exact[-1]]
+        with pytest.raises(ValueError, match="ascending"):
+            d.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_kept_stats_match_the_oracles(values, q):
+    """Medians and quantiles indexed from the kept list answer as the brute-force
+    oracles, which sort the raw values."""
+    d = Distribution.of(list(values), 16)
+    stats = d.stats()
+    for answer, expected in [
+        (d.median(), oracle_median(values)),
+        (stats["median"], oracle_median(values)),
+        (d.quantile(q), oracle_quantile(values, q)),
+        (stats["p5"], oracle_quantile(values, 0.05)),
+        (stats["p95"], oracle_quantile(values, 0.95)),
+    ]:
+        assert answer == pytest.approx(expected, rel=1e-9, abs=1e-300)

@@ -466,6 +466,23 @@ def test_heads_for_on_a_finalized_table_indexes_a_slice_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_entries_of_a_finalized_table_summarise_each_entry_once(monkeypatch):
+    records = [
+        record("car", Dimension.MASS, 1200.0, pos=Pos.NOUN),
+        record("car", Dimension.MASS, 1500.0, pos=Pos.NOUN),
+        record("fast", Dimension.SPEED, 30.0, pos=Pos.ADJ, head="car"),
+    ]
+    final = build(records).finalize(1)
+    calls = []
+    get = QuantTable.get
+    monkeypatch.setattr(QuantTable, "get", lambda self, key: calls.append(key) or get(self, key))
+    first = dict(final.entries)
+    assert len(calls) == len(first) and all(isinstance(e, Distribution) for e in first.values())
+    calls.clear()
+    assert final.entries == first
+    assert calls == []  # the first read summarised every entry for good
+
+
 def scanned_heads(table, surface, pos, dimension):
     """Reference for ``heads_for``: one pass over every entry, keyed (dimension, POS, surface, head)."""
     return {
