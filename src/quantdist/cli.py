@@ -39,11 +39,11 @@ from .pipeline import ExtractionConfig, Pos, read_annotated, read_plain
 from .pipeline import extract_records as _extract_records
 from .table import (
     BuildConfig,
-    TableFile,
     aggregate,
     finalized_entries,
     iter_entries,
     merged_config,
+    read_table,
     record_line,
     stream_header,
     write_merged,
@@ -181,8 +181,8 @@ def _format_value(value: float) -> str:
 def _queried(args):
     """The entry that ``query`` and ``plot-export`` answer; a data error without one."""
     pos = Pos[args.pos.upper()]
-    with TableFile(args.table) as table:
-        dist = query_distribution(table, args.object, args.dim, pos, args.head.lower())
+    table = read_table(args.table, {args.object.lower()})
+    dist = query_distribution(table, args.object, args.dim, pos, args.head.lower())
     if dist is None:
         raise LocatedInputError(
             f"no entry for {args.object.lower()!r} under {args.dim.name}", path=args.table
@@ -228,11 +228,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with TableFile(args.table) as table:
-        if args.noun:
-            label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
-        else:
-            label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
+    table = read_table(args.table, {name.lower() for name in args.noun or args.adj})
+    if args.noun:
+        label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
+    else:
+        label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
     if label is None:
         raise LocatedInputError(
             f"no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} under {args.dim.name}",
@@ -243,8 +243,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with TableFile(args.table) as table:
-        report = evaluate(table, load_dataset(args.dataset), args.tau)
+    examples = load_dataset(args.dataset)  # whose object names are lowercased
+    table = read_table(args.table, {name for ex in examples for name in (ex.object1, ex.object2)})
+    report = evaluate(table, examples, args.tau)
     if args.format == "records":
         for field in (
             "accuracy",

@@ -20,7 +20,8 @@ Python int adds them without rounding, in any order (a long accumulator
 in the sense of Kulisch). ``sum()`` is that integer correctly rounded to
 a float, and ``sum_partials()`` its greedy round-to-nearest expansion.
 Only values of magnitude ``HUGE`` or more can carry a sum past the float
-range: below it, that would take more than 2**63 values.
+range: below it, that would take more than 2**63 values. So a count stays
+below ``COUNT_LIMIT``, 2**63: ``update`` refuses a fold that would reach it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _ONE = 1 << 1074  # 1.0 in units of 2**-1074
 # large round (ties to even) to an infinite float
 _OVERFLOW = (1 << 2098) - (1 << 2044)
 HUGE = 2.0**960
+COUNT_LIMIT = 1 << 63
 
 
 def exact_units(x: float) -> int:
@@ -139,11 +141,16 @@ class Distribution:
     # monoid structure
 
     def update(self, other: "Distribution") -> None:
-        """Fold another summary into this one in place; ``other`` is not mutated."""
+        """Fold another summary into this one in place; ``other`` is not mutated.
+
+        OverflowError, with nothing changed, for a count that would reach ``COUNT_LIMIT``.
+        """
         if self.exact_cap != other.exact_cap:
             raise ValueError(
                 f"exact_cap mismatch: {self.exact_cap} vs {other.exact_cap}"
             )
+        if self.count + other.count >= COUNT_LIMIT:
+            raise OverflowError("count past 2**63 - 1")
         if not self.count:  # share the immutable sum: an exact sum is a large int
             self._sum, self.minimum, self.maximum = other._sum, other.minimum, other.maximum
         elif other.count:
@@ -256,12 +263,13 @@ class Distribution:
             return lo
         hi = ranked[hi_rank - 1]
         frac = pos - lo_rank
+        # weighted so that no intermediate leaves the float range
         if lo > 0 and hi > 0:
-            between = lo * (hi / lo) ** frac
+            between = lo ** (1 - frac) * hi**frac
         elif lo < 0 and hi < 0:
-            between = -(-lo) * ((-hi) / (-lo)) ** frac
+            between = -((-lo) ** (1 - frac) * (-hi) ** frac)
         else:
-            between = lo + (hi - lo) * frac
+            between = lo * (1 - frac) + hi * frac
         return lo if between < lo else hi if between > hi else between  # rounding stays inside
 
     def stats(self) -> dict:

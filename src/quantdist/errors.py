@@ -36,7 +36,7 @@ class LocatedLines:
     decoded as UTF-8 on its own, without ``\\r\\n``; on exit a ValueError (UnicodeDecodeError
     too) or OverflowError becomes a LocatedInputError at ``line_number`` of the file.
     ``line_number`` is the line last read, which a reader may move, or 0 (no line) before
-    the first; ``offset`` is the byte offset at which that line starts.
+    the first.
     Lexicons are not read here: ``units._parse_rows`` parses bytes already in memory,
     because the registry digest hashes them, and also locates the errors a UnitDef raises.
     """
@@ -44,7 +44,6 @@ class LocatedLines:
     def __init__(self, path):
         self.path = path
         self.line_number = 0
-        self.offset = self._end = 0
 
     def __enter__(self):
         self._file = open(self.path, "rb")
@@ -52,7 +51,6 @@ class LocatedLines:
 
     def __iter__(self):
         for self.line_number, raw in enumerate(self._file, self.line_number + 1):
-            self.offset, self._end = self._end, self._end + len(raw)
             yield raw.decode("utf-8").rstrip("\r\n")
 
     def __exit__(self, kind, exc, traceback):

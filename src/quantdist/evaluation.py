@@ -19,7 +19,7 @@ import random
 
 from .errors import LocatedLines, SplitInfeasibleError, replaced
 from .inference import TAU, ComparisonLabel, _check_tau, _label, query_distribution
-from .table import QuantTable, TableFile
+from .table import QuantTable
 from .units import Dimension
 
 # dataset-native scale names that map onto a measurement dimension;
@@ -109,7 +109,7 @@ def write_dataset(path, examples) -> None:
             fh.write(f"{ex.object1}\t{ex.object2}\t{ex.scale}\t{label}\n")
 
 
-def evaluate(table: QuantTable | TableFile, examples, tau: float = TAU) -> dict:
+def evaluate(table: QuantTable, examples, tau: float = TAU) -> dict:
     """Accuracy of median comparison against gold labels.
 
     Only rows with a usable gold label and an in-coverage dimension are

@@ -7,11 +7,11 @@ majority vote over those verdicts. Every entry of the table is evidence:
 count thresholds are the table's, applied by ``finalize``. Medians can
 also be relaxed to their bracketing powers of ten for range-style answers.
 
-A table here is anything with the two lookups ``get(key)``, which takes an
-entry key ``(dimension, POS, surface, head)`` in text, and
-``heads_for(dimension, pos, surface)``: a QuantTable in memory, or a TableFile
-that answers from the file by bisection. A query's ``Dimension`` and ``Pos``
-become their names here and nowhere else.
+A table here is a QuantTable, asked through its two lookups ``get(key)``, which
+takes an entry key ``(dimension, POS, surface, head)`` in text, and
+``heads_for(dimension, pos, surface)``; the read commands pass one that
+``read_table`` built from the entries of the surfaces they ask about. A query's
+``Dimension`` and ``Pos`` become their names here and nowhere else.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import Enum
 
 from .distribution import Distribution
 from .pipeline import Pos
-from .table import QuantTable, TableFile
+from .table import QuantTable
 from .units import Dimension
 
 
@@ -42,7 +42,7 @@ def _check_tau(tau: float) -> None:
 
 
 def query_distribution(
-    table: QuantTable | TableFile, obj, dimension: Dimension, pos: Pos = Pos.NOUN, head: str = ""
+    table: QuantTable, obj, dimension: Dimension, pos: Pos = Pos.NOUN, head: str = ""
 ) -> Distribution | None:
     """Distribution for an object, lowercased, as ``pos`` under ``head`` ("" for none),
     or None when absent.
@@ -70,7 +70,7 @@ def _label(d1: Distribution | None, d2: Distribution | None, tau: float) -> Comp
 
 
 def compare_nouns(
-    table: QuantTable | TableFile, obj1, obj2, dimension: Dimension, tau: float = TAU
+    table: QuantTable, obj1, obj2, dimension: Dimension, tau: float = TAU
 ) -> ComparisonLabel:
     """Three-way comparison of two objects along one dimension.
 
@@ -84,7 +84,7 @@ def compare_nouns(
 
 
 def compare_adjectives(
-    table: QuantTable | TableFile, adj1, adj2, dimension: Dimension, tau: float = TAU
+    table: QuantTable, adj1, adj2, dimension: Dimension, tau: float = TAU
 ) -> ComparisonLabel | None:
     """Majority vote over shared-head median comparisons; None = no evidence.
 

@@ -24,12 +24,13 @@ its own; finalizing it derives the head-free entries, in ``finalized_entries``.
 A table keeps a key's values as a list until they spill (``QuantTable``), so a
 Distribution is built for a spilled key, a line read back or a query, not to write.
 
-A table answers queries through two methods, both in the entry key's text:
+A QuantTable answers queries through two methods, both in the entry key's text:
 ``get(key)`` takes an entry key, and ``heads_for(dimension, pos, surface)`` its
-first three columns. A QuantTable answers from its dict, indexing the headed
-entries of a (dimension, POS) at each ``heads_for`` and keeping that index only
-once finalized, and a TableFile, which the read commands use, by bisecting the
-line offsets of the file and parsing only the lines it finds.
+first three columns. It answers from its dict, indexing the headed entries of a
+(dimension, POS) at each ``heads_for`` and keeping that index only once
+finalized. ``read_table(path, surfaces)`` checks every line of a file but parses
+the values only of the entries of ``surfaces``: the read commands query that
+small table.
 
 A record, as ``extract_records`` yields it, is an entry key followed by a value
 and a token gap; ``QuantTable.observe`` credits it once. The record stream from
@@ -46,13 +47,13 @@ import math
 import os
 import shutil
 import tempfile
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
 
-from .distribution import DEFAULT_EXACT_CAP, HUGE, Distribution, checked_sum, exact_units
+from .distribution import (
+    COUNT_LIMIT, DEFAULT_EXACT_CAP, HUGE, Distribution, checked_sum, exact_units
+)
 from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
 from .pipeline import Pos, check_distance
@@ -303,9 +304,12 @@ class QuantTable:
         if self._summarised:  # a finalized table whose every entry is a Distribution
             return self._entries.get(key)
         entry = self._held().get(key)
-        if type(entry) is list and self._batches is None:  # a frozen table keeps its summary
-            entry = self._entries[key] = Distribution.of(entry, self.config.exact_cap)
-        return _summary(entry, self.config.exact_cap)
+        if type(entry) is list:
+            if self._batches is None:  # a frozen table keeps its summary
+                entry = self._entries[key] = Distribution.of(entry, self.config.exact_cap)
+            else:  # a partial table's list is summarised, not taken over
+                entry = Distribution.of(entry[:], self.config.exact_cap)
+        return entry
 
     def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
         """All head-specific distributions for one modifier surface, as a new dict.
@@ -335,11 +339,6 @@ class QuantTable:
     def write(self, path) -> None:
         with replaced(path) as fh:
             fh.write(self.serialize())
-
-
-def _summary(entry, exact_cap: int) -> Distribution | None:
-    """An entry as a Distribution: a list of values is summarised, not taken over."""
-    return Distribution.of(entry[:], exact_cap) if type(entry) is list else entry
 
 
 def merged_entries(config: BuildConfig, entries):
@@ -424,8 +423,8 @@ def _spilled(values: list, exact_cap: int) -> Distribution:
     dist = Distribution(exact_cap)
     dist.exact = None
     dist.count = int(count_s)
-    if dist.count < 1:
-        raise ValueError("entry count must be >= 1")
+    if not 1 <= dist.count < COUNT_LIMIT:
+        raise ValueError("entry count must be >= 1 and below 2**63")
     dist.minimum, dist.maximum = floats[0], floats[1]
     dist._sum = checked_sum(sum(map(exact_units, floats[2:])))
     buckets = dist.buckets
@@ -490,7 +489,7 @@ def _parse_header(line: str) -> tuple[BuildConfig, int]:
 
 
 def iter_entries(path):
-    """A table file's config, and an iterator over its ``(key, Distribution)`` entries.
+    """A table file's config, and an iterator over its ``(key, entry)`` entries.
 
     The header is read at once and each entry line as the iterator reaches
     it, in the file's canonical order. A malformed line, or one that does
@@ -503,19 +502,22 @@ def iter_entries(path):
     return next(entries), entries
 
 
-def _read_entries(path):
-    """Yield a table file's BuildConfig, then its entries, as ``iter_entries`` describes."""
+def _read_entries(path, surfaces=None):
+    """Yield a table file's BuildConfig, then its entries, as ``iter_entries`` describes;
+    with a set of ``surfaces``, only the entries of those, though every line is checked.
+    """
     with LocatedLines(path) as lines:
         rows = _entry_rows(lines)
         config = next(rows)
         yield config
         for key, rest in rows:
-            yield key, _entry_value(config, key, rest)
+            if surfaces is None or key[2] in surfaces:
+                yield key, _entry_value(config, key, rest)
 
 
 def _entry_rows(lines: LocatedLines):
     """Yield the BuildConfig of the table file that ``lines`` reads, then per entry line
-    its key and its columns after the key; ``lines.offset`` is where that line starts.
+    its key and its columns after the key.
 
     A line with a malformed key, or one that does not come after the line before it,
     raises ValueError; after the last line, an entry count other than the header's is
@@ -551,92 +553,15 @@ def _entry_rows(lines: LocatedLines):
         )
 
 
-def read_table(path) -> QuantTable:
-    """Parse a table file; malformed, out-of-order or truncated input raises LocatedInputError."""
-    config, entries = iter_entries(path)
-    return QuantTable(config, dict(entries))
+def read_table(path, surfaces=None) -> QuantTable:
+    """Parse a table file; malformed, out-of-order or truncated input raises LocatedInputError.
 
-
-class TableFile:
-    """A table file answered by bisection: ``get`` and ``heads_for``, in the entry key's
-    text, as on a QuantTable.
-
-    Opening it reads the header and makes one pass over the entry lines that
-    keeps only where each starts. That pass decodes every line and checks its
-    key, the canonical order and the header's entry count, with the errors of
-    ``iter_entries``. A lookup bisects those offsets, comparing the text keys of
-    the lines it reads as that pass compared them; only the lines that it finds go
-    through the full parse and the finalized-threshold check, each once. So a
-    malformed value in a line that no lookup finds is not reported: ``read_table``
-    and ``iter_entries`` read every line. Use it in a ``with`` block, which closes
-    the file.
+    Given a set of object ``surfaces``, the table holds only their entries: every line's
+    key, the order and the entry count are still checked, but only the values of those
+    entries are parsed, so memory grows with them and not with the file.
     """
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._offsets = array("q")
-        with LocatedLines(path) as lines:
-            rows = _entry_rows(lines)
-            self.config = next(rows)
-            for _ in rows:
-                self._offsets.append(lines.offset)
-        self._file = open(path, "rb")
-        self._found: dict[tuple, Distribution | None] = {}
-
-    def __enter__(self) -> "TableFile":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def _key_at(self, offset: int) -> tuple:
-        """The key ``(dimension, POS, surface, head)`` of the line at ``offset``."""
-        self._file.seek(offset)
-        surface, head, pos, dimension, _ = self._file.readline().split(b"\t", 4)
-        return dimension.decode(), pos.decode(), surface.decode(), head.decode()
-
-    def _parsed(self, key: tuple, index: int) -> Distribution:
-        """The Distribution of entry line ``index``, whose key is ``key``, parsed on first use."""
-        if key not in self._found:
-            offset = self._offsets[index]
-            self._file.seek(offset)
-            line = self._file.readline().decode("utf-8").rstrip("\r\n")
-            try:
-                entry = _entry_value(self.config, key, line.split("\t", 4)[4])
-                self._found[key] = _summary(entry, self.config.exact_cap)
-            except (ValueError, OverflowError) as exc:
-                self._file.seek(0)
-                line_number = self._file.read(offset).count(b"\n") + 1
-                raise LocatedInputError(str(exc), line_number, self.path) from None
-        return self._found[key]
-
-    def get(self, key: tuple) -> Distribution | None:
-        """The entry under the entry key ``(dimension, POS, surface, head)``, or None."""
-        if key not in self._found:
-            index = bisect_left(self._offsets, key, key=self._key_at)
-            if index < len(self._offsets) and self._key_at(self._offsets[index]) == key:
-                return self._parsed(key, index)
-            self._found[key] = None
-        return self._found[key]
-
-    def heads_for(self, dimension: str, pos: str, surface: str) -> dict:
-        """All head-specific distributions for one modifier surface, as a new dict.
-
-        They are one run of lines, right after the modifier's head-free key.
-        """
-        modifier = (dimension, pos, surface)
-        heads = {}
-        index = bisect_right(self._offsets, (*modifier, ""), key=self._key_at)
-        while index < len(self._offsets):
-            key = self._key_at(self._offsets[index])
-            if key[:3] != modifier:
-                break
-            heads[key[3]] = self._parsed(key, index)
-            index += 1
-        return heads
+    entries = _read_entries(path, surfaces)
+    return QuantTable(next(entries), dict(entries))
 
 
 def write_merged(config: BuildConfig, inputs, path) -> None:

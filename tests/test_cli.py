@@ -25,6 +25,7 @@ from quantdist.distribution import DEFAULT_EXACT_CAP
 from quantdist.errors import LocatedInputError
 from quantdist.evaluation import detect_leakage, evaluate, load_dataset
 from quantdist.inference import TAU, compare_adjectives, compare_nouns
+from quantdist.kernels import bucket_index
 from quantdist.pipeline import (
     ExtractionConfig,
     Pos,
@@ -719,9 +720,9 @@ def test_entry_lines_out_of_order_are_located(tmp_path, corpus, capsys):
 
 def test_read_commands_check_keys_at_open_and_parse_what_they_find(tmp_path, corpus, capsys):
     """``query``, ``plot-export``, ``compare`` and ``eval`` check every key, the canonical
-    order and the entry count when they open a table, and parse only the lines they look
-    up: a malformed value in a line that no lookup finds is reported by ``merge`` and
-    ``finalize`` alone."""
+    order and the entry count of a table, and parse only the lines of the object surfaces
+    they name: a malformed value in a line of another surface is reported by ``merge``
+    and ``finalize`` alone."""
     table = build_table(tmp_path, corpus)
     header, cat, elephant, weighs, car, driving = table.read_text("utf-8").splitlines(True)
     assert [line.split("\t")[0] for line in (cat, elephant, car)] == ["cat", "elephant", "car"]
@@ -788,6 +789,10 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
         stream.write_text(_STREAM_HEADER + "car\t\tNOUN\tMASS\t1e308\t0\n", encoding="utf-8")
         huge.append(str(tmp_path / name))
         assert main(["aggregate", str(stream), "-o", huge[-1]]) == 0
+    half = tmp_path / "half.tsv"  # merged with itself, its entry of 2**62 values reaches 2**63
+    huge_header = (tmp_path / "a.tsv").read_text(encoding="utf-8").split("\n")[0]
+    spilled = f"{2**62}\t5.0\t5.0\t{5.0 * 2**62!r}\t{bucket_index(5.0)}:{2**62}"
+    half.write_text(f"{huge_header}\ncar\t\tNOUN\tMASS\t{spilled}\n", encoding="utf-8")
     outputs = tmp_path / "outputs"
     outputs.mkdir()
     out = outputs / "out.tsv"
@@ -796,6 +801,7 @@ def test_failed_merge_or_finalize_leaves_no_output(tmp_path, corpus, capsys, mon
         (["merge", str(table), str(tmp_path / "missing.tsv")], "missing.tsv"),
         (["finalize", str(truncated), "--min-count", "1"], f"{truncated}: header promises"),
         (["merge", *huge], f"merging {huge[0]}, {huge[1]}: running sum overflowed"),
+        (["merge", str(half), str(half)], f"merging {half}, {half}: count past 2**63 - 1"),
         (["extract", str(bad_corpus)], f"{bad_corpus}:3: "),
         (["extract", "--annotated", str(corpus)], f"{corpus}:1: "),
         (["aggregate", str(bad_stream)], f"{bad_stream}:{last}: "),
@@ -900,8 +906,8 @@ def test_aggregate_memory_grows_with_entries_not_records(tmp_path):
 
 
 def test_read_commands_memory_does_not_grow_with_the_table(tmp_path, capsys):
-    """``query`` and ``compare`` bisect the table file: their peak allocation stays flat
-    when it grows 4x."""
+    """``query``, ``plot-export``, ``compare`` and ``eval`` hold only the entries of the
+    surfaces they name: their peak allocation stays flat when the table grows 4x."""
     tables = {}
     for n in (500, 2000):
         table = QuantTable(BuildConfig(exact_cap=4))
@@ -910,27 +916,30 @@ def test_read_commands_memory_does_not_grow_with_the_table(tmp_path, capsys):
                 table.observe(("MASS", "NOUN", f"object{i}", "", 1.5**k, 0))
         tables[n] = str(tmp_path / f"{n}.tsv")
         table.write(tables[n])
+    pairs = str(_dataset(tmp_path / "pairs.tsv", [("object6", "object400", "weight", "<")]))
 
     def commands(path):
         return (
             ["query", "--table", path, "--object", "object6", "--dim", "mass", "--pos", "noun"],
+            ["plot-export", "--table", path, "--object", "object6", "--dim", "mass", "--pos", "noun"],
             ["compare", "--table", path, "--noun", "object6", "object400", "--dim", "mass"],
+            ["eval", pairs, "--table", path],
         )
 
     for argv in commands(tables[500]):  # one-time allocations, untraced
         assert main(argv) == 0
-    peaks = []
-    for n in (500, 2000):
+    peaks = {500: [], 2000: []}
+    for n, found in peaks.items():
         for argv in commands(tables[n]):
             gc.collect()  # no earlier test's garbage is finalized while tracing
             tracemalloc.start()
             try:
                 assert main(argv) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                found.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
     capsys.readouterr()
-    assert peaks[2] < 1.2 * peaks[0] and peaks[3] < 1.2 * peaks[1], peaks
+    assert all(big < 1.2 * small for small, big in zip(peaks[500], peaks[2000])), peaks
 
 
 def test_aggregate_rejects_mixed_headers(tmp_path, corpus, capsys):
@@ -1057,10 +1066,12 @@ def test_finalize_threshold_drops_rare_objects(tmp_path, corpus, capsys):
 
 def test_compare_nouns_symbol(tmp_path, corpus, capsys):
     table = build_table(tmp_path, corpus)
-    assert main(["compare", "--table", str(table), "--noun", "elephant", "cat", "--dim", "mass"]) == 0
-    assert capsys.readouterr().out.strip() == ">"
-    assert main(["compare", "--table", str(table), "--noun", "cat", "elephant", "--dim", "mass"]) == 0
-    assert capsys.readouterr().out.strip() == "<"
+    # names are lowercased as the table's surfaces are
+    for first, second, label in (("elephant", "cat", ">"), ("cat", "elephant", "<"),
+                                 ("Elephant", "CAT", ">")):
+        argv = ["compare", "--table", str(table), "--noun", first, second, "--dim", "mass"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip() == label
 
 
 def test_compare_adjectives_via_annotated_corpus(tmp_path, capsys):
@@ -1087,8 +1098,9 @@ def test_compare_adjectives_via_annotated_corpus(tmp_path, capsys):
     assert main(["extract", str(conll), "--annotated", "-o", str(rec)]) == 0
     assert main(["aggregate", str(rec), "-o", str(part)]) == 0
     assert main(["finalize", str(part), "--min-count", "1", "-o", str(table)]) == 0
-    assert main(["compare", "--table", str(table), "--adj", "fast", "slow", "--dim", "speed"]) == 0
-    assert capsys.readouterr().out.strip() == ">"
+    for fast, slow in (("fast", "slow"), ("FAST", "Slow")):
+        assert main(["compare", "--table", str(table), "--adj", fast, slow, "--dim", "speed"]) == 0
+        assert capsys.readouterr().out.strip() == ">"
     code = main(["compare", "--table", str(table), "--adj", "fast", "shiny", "--dim", "speed"])
     assert code == 2
     assert f"error: {table}: no shared-head evidence for 'fast' vs 'shiny'" in capsys.readouterr().err
@@ -1113,18 +1125,19 @@ def test_eval_cli(tmp_path, corpus, capsys):
         [
             ("elephant", "cat", "weight", ">"),
             ("cat", "elephant", "weight", "<"),
+            ("Elephant", "CAT", "weight", ">"),  # names are lowercased as surfaces are
             ("sound", "light", "speed", "NA"),
         ],
     )
     assert main(["eval", str(data), "--table", str(table)]) == 0
     out = capsys.readouterr().out
-    assert "scored: 2" in out
+    assert "scored: 3" in out
     assert "accuracy: 1.000" in out
     assert main(["eval", str(data), "--table", str(table), "--format", "records"]) == 0
     rows = dict(
         line.split("\t") for line in capsys.readouterr().out.strip().split("\n")
     )
-    assert rows["accuracy"] == "1.0"
+    assert rows["accuracy"] == rows["coverage"] == "1.0"
     assert rows["accuracy.weight"] == "1.0"
 
 

@@ -22,7 +22,7 @@ from quantdist.inference import query_distribution
 from quantdist.kernels import bucket_bounds
 from quantdist.pipeline import Pos
 from quantdist import table as table_mod
-from quantdist.table import BuildConfig, QuantTable, TableFile, read_table
+from quantdist.table import BuildConfig, QuantTable, read_table
 from quantdist.units import Dimension
 
 
@@ -68,8 +68,8 @@ def test_observe_credits_once_and_finalize_derives_head_free(tmp_path):
     # a partial table holds each record once: its head-free entry, the headless ones
     assert [t.get(("SPEED", "ADJ", "fast", h)).count for h in ("", "car", "truck")] == [1, 1, 1]
     t.write(tmp_path / "t.part")
-    with TableFile(tmp_path / "t.part") as file:  # and so does its file
-        assert file.get(("SPEED", "ADJ", "fast", "")).sorted_exact() == [40.0]
+    file = read_table(tmp_path / "t.part", {"fast"})  # and so does its file
+    assert file.get(("SPEED", "ADJ", "fast", "")).sorted_exact() == [40.0]
     final = t.finalize(1)
     head_free = final.get(("SPEED", "ADJ", "fast", ""))
     assert head_free.count == 3 and head_free.sorted_exact() == [22.35, 30.0, 40.0]
@@ -412,6 +412,9 @@ def test_corrupt_entry_rejected(tmp_path, capsys):
         # a finalized table holds no entry that its header's thresholds drop
         (final_3, entry, "count 2 is under the finalized table's thresholds"),
         (final, with_column(0, "race car"), "count 2 is under the finalized table's thresholds"),
+        # a count at 2**63, the limit that no fold reaches
+        (header, "\t".join(cols[:4] + [str(2**63), "5.0", "5.0", "5.0", f"{low}:{2**63}"]),
+         r"below 2\*\*63"),
     ]
     bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
     for bad_header, bad_entry, message in bad_entries:
@@ -579,17 +582,24 @@ _PROBE_DIMENSIONS = sorted(
 )
 
 
+_PROBE_SURFACES = ["a", *_FILE_SURFACES, "水水", *_MISSING]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     _FILE_RECORDS,
     st.booleans(),
     st.lists(st.integers(min_value=0), max_size=3),
     st.sampled_from(["\n", "\r\n"]),
+    st.sets(st.sampled_from(_PROBE_SURFACES)),
 )
 # the last line is headed: (SPEED, UNKNOWN, 水, z) ends the file
-@example([record("水", Dimension.SPEED, 1.0, pos=Pos.UNKNOWN, head="z")], False, [], "\n")
-def test_table_file_answers_like_read_table(records, finalized, blank_lines, line_end):
-    """Every ``get`` and ``heads_for`` of a TableFile equals ``read_table``'s answer.
+@example([record("水", Dimension.SPEED, 1.0, pos=Pos.UNKNOWN, head="z")], False, [], "\n", {"水"})
+def test_a_filtered_read_answers_like_read_table(
+    records, finalized, blank_lines, line_end, surfaces
+):
+    """``read_table(path, surfaces)`` holds the entries of ``surfaces`` that ``read_table``
+    reads, and answers every ``get``, ``heads_for`` and query of them as it does.
 
     Tables hold kept and spilled entries, may be finalized and may have blank lines
     between entries or at the end, and LF or CRLF line ends; keys probe before,
@@ -606,45 +616,55 @@ def test_table_file_answers_like_read_table(records, finalized, blank_lines, lin
         with open(path, "wb") as fh:
             fh.write("".join(lines).replace("\n", line_end).encode("utf-8"))
         expected = read_table(path)
-        with TableFile(path) as file:
-            assert file.config == expected.config
-            for dimension in _PROBE_DIMENSIONS:
-                for pos in (Pos.ADJ, Pos.NOUN, Pos.UNKNOWN):
-                    for surface in ["a", *_FILE_SURFACES, "水水", *_MISSING]:
-                        heads = file.heads_for(dimension.name, pos.name, surface)
-                        assert heads == expected.heads_for(dimension.name, pos.name, surface)
-                        for head in [*_FILE_HEADS, "zz", *_MISSING]:
-                            head = head or ""
-                            key = (dimension.name, pos.name, surface, head)
-                            assert file.get(key) == expected.get(key)
-                            # a tagged miss falls back to the UNKNOWN key
-                            found = query_distribution(file, surface, dimension, pos, head)
-                            assert found == query_distribution(expected, surface, dimension, pos, head)
+        file = read_table(path, surfaces)
+        assert file.config == expected.config
+        assert file.entries == {k: v for k, v in expected.entries.items() if k[2] in surfaces}
+        for dimension in _PROBE_DIMENSIONS:
+            for pos in (Pos.ADJ, Pos.NOUN, Pos.UNKNOWN):
+                for surface in sorted(surfaces):
+                    heads = file.heads_for(dimension.name, pos.name, surface)
+                    assert heads == expected.heads_for(dimension.name, pos.name, surface)
+                    for head in [*_FILE_HEADS, "zz", *_MISSING]:
+                        head = head or ""
+                        key = (dimension.name, pos.name, surface, head)
+                        assert file.get(key) == expected.get(key)
+                        # a tagged miss falls back to the UNKNOWN key
+                        found = query_distribution(file, surface, dimension, pos, head)
+                        assert found == query_distribution(expected, surface, dimension, pos, head)
 
 
-def test_table_file_parses_each_found_line_once(tmp_path, monkeypatch):
-    """A TableFile remembers what it parsed and what it missed; its answers are new dicts."""
+def test_a_filtered_read_parses_only_the_lines_of_its_surfaces(tmp_path, monkeypatch):
+    """``read_table(path, surfaces)`` parses each line of ``surfaces`` once and no other
+    line; later answers parse nothing, and its answers are new dicts."""
     path = tmp_path / "t.tsv"
     build(
-        [record("fast", Dimension.SPEED, v, pos=Pos.ADJ, head=h) for v in (1.0, 2.0) for h in "ab"]
-    ).finalize(1).write(path)  # which derives the head-free entry
+        [
+            record(adj, Dimension.SPEED, v, pos=Pos.ADJ, head=h)
+            for adj in ("fast", "slow")
+            for v in (1.0, 2.0)
+            for h in "ab"
+        ]
+        + [record("car", Dimension.MASS, 5.0)]
+    ).finalize(1).write(path)  # which derives the head-free entries
     parsed = []
     entry_value = table_mod._entry_value
 
-    def counted(*args):
-        parsed.append(args)
-        return entry_value(*args)
+    def counted(config, key, rest):
+        parsed.append(key)
+        return entry_value(config, key, rest)
 
     monkeypatch.setattr(table_mod, "_entry_value", counted)
-    with TableFile(path) as file:
-        for _ in range(3):
-            heads = file.heads_for("SPEED", "ADJ", "fast")
-            assert sorted(heads) == ["a", "b"]
-            heads.clear()
-            assert file.get(("SPEED", "ADJ", "fast", "a")) is not None
-            assert file.get(("SPEED", "ADJ", "fast", "")).count == 4
-            assert file.get(("SPEED", "ADJ", "slow", "")) is None
-    assert len(parsed) == 3
+    file = read_table(path, {"car", "fast"})
+    for _ in range(3):
+        heads = file.heads_for("SPEED", "ADJ", "fast")
+        assert sorted(heads) == ["a", "b"]
+        heads.clear()
+        assert file.get(("SPEED", "ADJ", "fast", "a")) is not None
+        assert file.get(("SPEED", "ADJ", "fast", "")).count == 4
+        assert file.get(("SPEED", "ADJ", "slow", "")) is None
+        assert file.heads_for("SPEED", "ADJ", "slow") == {}
+    fast = [("SPEED", "ADJ", "fast", head) for head in ("", "a", "b")]
+    assert parsed == [("MASS", "UNKNOWN", "car", ""), *fast]
 
 
 def test_export_points_density():
