@@ -1,41 +1,29 @@
-"""Quantity extraction, per-object value distributions, and comparison queries."""
+"""Quantity extraction, per-object value distributions, and comparison queries.
 
-from .distribution import Distribution
-from .errors import (
-    ConfigMismatchError,
-    DimensionMismatchError,
-    LocatedInputError,
-    QuantdistError,
-    SplitInfeasibleError,
-)
-from .evaluation import (
-    ComparisonExample,
-    LeakageReport,
-    detect_leakage,
-    evaluate,
-    load_dataset,
-    make_clean_split,
-)
-from .inference import (
-    ComparisonLabel,
-    compare_adjectives,
-    compare_nouns,
-    query_distribution,
-    relax_hour_window,
-    relax_to_decade,
-)
-from .parser import Mention, scan_measurements, tokenize
-from .pipeline import (
-    AnnotatedSentence,
-    ExtractionConfig,
-    Pos,
-    extract_records,
-    read_annotated,
-    read_plain,
-    split_sentences,
-)
-from .table import BuildConfig, QuantTable, read_table
-from .units import Dimension, Quantity, UnitDef, UnitRegistry, load_registry
+Importing the package loads none of its layers: each public name, and each
+submodule, is imported on first access (PEP 562), so a command loads only the
+layers it runs.
+"""
+
+import importlib
+
+# the module that defines each public name
+_EXPORTS = {
+    "distribution": ("Distribution",),
+    "errors": ("ConfigMismatchError", "DimensionMismatchError", "LocatedInputError",
+               "QuantdistError", "SplitInfeasibleError"),
+    "evaluation": ("ComparisonExample", "LeakageReport", "detect_leakage", "evaluate",
+                   "load_dataset", "make_clean_split"),
+    "inference": ("ComparisonLabel", "compare_adjectives", "compare_nouns", "query_distribution",
+                  "relax_hour_window", "relax_to_decade"),
+    "kinds": ("Dimension", "Pos"),
+    "parser": ("Mention", "scan_measurements", "tokenize"),
+    "pipeline": ("AnnotatedSentence", "ExtractionConfig", "extract_records", "read_annotated",
+                 "read_plain", "split_sentences"),
+    "table": ("BuildConfig", "QuantTable", "read_table"),
+    "units": ("Quantity", "UnitDef", "UnitRegistry", "load_registry"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -78,3 +66,19 @@ __all__ = [
     "tokenize",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """A public name or a submodule; an import failing inside a submodule propagates."""
+    module = _HOMES.get(name, name)
+    try:
+        found = importlib.import_module(f"{__name__}.{module}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{module}":
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return found if module == name else getattr(found, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,7 +7,8 @@ plot data. Exit codes: 0 success, 1 usage error, 2 data error.
 
 This module only wires subcommands: the record stream that travels
 between `extract` and `aggregate`, and the table files, are read and
-written by `table`; `aggregate` writes what `table.aggregate` builds.
+written by `table`; `aggregate` writes what `table.aggregate` builds. Only
+`extract` imports the pipeline, and only `eval`, `audit` and `split` evaluation.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ import sys
 
 from .distribution import DEFAULT_EXACT_CAP
 from .errors import ConfigMismatchError, LocatedInputError, QuantdistError, replaced
-from .evaluation import (
-    detect_leakage,
-    dimension_named,
-    evaluate,
-    load_dataset,
-    make_clean_split,
-    write_dataset,
-)
 from .inference import (
     TAU,
     compare_adjectives,
@@ -35,8 +28,7 @@ from .inference import (
     relax_hour_window,
     relax_to_decade,
 )
-from .pipeline import ExtractionConfig, Pos, read_annotated, read_plain
-from .pipeline import extract_records as _extract_records
+from .kinds import Dimension, Pos, dimension_named
 from .table import (
     BuildConfig,
     aggregate,
@@ -48,7 +40,6 @@ from .table import (
     stream_header,
     write_merged,
 )
-from .units import Dimension, Quantity, load_registry
 
 
 class _UsageError(Exception):
@@ -123,6 +114,7 @@ def _add_key_flags(p) -> None:
 
 
 def _registry_for(args):
+    from .units import load_registry
     units = getattr(args, "units", None) or os.environ.get("QUANTDIST_UNITS")
     rates = getattr(args, "rates", None) or os.environ.get("QUANTDIST_RATES")
     return load_registry(units, rates)
@@ -137,6 +129,7 @@ def _output(path):
 
 
 def _cmd_extract(args) -> int:
+    from .pipeline import ExtractionConfig, extract_records, read_annotated, read_plain
     registry = _registry_for(args)
     config = ExtractionConfig(max_distance=args.distance)
     pinned = BuildConfig(registry.version, args.distance, args.min_phrase_count)
@@ -145,7 +138,7 @@ def _cmd_extract(args) -> int:
         for path in args.inputs:
             sentences = read_annotated(path) if args.annotated else read_plain(path)
             for sentence in sentences:
-                for record in _extract_records(sentence, config, registry):
+                for record in extract_records(sentence, config, registry):
                     print(record_line(record), file=out)
     return 0
 
@@ -195,6 +188,7 @@ def _cmd_query(args) -> int:
     stats = dist.stats()
     unit_label = args.dim.standard_unit
     if args.unit:
+        from .units import Quantity
         registry = _registry_for(args)
         unit = registry.lookup_unit(args.unit, marker_present=True)
         if unit is None:
@@ -235,7 +229,8 @@ def _cmd_compare(args) -> int:
         label = compare_adjectives(table, args.adj[0], args.adj[1], args.dim, args.tau)
     if label is None:
         raise LocatedInputError(
-            f"no shared-head evidence for {args.adj[0]!r} vs {args.adj[1]!r} under {args.dim.name}",
+            f"no shared-head evidence for {args.adj[0].lower()!r} vs {args.adj[1].lower()!r}"
+            f" under {args.dim.name}",
             path=args.table,
         )
     print(label.value)
@@ -243,6 +238,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import evaluate, load_dataset
     examples = load_dataset(args.dataset)  # whose object names are lowercased
     table = read_table(args.table, {name for ex in examples for name in (ex.object1, ex.object2)})
     report = evaluate(table, examples, args.tau)
@@ -271,6 +267,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .evaluation import detect_leakage, load_dataset
     train = load_dataset(args.train)
     eval_split = load_dataset(args.eval)
     report = detect_leakage(train, eval_split)
@@ -300,6 +297,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .evaluation import load_dataset, make_clean_split, write_dataset
     examples = load_dataset(args.dataset)
     try:
         train, dev, test = make_clean_split(examples, ratios=args.ratios, seed=args.seed)

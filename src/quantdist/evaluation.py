@@ -19,16 +19,8 @@ import random
 
 from .errors import LocatedLines, SplitInfeasibleError, replaced
 from .inference import TAU, ComparisonLabel, _check_tau, _label, query_distribution
+from .kinds import Dimension, dimension_named
 from .table import QuantTable
-from .units import Dimension
-
-# dataset-native scale names that map onto a measurement dimension;
-# scales without one (strength, rigidity) load fine but cannot be scored
-SCALE_MAP = {
-    "size": Dimension.LENGTH,
-    "weight": Dimension.MASS,
-    "speed": Dimension.SPEED,
-}
 
 _LABELS = {"NA": None, **{label.value: label for label in ComparisonLabel}}
 
@@ -51,12 +43,6 @@ class LeakageReport:
     @property
     def clean(self) -> bool:
         return not self.transitive_flags and not self.object_flags
-
-
-def dimension_named(name: str) -> Dimension | None:
-    """The dimension a dataset scale or dimension name stands for; None if neither."""
-    name = name.strip().lower()
-    return SCALE_MAP.get(name) or Dimension.__members__.get(name.upper())
 
 
 def _parse_example(line: str, first: bool) -> ComparisonExample | None:

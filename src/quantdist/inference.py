@@ -21,9 +21,8 @@ from collections import Counter
 from enum import Enum
 
 from .distribution import Distribution
-from .pipeline import Pos
+from .kinds import Dimension, Pos
 from .table import QuantTable
-from .units import Dimension
 
 
 # the equality ratio of medians that ``compare`` and ``eval`` use unless told otherwise

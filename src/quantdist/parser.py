@@ -26,7 +26,8 @@ import re
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .units import Dimension, Quantity, UnitRegistry
+from .kinds import Dimension
+from .units import Quantity, UnitRegistry
 
 TOKEN_RE = re.compile(
     r"""

@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from itertools import product
 
 from .errors import LocatedLines
+from .kinds import Pos, check_distance
 from .parser import Tokens, scan_measurements, tokenize
 from .units import UnitRegistry
 
@@ -45,14 +45,6 @@ _BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9])")
 _WORD_RE = re.compile(r"[a-z]+(?:-[a-z]+)*")
 
 
-class Pos(Enum):
-    NOUN = "NOUN"
-    ADJ = "ADJ"
-    VERB = "VERB"
-    OTHER = "OTHER"
-    UNKNOWN = "UNKNOWN"
-
-
 @dataclass(frozen=True)
 class AnnotatedSentence:
     """One sentence as three parallel token columns: surface, POS tag, head index."""
@@ -70,12 +62,6 @@ class AnnotatedSentence:
         surfaces = tuple(tokenize(sentence))
         n = len(surfaces)
         return cls(surfaces, (Pos.UNKNOWN,) * n, (None,) * n)
-
-
-def check_distance(distance: int | None) -> None:
-    """A co-occurrence window is the whole sentence (None) or 1..100 tokens."""
-    if distance is not None and not 1 <= distance <= 100:
-        raise ValueError("distance must be None or within 1..100")
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,7 @@ from .distribution import (
 )
 from .errors import ConfigMismatchError, LocatedInputError, LocatedLines, replaced
 from .kernels import BUCKETS_PER_DECADE, DECADES_BELOW
-from .pipeline import Pos, check_distance
-from .units import Dimension
+from .kinds import Dimension, Pos, check_distance
 
 # a table's format by whether it is finalized; a partial one derived no head-free entry
 FORMAT_NAMES = {False: "quanttable/3", True: "quanttable/2"}
@@ -360,7 +359,7 @@ def merged_entries(config: BuildConfig, entries):
         if config.finalized and not _keeps(config, key, count):
             continue
         if dists or count > cap:
-            joined = Distribution.of(joined, cap)
+            joined = Distribution.of(joined, cap) if joined else Distribution(cap)
             for dist in dists:
                 joined.update(dist)
         yield key, joined

@@ -1,4 +1,4 @@
-"""Ten measurement dimensions, the unit lexicon, and value normalization.
+"""The unit lexicon, and value normalization into the ten ``Dimension``s.
 
 The registry maps unit surface forms ("km/h", "acre foot", "°F") to a
 dimension and an affine conversion into that dimension's standard unit.
@@ -10,35 +10,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from typing import NamedTuple
 
 from .errors import DimensionMismatchError, LocatedInputError
-
-
-class Dimension(Enum):
-    """The ten supported measurement dimensions.
-
-    The enum value is the name of the standard unit every mention of that
-    dimension is normalized into. TIME is an hour-of-day in [0, 24) and is
-    distinct from DURATION (elapsed seconds).
-    """
-
-    TIME = "hour of day"
-    CURRENCY = "US dollar"
-    LENGTH = "meter"
-    AREA = "square meter"
-    VOLUME = "cubic meter"
-    MASS = "kilogram"
-    TEMPERATURE = "kelvin"
-    DURATION = "second"
-    SPEED = "meter per second"
-    VOLTAGE = "volt"
-
-    @property
-    def standard_unit(self) -> str:
-        return self.value
+from .kinds import Dimension
 
 
 @dataclass(frozen=True)

@@ -1101,9 +1101,11 @@ def test_compare_adjectives_via_annotated_corpus(tmp_path, capsys):
     for fast, slow in (("fast", "slow"), ("FAST", "Slow")):
         assert main(["compare", "--table", str(table), "--adj", fast, slow, "--dim", "speed"]) == 0
         assert capsys.readouterr().out.strip() == ">"
-    code = main(["compare", "--table", str(table), "--adj", "fast", "shiny", "--dim", "speed"])
-    assert code == 2
-    assert f"error: {table}: no shared-head evidence for 'fast' vs 'shiny'" in capsys.readouterr().err
+    for fast, shiny in (("fast", "shiny"), ("FAST", "Shiny")):  # named as they are looked up
+        code = main(["compare", "--table", str(table), "--adj", fast, shiny, "--dim", "speed"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {table}: no shared-head evidence for 'fast' vs 'shiny'" in err
 
 
 # ----------------------------------------------------- eval, audit, split
@@ -1176,6 +1178,20 @@ def test_split_cli_roundtrip(tmp_path, capsys):
     assert len(train) + len(dev) + len(test) == len(rows)
     assert detect_leakage(train, dev).clean
     assert detect_leakage(train, test).clean
+
+
+def test_split_can_write_an_empty_split_and_exit_0(tmp_path, capsys):
+    """Components go whole to one split each, so a split with a positive ratio can get none:
+    its file is the header alone, and the command still succeeds."""
+    rows = [(f"a{i}", f"a{i + 1}", "size", "<") for i in range(9)] + [("b", "c", "size", "<")]
+    data = _dataset(tmp_path / "all.tsv", rows)
+    prefix = tmp_path / "out"
+    assert main(["split", str(data), "--output-prefix", str(prefix)]) == 0
+    assert "train: 9 examples" in capsys.readouterr().out
+    assert len(load_dataset(f"{prefix}.dev.tsv")) == 1
+    assert (tmp_path / "out.test.tsv").read_text(encoding="utf-8") == (
+        "object1\tobject2\tdimension\tlabel\n"
+    )
 
 
 def test_split_single_component_exits_2(tmp_path, capsys):

@@ -1,10 +1,17 @@
 """Every name a ``quantdist`` module imports is used in that module, and every private
-name it defines is read somewhere in the package."""
+name it defines is read somewhere in the package. The package resolves its public names
+on first access, and each CLI command loads only the layers it runs."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import quantdist
+from quantdist.cli import main
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "quantdist").glob("*.py"))
 
@@ -91,3 +98,78 @@ def test_the_check_finds_an_unreferenced_private_name():
 def test_every_private_name_is_read_in_the_package():
     sources = {path.stem: path.read_text("utf-8") for path in SOURCES}
     assert sources and unreferenced_private_names(sources) == []
+
+
+def test_every_public_name_is_its_defining_module_object():
+    for name in quantdist.__all__:
+        value = getattr(quantdist, name)
+        if name != "__version__":
+            assert value is getattr(sys.modules[value.__module__], name), name
+            namespace = {}
+            exec(f"from quantdist import {name}", namespace)
+            assert namespace[name] is value
+    assert quantdist.units.Dimension is quantdist.Dimension is quantdist.kinds.Dimension
+    assert quantdist.pipeline.Pos is quantdist.Pos is quantdist.table.Pos
+    assert quantdist.evaluation.dimension_named is quantdist.kinds.dimension_named
+    assert sorted([*quantdist._HOMES, "__version__"]) == sorted(quantdist.__all__)
+    assert set(quantdist.__all__) <= set(dir(quantdist))
+
+
+def test_an_unknown_name_is_an_attribute_error_and_a_failing_import_is_not(monkeypatch):
+    for name in ("no_such_name", "no_such_module"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(quantdist, name)
+    assert not hasattr(quantdist, "no_such_name")
+    # a submodule whose own import fails: re-import the scanner with the lexicon unloadable
+    monkeypatch.delitem(sys.modules, "quantdist.parser")
+    monkeypatch.delattr(quantdist, "parser")
+    monkeypatch.setitem(sys.modules, "quantdist.units", None)
+    for name in ("tokenize", "parser"):
+        with pytest.raises(ModuleNotFoundError) as caught:
+            getattr(quantdist, name)
+        assert caught.value.name == "quantdist.units"
+
+
+# run a command in a fresh interpreter; its last line is the exit code and every module loaded
+_CHILD = "import sys\nfrom quantdist.cli import main\nprint(main(sys.argv[1:]), *sorted(sys.modules))"
+_EXTRACTION = {"quantdist.parser", "quantdist.pipeline", "quantdist.units"}
+
+
+def _loaded(*argv, child=_CHILD) -> set:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          encoding="utf-8", env=env, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", (argv, proc.stderr)
+    return set(modules)
+
+
+def test_a_command_loads_only_the_layers_it_runs(tmp_path):
+    conll = tmp_path / "adj.tsv"
+    conll.write_text("".join(
+        f"0\tThe\tOTHER\t2\n1\t{adj}\tADJ\t2\n2\t{noun}\tNOUN\t3\n3\treached\tVERB\t-\n"
+        f"4\t{value}\tOTHER\t-\n5\tmph\tOTHER\t-\n\n"
+        for adj, noun, value in [("fast", "car", 120), ("slow", "car", 30), ("fast", "train", 200)]
+    ), encoding="utf-8")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("car\ttrain\tspeed\t<\nbus\tcat\tspeed\t>\n", encoding="utf-8")
+    records, part, table = (str(tmp_path / name) for name in ("r.tsv", "p.tsv", "t.tsv"))
+    assert main(["extract", str(conll), "--annotated", "-o", records]) == 0
+    assert main(["aggregate", records, "-o", part]) == 0
+    assert main(["finalize", part, "--min-count", "1", "-o", table]) == 0
+    fresh = _loaded(child="import sys, quantdist\nprint(0, *sys.modules)")
+    assert {name for name in fresh if name.startswith("quantdist")} == {"quantdist"}
+    query = ["query", "--table", table, "--object", "car", "--dim", "speed", "--pos", "noun"]
+    for argv in (
+        query,
+        ["compare", "--table", table, "--noun", "car", "train", "--dim", "speed"],
+        ["compare", "--table", table, "--adj", "fast", "slow", "--dim", "speed"],
+        ["merge", part, part, "-o", str(tmp_path / "m.tsv")],
+        ["finalize", part, "--min-count", "1", "-o", str(tmp_path / "f.tsv")],
+        ["aggregate", records, "-o", str(tmp_path / "a.tsv")],
+    ):
+        assert not _loaded(*argv) & (_EXTRACTION | {"quantdist.evaluation"}), argv[0]
+    for argv in (["audit", str(pairs), str(pairs)],
+                 ["split", str(pairs), "--output-prefix", str(tmp_path / "s")]):
+        assert not _loaded(*argv) & _EXTRACTION, argv[0]
+    assert "quantdist.units" in _loaded(*query, "--unit", "km/h")

@@ -897,8 +897,9 @@ def spilled_lines(text: str) -> int:
 
 
 def test_finalize_builds_a_distribution_only_for_a_spilled_key(tmp_path, monkeypatch):
-    """In memory and through ``quantdist finalize``, finalizing calls ``Distribution.of`` once
-    per spilled key and writes each kept line from its values."""
+    """In memory and through ``quantdist finalize``, finalizing calls ``Distribution.of`` only
+    for a key that spills from its values, and writes each kept line from its values: a key
+    spilled already is folded from its Distribution, with no empty one built first."""
     records = [record("car", Dimension.MASS, float(v)) for v in range(6)]  # spills when observed
     records += [  # whose head-free entry spills only when finalize derives it
         record("fast", Dimension.SPEED, float(v), pos=Pos.ADJ, head=head)
@@ -911,11 +912,11 @@ def test_finalize_builds_a_distribution_only_for_a_spilled_key(tmp_path, monkeyp
     assert spilled_lines(expected) == 2
     calls = counted_of(monkeypatch)
     final = partial.finalize(1)
-    assert final.serialize() == expected and len(calls) == 2
+    assert final.serialize() == expected and calls == [5]  # the head-free "fast"
     del calls[:]
     out = tmp_path / "t.table"
     assert main(["finalize", str(tmp_path / "t.part"), "--min-count", "1", "-o", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == expected and len(calls) == 2
+    assert out.read_text(encoding="utf-8") == expected and calls == [5]
     assert all(isinstance(dist, Distribution) for dist in final.entries.values())
 
 
