@@ -8,7 +8,8 @@ plot data. Exit codes: 0 success, 1 usage error, 2 data error.
 This module only wires subcommands: the record stream that travels
 between `extract` and `aggregate`, and the table files, are read and
 written by `table`; `aggregate` writes what `table.aggregate` builds. Only
-`extract` imports the pipeline, and only `eval`, `audit` and `split` evaluation.
+`extract` imports the pipeline, only the read commands inference, and only
+`eval`, `audit` and `split` evaluation.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ import sys
 
 from .distribution import DEFAULT_EXACT_CAP
 from .errors import ConfigMismatchError, LocatedInputError, QuantdistError, replaced
-from .inference import (
-    TAU,
-    compare_adjectives,
-    compare_nouns,
-    query_distribution,
-    relax_hour_window,
-    relax_to_decade,
-)
 from .kinds import Dimension, Pos, dimension_named
 from .table import (
     BuildConfig,
@@ -46,8 +39,18 @@ class _UsageError(Exception):
     pass
 
 
+_TAU = object()  # the ``--tau`` default until a command that takes it parses
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the exit-code contract."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # ``--tau`` defaults to ``inference.TAU``, loaded only by the commands that take it
+        if self.get_default("tau") is _TAU:
+            from .inference import TAU
+            self.set_defaults(tau=TAU)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -173,6 +176,7 @@ def _format_value(value: float) -> str:
 
 def _queried(args):
     """The entry that ``query`` and ``plot-export`` answer; a data error without one."""
+    from .inference import query_distribution
     pos = Pos[args.pos.upper()]
     table = read_table(args.table, {args.object.lower()})
     dist = query_distribution(table, args.object, args.dim, pos, args.head.lower())
@@ -184,6 +188,7 @@ def _queried(args):
 
 
 def _cmd_query(args) -> int:
+    from .inference import relax_hour_window, relax_to_decade
     dist = _queried(args)
     stats = dist.stats()
     unit_label = args.dim.standard_unit
@@ -222,6 +227,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .inference import compare_adjectives, compare_nouns
     table = read_table(args.table, {name.lower() for name in args.noun or args.adj})
     if args.noun:
         label = compare_nouns(table, args.noun[0], args.noun[1], args.dim, args.tau)
@@ -376,13 +382,13 @@ def _build_parser() -> _Parser:
     group.add_argument("--noun", nargs=2, type=_name, metavar=("OBJ1", "OBJ2"))
     group.add_argument("--adj", nargs=2, type=_name, metavar=("ADJ1", "ADJ2"))
     p.add_argument("--dim", required=True, type=_dimension)
-    p.add_argument("--tau", type=_tau, default=TAU, help="equality ratio (default %(default)s)")
+    p.add_argument("--tau", type=_tau, default=_TAU, help="equality ratio (default %(default)s)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="score a comparison dataset against a table")
     p.add_argument("dataset")
     p.add_argument("--table", required=True)
-    p.add_argument("--tau", type=_tau, default=TAU)
+    p.add_argument("--tau", type=_tau, default=_TAU, help="equality ratio (default %(default)s)")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 

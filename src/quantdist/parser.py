@@ -158,7 +158,13 @@ class _Scanner:
         mag, j = self._magnitude(j)
         marker = j < self.n and self.low[j] in MARKER_WORDS
         j += marker
-        for width in range(min(self.registry.max_alias_tokens, self.n - j), 0, -1):
+        widest = min(self.registry.max_alias_tokens, self.n - j)
+        # a wider surface can resolve only from the start of an alias, with a leading
+        # degree sign folded as ``lookup_unit`` folds it, or from a blank token
+        first = widest > 1 and self.low[j].strip()
+        if first and first.removeprefix("°") not in self.registry.alias_heads:
+            widest = 1
+        for width in range(widest, 0, -1):
             unit = self.registry.lookup_unit(" ".join(self.low[j : j + width]), marker)
             if unit is not None:
                 return mag, unit, j + width

@@ -43,6 +43,7 @@ ABBREVIATIONS = frozenset(
 
 _BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)(?=[A-Z0-9])")
 _WORD_RE = re.compile(r"[a-z]+(?:-[a-z]+)*")
+_OBJECT_TAGS = (Pos.NOUN, Pos.ADJ, Pos.VERB)  # the tags whose tokens are objects
 
 
 @dataclass(frozen=True)
@@ -104,24 +105,24 @@ def _candidate_objects(sentence: AnnotatedSentence, low: list[str]):
     """(POS name, surface, head or "", start, end) per token and noun phrase of ``low``."""
     tags = sentence.pos
     stops = stopwords()
-    candidates = []
-    for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads)):
-        if pos is Pos.UNKNOWN:
-            if word not in stops and _WORD_RE.fullmatch(word):
-                candidates.append(("UNKNOWN", word, "", i, i + 1))
-        elif pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
-            head_word = "" if head is None else low[head]
-            candidates.append((pos._name_, word, head_word, i, i + 1))
-    if Pos.NOUN not in tags:
-        return candidates  # plain text never has a noun run
-    # each window of 2..MAX_PHRASE_LEN nouns is a phrase headed by its final noun
-    for s in range(len(tags)):
-        e = s
-        while e < len(tags) and e < s + MAX_PHRASE_LEN and tags[e] is Pos.NOUN:
-            e += 1
-            if e - s > 1:
+    unknown = Pos.UNKNOWN
+    candidates = [
+        (pos._name_, word, "" if head is None or pos is unknown else low[head], i, i + 1)
+        for i, (word, pos, head) in enumerate(zip(low, tags, sentence.heads))
+        if pos in _OBJECT_TAGS or pos is unknown and word not in stops and _WORD_RE.fullmatch(word)
+    ]
+    # each window of 2..MAX_PHRASE_LEN nouns in a run is a phrase headed by its final noun
+    noun, n, end = Pos.NOUN, len(tags), 0
+    while True:
+        try:
+            start = end = tags.index(noun, end)
+        except ValueError:  # no noun from ``end`` on; plain text has none at all
+            return candidates
+        while end < n and tags[end] is noun:
+            end += 1
+        for s in range(start, end - 1):
+            for e in range(s + 2, min(s + MAX_PHRASE_LEN, end) + 1):
                 candidates.append(("NOUN", " ".join(low[s:e]), low[e - 1], s, e))
-    return candidates
 
 
 def extract_records(
@@ -143,22 +144,22 @@ def extract_records(
     mentions = scan_measurements(tokens, registry)
     if not mentions:
         return []
-    low = tokens.low
-    spans = [(m.start, m.end) for m in mentions]
-    candidates = [
-        candidate
-        for candidate in _candidate_objects(sentence, low)
-        if not any(candidate[3] < m_end and m_start < candidate[4] for m_start, m_end in spans)
+    covered = {i for _, start, end in mentions for i in range(start, end)}
+    candidates = [  # a token needs one set test, a phrase one per token
+        c
+        for c in _candidate_objects(sentence, tokens.low)
+        if c[3] not in covered and (c[4] - c[3] == 1 or covered.isdisjoint(range(c[3], c[4])))
     ]
+    limit = config.max_distance or float("inf")  # None: the whole sentence
     records = []
     for (dimension, value), m_start, m_end in mentions:
         dimension = dimension._name_  # the plain attribute behind ``name``
-        for pos, surface, head, start, end in candidates:
+        records += [
+            (dimension, pos, surface, head, value, gap)
+            for pos, surface, head, start, end in candidates
             # end-exclusive spans that do not overlap: the token gap between them
-            gap = m_start - end if end <= m_start else start - m_end
-            if config.max_distance is not None and gap >= config.max_distance:
-                continue
-            records.append((dimension, pos, surface, head, value, gap))
+            if (gap := m_start - end if end <= m_start else start - m_end) < limit
+        ]
     return records
 
 
@@ -175,7 +176,7 @@ def read_plain(path):
                     yield AnnotatedSentence.from_plain(text)
 
 
-_POS_BY_NAME = {p.name: p for p in Pos}
+_TAGS = {p.name: p for p in Pos if p is not Pos.UNKNOWN}  # UNKNOWN is for plain text only
 
 
 def read_annotated(path):
@@ -211,16 +212,23 @@ def read_annotated(path):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
-            idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
-            if int(idx_s) != len(surfaces):
-                raise ValueError(f"token index {idx_s} out of order, expected {len(surfaces)}")
+            idx, surface, pos, head = parts
+            try:
+                index = int(idx)  # int reads past padding
+            except ValueError:  # the same error, naming the column without its padding
+                index = int(idx.strip())
+            if index != len(surfaces):
+                expected = len(surfaces)
+                raise ValueError(f"token index {idx.strip()} out of order, expected {expected}")
+            surface = surface.strip()
             if not surface:
                 raise ValueError("empty token surface")
-            pos = _POS_BY_NAME.get(pos_s.upper())
-            if pos is None or pos is Pos.UNKNOWN:
-                raise ValueError(f"unknown pos tag {pos_s!r}")
+            tag = _TAGS.get(pos) or _TAGS.get(pos.strip().upper())
+            if tag is None:
+                raise ValueError(f"unknown pos tag {pos.strip()!r}")
+            head = head.strip()
             surfaces.append(surface)
-            tags.append(pos)
-            heads.append(None if head_s in ("-", "_", "") else int(head_s))
+            tags.append(tag)
+            heads.append(None if head in ("-", "_", "") else int(head))
         if surfaces:
             yield sentence()

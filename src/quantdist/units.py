@@ -72,6 +72,7 @@ class UnitRegistry:
         self.version = version
         self._units = tuple(units)
         self._by_alias: dict[str, UnitDef] = {}
+        heads = set()
         max_tokens = 1
         for position, unit in enumerate(units):
             for alias in unit.surface_forms:
@@ -81,7 +82,11 @@ class UnitRegistry:
                     raise LocatedInputError(f"duplicate unit alias {alias!r}", line, path)
                 self._by_alias[key] = unit
                 max_tokens = max(max_tokens, len(key.split()))
+                heads.update(key[:i] for i, char in enumerate(key) if char.isspace())
         self.max_alias_tokens = max_tokens
+        # each alias up to any whitespace in it: what the first of two or more tokens
+        # must read, stripped, for their joined surface to resolve
+        self.alias_heads = frozenset(heads)
         self._time_unit = self.lookup_unit("hour of day")
         if self._time_unit is None or self._time_unit.dimension is not Dimension.TIME:
             raise LocatedInputError("lexicon has no 'hour of day' TIME unit", path=path)

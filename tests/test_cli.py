@@ -134,6 +134,10 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["query", "--help"]) == 0
     capsys.readouterr()
+    # compare and eval read their --tau default when they parse, so their help prints it
+    for command in ("compare", "eval"):
+        assert main([command, "--help"]) == 0
+        assert f"{TAU}" in capsys.readouterr().out.partition("--tau TAU")[2], command
 
 
 def test_data_errors_exit_2(tmp_path, corpus, capsys):
@@ -528,6 +532,38 @@ def test_cli_chain_bytes_are_pinned(tmp_path):
         for name in _ORACLE_DIGESTS
     }
     assert digests == _ORACLE_DIGESTS
+
+
+# noun runs of 3, 5 (ending its sentence) and 2 nouns, and one of 4 holding a mention;
+# ADJ and VERB tokens with heads; heads written "-", "_" and " 5 "; lowercase and padded
+# tags; a range and a currency amount
+_PINNED_ANNOTATED = (
+    "0\tThe\tother\t-\n1\tbig\tADJ\t4\n2\tsteel\tNOUN\t4\n3\tstorage\t noun \t4\n"
+    "4\ttank\tNOUN\t5\n5\tholds\tVERB\t_\n6\t50\tOTHER\t-\n7\t-\tOTHER\t-\n8\t60\tOTHER\t-\n"
+    "9\tliters\tOTHER\t 5 \n\n"
+    "0\tIt\tOTHER\t-\n1\tcost\tverb\t-\n2\t$\tOTHER\t_\n3\t12\tOTHER\t-\n4\tmillion\tOTHER\t-\n"
+    "5\tfor\tOTHER\t-\n6\tthe\tOTHER\t-\n7\tcity\tNOUN\t11\n8\tcouncil\tNOUN\t11\n"
+    "9\toffice\tNOUN\t11\n10\tparking\tNOUN\t11\n11\tgarage\tNOUN\t1\n\n"
+    "0\tThe\tOTHER\t2\n1\tcement\tNOUN\t2\n2\ttruck\tNOUN\t3\n3\tcarried\tVERB\t 2 \n"
+    "4\ta\tOTHER\t-\n5\tflour\tNOUN\t8\n6\t25\tNOUN\t8\n7\tkg\tNOUN\t8\n8\tsack\tNOUN\t3\n"
+    "9\t.\tOTHER\t-\n"
+)
+
+
+def test_annotated_record_stream_bytes_are_pinned(tmp_path):
+    """An annotated corpus's record stream, and so the order of its records, keeps the
+    bytes pinned here; the byte oracle's annotated sentences hold no noun run."""
+    conll, records = tmp_path / "pinned.conll", tmp_path / "pinned.rec"
+    conll.write_text(_PINNED_ANNOTATED, encoding="utf-8")
+    assert main(["extract", "--annotated", str(conll), "-o", str(records)]) == 0
+    lines = records.read_text("utf-8").splitlines()
+    assert len(lines) == 36  # the header and 35 records
+    for phrase in ("steel storage tank\ttank", "office parking garage\tgarage", "cement truck\ttruck"):
+        assert any(line.startswith(phrase + "\tNOUN\t") for line in lines), phrase
+    # a phrase overlapping the "25 kg" inside the run of four nouns is no object
+    assert not any(line.startswith(("flour 25", "25 kg", "kg sack")) for line in lines)
+    digest = hashlib.sha256(records.read_bytes()).hexdigest()
+    assert digest == "94b82f43ee66f1ccb054939b1cbeae471a367f0d4686aa0ed0ff866aa2e8506e"
 
 
 def test_crlf_line_ends_read_like_lf(tmp_path, corpus):

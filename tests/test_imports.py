@@ -164,11 +164,17 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path):
         query,
         ["compare", "--table", table, "--noun", "car", "train", "--dim", "speed"],
         ["compare", "--table", table, "--adj", "fast", "slow", "--dim", "speed"],
+    ):
+        assert not _loaded(*argv) & (_EXTRACTION | {"quantdist.evaluation"}), argv[0]
+    # a build step loads neither the query layer nor evaluation
+    queries = {"quantdist.inference", "quantdist.evaluation"}
+    for argv in (
         ["merge", part, part, "-o", str(tmp_path / "m.tsv")],
         ["finalize", part, "--min-count", "1", "-o", str(tmp_path / "f.tsv")],
         ["aggregate", records, "-o", str(tmp_path / "a.tsv")],
     ):
-        assert not _loaded(*argv) & (_EXTRACTION | {"quantdist.evaluation"}), argv[0]
+        assert not _loaded(*argv) & (_EXTRACTION | queries), argv[0]
+    assert not _loaded("extract", str(conll), "--annotated", "-o", records) & queries
     for argv in (["audit", str(pairs), str(pairs)],
                  ["split", str(pairs), "--output-prefix", str(tmp_path / "s")]):
         assert not _loaded(*argv) & _EXTRACTION, argv[0]

@@ -8,7 +8,14 @@ hide a scanner mistake.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quantdist.parser import Mention, _Scanner, parse_number, scan_measurements, tokenize
+from quantdist.parser import (
+    MARKER_WORDS,
+    Mention,
+    _Scanner,
+    parse_number,
+    scan_measurements,
+    tokenize,
+)
 from quantdist.units import Dimension, Quantity, load_registry
 
 MILE = 1609.344
@@ -309,3 +316,64 @@ _GATE_VOCABULARY = _VOCABULARY + [
 @example(["7:30", "pm", "$", "5"])
 def test_gated_scan_finds_what_every_position_finds(registry, tokens):
     assert scan_measurements(tokens, registry) == _scan_everywhere(tokens, registry)
+
+
+# ----------------------------------------------------------------------
+# unit lookup: surfaces wider than one token are tried only from the start of an alias
+
+
+def _full_width_unit_after(scanner, j):
+    """``_Scanner._unit_after`` without the alias-head test: every width, widest first."""
+    mag, j = scanner._magnitude(j)
+    marker = j < scanner.n and scanner.low[j] in MARKER_WORDS
+    j += marker
+    for width in range(min(scanner.registry.max_alias_tokens, scanner.n - j), 0, -1):
+        unit = scanner.registry.lookup_unit(" ".join(scanner.low[j : j + width]), marker)
+        if unit is not None:
+            return mag, unit, j + width
+    return None
+
+
+def _alias_token_lists(registry):
+    """Every alias after a number: alone, after a magnitude word or a marker word, with a
+    fused degree sign, in a range, and followed by a word; multi-token aliases first."""
+    aliases = sorted(
+        {alias for unit in registry.units() for alias in unit.surface_forms},
+        key=lambda alias: (-len(alias.split()), alias),
+    )
+    for alias in aliases:
+        words = alias.split()
+        fused = ["°" + words[0], *words[1:]]
+        for unit in (words, ["thousand", *words], ["degrees", *words], fused, ["°", *words]):
+            yield ["5", *unit]
+            yield ["5", *unit, "tall"]
+            yield ["5", "-", "6", *unit]
+        # tokens that a tokenizer never writes but a column file or a caller can: blank,
+        # padded, holding a space
+        yield ["5", "", *words]
+        yield ["5", f" {words[0]}", *words[1:]]
+        yield ["5", f"{words[0]} ", *words[1:]]
+        yield ["5", " ".join(words[:2]), *words[2:]]
+        yield ["5", "° " + words[0], *words[1:]]
+
+
+def test_unit_lookup_finds_what_every_width_finds(registry, monkeypatch):
+    token_lists = list(_alias_token_lists(registry))
+    calls = 0
+    lookup = registry.lookup_unit
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return lookup(*args)
+
+    monkeypatch.setattr(registry, "lookup_unit", counted)
+    found = [scan_measurements(tokens, registry) for tokens in token_lists]
+    gated, calls = calls, 0
+    monkeypatch.setattr(_Scanner, "_unit_after", _full_width_unit_after)
+    assert found == [scan_measurements(tokens, registry) for tokens in token_lists]
+    assert gated < calls
+    # after a marker word every alias resolves over all of its tokens: the longest match
+    for alias in {alias for unit in registry.units() for alias in unit.surface_forms}:
+        mentions = scan_measurements(["5", "degrees", *alias.split()], registry)
+        assert mentions and mentions[-1].end == 2 + len(alias.split()), alias

@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantdist import pipeline
-from quantdist.errors import LocatedInputError
+from quantdist.errors import LocatedInputError, LocatedLines
 from quantdist.parser import scan_measurements
 from quantdist.pipeline import (
     AnnotatedSentence,
@@ -162,6 +163,10 @@ def test_objects_never_overlap_mention(registry):
     assert pairs == {(word, dim) for word in ("truck", "weighs", "long") for dim in ("MASS", "LENGTH")}
     records = plain_records("The shop is open 7 - 9 pm daily.", registry)
     assert {r[2] for r in records} == {"shop", "open", "daily"}
+    # a noun phrase is no object when only its middle token is a mention
+    nouns = annotated([("night", Pos.NOUN, None), ("21:00", Pos.NOUN, None), ("bus", Pos.NOUN, None)])
+    records = extract_records(nouns, ExtractionConfig(), registry)
+    assert [r[2] for r in records] == ["night", "bus"]
 
 
 def test_stopwords_filtered(registry):
@@ -356,6 +361,150 @@ def test_read_annotated_bad_pos_and_index(tmp_path):
         list(read_annotated(write_conll(tmp_path, "0\tcar\tNOUNISH\t-\n")))
     with pytest.raises(LocatedInputError):
         list(read_annotated(write_conll(tmp_path, "3\tcar\tNOUN\t-\n")))
+
+
+def _reference_read_annotated(path):
+    """``read_annotated`` as first written, every column stripped: the oracle of its errors."""
+    surfaces, tags, heads = [], [], []
+    names = {p.name: p for p in Pos}
+
+    def sentence():
+        n = len(surfaces)
+        for idx, head in enumerate(heads):
+            if head is not None and (not 0 <= head < n or head == idx):
+                raise ValueError(f"head index {head} invalid for a {n}-token sentence")
+        out = AnnotatedSentence(tuple(surfaces), tuple(tags), tuple(heads))
+        surfaces.clear()
+        tags.clear()
+        heads.clear()
+        return out
+
+    with LocatedLines(path) as lines:
+        for line in lines:
+            if not line.strip():
+                if surfaces:
+                    lines.line_number -= 1
+                    yield sentence()
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 tab-separated columns, got {len(parts)}")
+            idx_s, surface, pos_s, head_s = (p.strip() for p in parts)
+            if int(idx_s) != len(surfaces):
+                raise ValueError(f"token index {idx_s} out of order, expected {len(surfaces)}")
+            if not surface:
+                raise ValueError("empty token surface")
+            pos = names.get(pos_s.upper())
+            if pos is None or pos is Pos.UNKNOWN:
+                raise ValueError(f"unknown pos tag {pos_s!r}")
+            surfaces.append(surface)
+            tags.append(pos)
+            heads.append(None if head_s in ("-", "_", "") else int(head_s))
+        if surfaces:
+            yield sentence()
+
+
+def _column_sentences(rng, count):
+    """The lines of ``count`` valid sentences, written in each way the column format allows."""
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        lines = []
+        for i in range(n):
+            head = rng.choice([h for h in range(n) if h != i] or [None])
+            lines.append([
+                rng.choice((str(i), f" {i} ", f"{i}\u00a0")),
+                rng.choice(("car", " Car ", "5", "km/h", "big red", "°F")),
+                rng.choice(("NOUN", "noun", " ADJ ", "Verb", "OTHER", "other\u2003")),
+                rng.choice(("-", "_", "", " - ") if head is None else ("-", "_", str(head), f" {head} ")),
+            ])
+        yield lines
+
+
+# each fault replaces one column of one line: (column, the text it writes, given the line's index)
+_FAULTS = {
+    "too few columns": (3, None),
+    "too many columns": (3, lambda i: "-\tx"),
+    "index out of order": (0, lambda i: f" {i + 1} "),
+    "index not a number": (0, lambda i: " x "),
+    "empty surface": (1, lambda i: " "),
+    "unknown tag": (2, lambda i: " Nounish "),
+    "the UNKNOWN tag": (2, lambda i: "unknown"),
+    "head not a number": (3, lambda i: " 1.5 "),
+    "head out of range": (3, lambda i: "99"),
+    "negative head": (3, lambda i: "-1"),
+    "self head": (3, lambda i: f" {i} "),
+}
+
+
+def _outcome(reader, path):
+    try:
+        return list(reader(path))
+    except LocatedInputError as exc:
+        return exc.path, exc.line_number, str(exc)
+
+
+@pytest.mark.parametrize("ends", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_read_annotated_reads_and_fails_as_the_reference_does(tmp_path, ends):
+    rng = random.Random(5)
+    path = tmp_path / "corpus.conll"
+    for sentences in (list(_column_sentences(rng, rng.randint(1, 4))) for _ in range(40)):
+        def write(lines):
+            blanks = [rng.choice(("", "  ", "\t\t\t")) for _ in lines]
+            text = ends.join(ends.join(["\t".join(tokens) for tokens in s] + [b]) for s, b in zip(lines, blanks))
+            path.write_bytes(text.encode("utf-8"))
+
+        write(sentences)
+        valid = _outcome(read_annotated, path)
+        assert isinstance(valid, list) and valid == _outcome(_reference_read_annotated, path)
+        for fault, (column, text) in _FAULTS.items():
+            faulty = [[list(tokens) for tokens in s] for s in sentences]
+            s = rng.randrange(len(faulty))
+            i = rng.randrange(len(faulty[s]))
+            if text is None:
+                del faulty[s][i][column]
+            else:
+                faulty[s][i][column] = text(i)
+            write(faulty)
+            outcome = _outcome(read_annotated, path)
+            assert isinstance(outcome, tuple), fault  # a located error
+            assert outcome == _outcome(_reference_read_annotated, path), fault
+
+
+def _nested_window_candidates(sentence, low):
+    """``_candidate_objects`` as first written: a window of nouns from every position."""
+    candidates = []
+    for i, (word, pos, head) in enumerate(zip(low, sentence.pos, sentence.heads)):
+        if pos is Pos.UNKNOWN:
+            if word not in stopwords() and pipeline._WORD_RE.fullmatch(word):
+                candidates.append(("UNKNOWN", word, "", i, i + 1))
+        elif pos in (Pos.NOUN, Pos.ADJ, Pos.VERB):
+            candidates.append((pos.name, word, "" if head is None else low[head], i, i + 1))
+    tags = sentence.pos
+    for s in range(len(tags)):
+        e = s
+        while e < len(tags) and e < s + MAX_PHRASE_LEN and tags[e] is Pos.NOUN:
+            e += 1
+            if e - s > 1:
+                candidates.append(("NOUN", " ".join(low[s:e]), low[e - 1], s, e))
+    return candidates
+
+
+# stopwords, words, and tokens that are no word: a number, punctuation, a hyphen at an end
+_CANDIDATE_WORDS = ("the", "of", "It", "car", "Red", "big-top", "tank", "3", "km/h", ".", "x-", "élan")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_candidates_are_the_nested_window_candidates(data):
+    # runs of one tag, so that noun runs outgrow MAX_PHRASE_LEN
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(list(Pos)), st.integers(1, 6)), max_size=5))
+    tags = tuple(tag for tag, length in runs for _ in range(length))
+    n = len(tags)
+    words = data.draw(st.lists(st.sampled_from(_CANDIDATE_WORDS), min_size=n, max_size=n))
+    heads = data.draw(st.lists(st.none() | st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    sentence = AnnotatedSentence(tuple(words), tags, tuple(heads))
+    low = [word.lower() for word in words]
+    assert _candidate_objects(sentence, low) == _nested_window_candidates(sentence, low)
 
 
 def test_records_are_hashable_value_objects(registry):
