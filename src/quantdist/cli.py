@@ -21,7 +21,7 @@ import sys
 
 from .distribution import DEFAULT_EXACT_CAP
 from .errors import ConfigMismatchError, LocatedInputError, QuantdistError, replaced
-from .kinds import Dimension, Pos, dimension_named
+from .kinds import TAU, Dimension, Pos, check_tau, dimension_named
 from .table import (
     BuildConfig,
     aggregate,
@@ -39,18 +39,8 @@ class _UsageError(Exception):
     pass
 
 
-_TAU = object()  # the ``--tau`` default until a command that takes it parses
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through the exit-code contract."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        # ``--tau`` defaults to ``inference.TAU``, loaded only by the commands that take it
-        if self.get_default("tau") is _TAU:
-            from .inference import TAU
-            self.set_defaults(tau=TAU)
-        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,9 +59,10 @@ def _positive_int(raw: str) -> int:
 
 
 def _tau(raw: str) -> float:
-    value = float(raw)
-    if not value >= 1.0:  # written so that NaN fails too
-        raise argparse.ArgumentTypeError("must be >= 1.0")
+    try:
+        check_tau(value := float(raw))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -92,15 +83,13 @@ def _distance(raw: str):
     return None if raw == "sentence" else int(raw)
 
 
-def _ratios(raw: str) -> tuple[float, float, float]:
+def _ratios(raw: str) -> tuple[float, ...]:
+    from .evaluation import check_ratios
     try:
         parts = tuple(float(p) for p in raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("ratios must be numbers")
-    if len(parts) != 3 or not (all(p >= 0 for p in parts) and abs(sum(parts) - 1.0) <= 1e-9):
-        raise argparse.ArgumentTypeError(
-            "need three non-negative ratios summing to 1, e.g. 0.8,0.1,0.1"
-        )
+        check_ratios(parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return parts
 
 
@@ -179,7 +168,7 @@ def _queried(args):
     from .inference import query_distribution
     pos = Pos[args.pos.upper()]
     table = read_table(args.table, {args.object.lower()})
-    dist = query_distribution(table, args.object, args.dim, pos, args.head.lower())
+    dist = query_distribution(table, args.object, args.dim, pos, args.head)
     if dist is None:
         raise LocatedInputError(
             f"no entry for {args.object.lower()!r} under {args.dim.name}", path=args.table
@@ -382,13 +371,13 @@ def _build_parser() -> _Parser:
     group.add_argument("--noun", nargs=2, type=_name, metavar=("OBJ1", "OBJ2"))
     group.add_argument("--adj", nargs=2, type=_name, metavar=("ADJ1", "ADJ2"))
     p.add_argument("--dim", required=True, type=_dimension)
-    p.add_argument("--tau", type=_tau, default=_TAU, help="equality ratio (default %(default)s)")
+    p.add_argument("--tau", type=_tau, default=TAU, help="equality ratio (default %(default)s)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("eval", help="score a comparison dataset against a table")
     p.add_argument("dataset")
     p.add_argument("--table", required=True)
-    p.add_argument("--tau", type=_tau, default=_TAU, help="equality ratio (default %(default)s)")
+    p.add_argument("--tau", type=_tau, default=TAU, help="equality ratio (default %(default)s)")
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(func=_cmd_eval)
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import random
 
 from .errors import LocatedLines, SplitInfeasibleError, replaced
-from .inference import TAU, ComparisonLabel, _check_tau, _label, query_distribution
-from .kinds import Dimension, dimension_named
+from .inference import ComparisonLabel, _label, query_distribution
+from .kinds import TAU, Dimension, check_tau, dimension_named
 from .table import QuantTable
 
 _LABELS = {"NA": None, **{label.value: label for label in ComparisonLabel}}
@@ -103,7 +103,7 @@ def evaluate(table: QuantTable, examples, tau: float = TAU) -> dict:
     the 0-median rule of ``compare_nouns`` rather than being skipped, and
     a row is covered when both objects have an entry.
     """
-    _check_tau(tau)
+    check_tau(tau)
     scored = 0
     correct = 0
     covered = 0
@@ -255,6 +255,12 @@ def detect_leakage(train, eval_split) -> LeakageReport:
     )
 
 
+def check_ratios(ratios) -> None:
+    """Split ratios are three non-negative numbers summing to 1 (NaN fails)."""
+    if len(ratios) != 3 or not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ValueError("ratios must be three non-negative numbers summing to 1")
+
+
 def make_clean_split(
     examples, ratios=(0.8, 0.1, 0.1), seed: int = 0
 ) -> tuple[list, list, list]:
@@ -265,8 +271,7 @@ def make_clean_split(
     below its target ratio. Splits therefore share no objects at all,
     which rules out both leakage kinds by construction.
     """
-    if len(ratios) != 3 or not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
-        raise ValueError("ratios must be three non-negative numbers summing to 1")
+    check_ratios(ratios)
     examples = list(examples)
     if not examples:
         return [], [], []

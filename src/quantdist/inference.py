@@ -21,12 +21,8 @@ from collections import Counter
 from enum import Enum
 
 from .distribution import Distribution
-from .kinds import Dimension, Pos
+from .kinds import TAU, Dimension, Pos, check_tau
 from .table import QuantTable
-
-
-# the equality ratio of medians that ``compare`` and ``eval`` use unless told otherwise
-TAU = 1.1
 
 
 class ComparisonLabel(Enum):
@@ -35,21 +31,16 @@ class ComparisonLabel(Enum):
     GREATER = ">"
 
 
-def _check_tau(tau: float) -> None:
-    if not tau >= 1.0:  # written so that NaN fails too
-        raise ValueError("tau must be >= 1")
-
-
 def query_distribution(
     table: QuantTable, obj, dimension: Dimension, pos: Pos = Pos.NOUN, head: str = ""
 ) -> Distribution | None:
-    """Distribution for an object, lowercased, as ``pos`` under ``head`` ("" for none),
-    or None when absent.
+    """Distribution for an object as ``pos`` under ``head`` ("" for none), both
+    lowercased, or None when absent.
 
     Tables built from plain text carry UNKNOWN part-of-speech keys, so a
     miss on a tagged key retries the untagged one before giving up.
     """
-    dimension, surface = dimension._name_, str(obj).lower()
+    dimension, surface, head = dimension._name_, str(obj).lower(), head.lower()
     found = table.get((dimension, pos._name_, surface, head))
     if found is None and pos is not Pos.UNKNOWN:
         found = table.get((dimension, "UNKNOWN", surface, head))
@@ -76,7 +67,7 @@ def compare_nouns(
     Missing objects get a 0 median, so two unknowns compare EQUAL and an
     unknown loses to anything with a positive median.
     """
-    _check_tau(tau)
+    check_tau(tau)
     return _label(
         query_distribution(table, obj1, dimension), query_distribution(table, obj2, dimension), tau
     )
@@ -90,7 +81,7 @@ def compare_adjectives(
     Every head where both modifiers have an entry votes. A tie at the top
     is EQUAL.
     """
-    _check_tau(tau)
+    check_tau(tau)
     heads1 = table.heads_for(dimension._name_, "ADJ", str(adj1).lower())
     heads2 = table.heads_for(dimension._name_, "ADJ", str(adj2).lower())
     votes: Counter = Counter()

@@ -1,7 +1,10 @@
 """The kinds an entry key names: measurement dimensions and coarse POS tags.
 
 Every layer names them, so they live apart from the layers: a read command
-that imports ``table`` loads no scanner, pipeline or lexicon loader.
+that imports ``table`` loads no scanner, pipeline or lexicon loader. The
+input rules that more than one layer applies live here too, each once:
+``check_distance`` (the co-occurrence window), and ``TAU`` with
+``check_tau`` (the equality ratio of medians).
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ def check_distance(distance: int | None) -> None:
     """A co-occurrence window is the whole sentence (None) or 1..100 tokens."""
     if distance is not None and not 1 <= distance <= 100:
         raise ValueError("distance must be None or within 1..100")
+
+
+# the equality ratio of medians that ``compare`` and ``eval`` use unless told otherwise
+TAU = 1.1
+
+
+def check_tau(tau: float) -> None:
+    if not tau >= 1.0:  # written so that NaN fails too
+        raise ValueError("tau must be >= 1")
 
 
 # dataset-native scale names that map onto a measurement dimension;

@@ -55,8 +55,14 @@ class AnnotatedSentence:
     heads: tuple[int | None, ...]
 
     def __post_init__(self):
-        if not len(self.surfaces) == len(self.pos) == len(self.heads):
+        n = len(self.heads)
+        if not len(self.surfaces) == len(self.pos) == n:
             raise ValueError("surfaces, pos and heads must have one entry per token")
+        # a head is another token of the sentence; one C-level pass clears a sentence of none
+        if self.heads.count(None) != n:
+            for idx, head in enumerate(self.heads):
+                if head is not None and (not 0 <= head < n or head == idx):
+                    raise ValueError(f"head index {head} invalid for a {n}-token sentence")
 
     @classmethod
     def from_plain(cls, sentence: str) -> "AnnotatedSentence":
@@ -191,11 +197,7 @@ def read_annotated(path):
     tags: list[Pos] = []
     heads: list[int | None] = []
 
-    def sentence() -> AnnotatedSentence:
-        n = len(surfaces)
-        for idx, head in enumerate(heads):
-            if head is not None and (not 0 <= head < n or head == idx):
-                raise ValueError(f"head index {head} invalid for a {n}-token sentence")
+    def sentence() -> AnnotatedSentence:  # whose constructor checks the heads
         out = AnnotatedSentence(tuple(surfaces), tuple(tags), tuple(heads))
         surfaces.clear()
         tags.clear()

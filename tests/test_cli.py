@@ -20,11 +20,12 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantdist import inference, kinds
 from quantdist.cli import _build_parser, main
 from quantdist.distribution import DEFAULT_EXACT_CAP
 from quantdist.errors import LocatedInputError
 from quantdist.evaluation import detect_leakage, evaluate, load_dataset
-from quantdist.inference import TAU, compare_adjectives, compare_nouns
+from quantdist.inference import TAU, compare_adjectives, compare_nouns, query_distribution
 from quantdist.kernels import bucket_index
 from quantdist.pipeline import (
     ExtractionConfig,
@@ -83,14 +84,22 @@ def test_usage_errors_exit_1(capsys):
     assert main(["extract", "x.txt", "--no-such-flag"]) == 1
     assert main(["extract", "x.txt", "--distance", "7"]) == 1
     assert main(["query", "--table", "x", "--object", "a", "--dim", "warmth"]) == 1
-    for ratios in ("0.5,0.5", "nan,0.5,0.5", "nan,nan,nan"):
+    assert "usage:" in capsys.readouterr().err
+    # a rejected --ratios or --tau names the library's reason
+    for ratios in ("0.5,0.5", "nan,0.5,0.5", "nan,nan,nan", "0.9,0.2,-0.1"):
         assert main(["split", "x.tsv", "--output-prefix", "y", "--ratios", ratios]) == 1, ratios
+        err = capsys.readouterr().err
+        assert "--ratios: ratios must be three non-negative numbers summing to 1" in err, ratios
+    assert main(["split", "x.tsv", "--output-prefix", "y", "--ratios", "a,b,c"]) == 1
+    assert "--ratios: could not convert string to float: 'a'" in capsys.readouterr().err
     assert main(["compare", "--table", "x", "--dim", "mass"]) == 1  # no pair
-    for tau in ("0.9", "nan"):
-        argv = ["compare", "--table", "x", "--noun", "cat", "dog", "--dim", "mass", "--tau", tau]
-        assert main(argv) == 1, tau
-    err = capsys.readouterr().err
-    assert "usage:" in err
+    capsys.readouterr()
+    for command in (["compare", "--table", "x", "--noun", "cat", "dog", "--dim", "mass"],
+                    ["eval", "d.tsv", "--table", "x"]):
+        for tau in ("0.9", "nan"):
+            assert main([*command, "--tau", tau]) == 1, (command[0], tau)
+            err = capsys.readouterr().err
+            assert "usage:" in err and "argument --tau: tau must be >= 1" in err, (command[0], tau)
     # an empty or all-blank object name is a usage error, not a lookup
     for name in ("", "  "):
         for argv in (
@@ -126,6 +135,7 @@ def test_flag_defaults_are_the_library_defaults():
     assert parser.parse_args(["aggregate", "r.tsv", "-o", "p.tsv"]).exact_cap == DEFAULT_EXACT_CAP
     compare = parser.parse_args(["compare", *table, "--noun", "a", "b", "--dim", "mass"])
     assert compare.tau == parser.parse_args(["eval", "d.tsv", *table]).tau == TAU
+    assert kinds.TAU is inference.TAU  # the one definition, which inference re-exports
     for function in (compare_nouns, compare_adjectives, evaluate):
         assert inspect.signature(function).parameters["tau"].default == TAU
 
@@ -134,7 +144,7 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["query", "--help"]) == 0
     capsys.readouterr()
-    # compare and eval read their --tau default when they parse, so their help prints it
+    # compare and eval print their --tau default
     for command in ("compare", "eval"):
         assert main([command, "--help"]) == 0
         assert f"{TAU}" in capsys.readouterr().out.partition("--tau TAU")[2], command
@@ -621,6 +631,11 @@ def test_query_pos_and_head_pick_the_entry(tmp_path, corpus, capsys):
     assert main([*query, "--object", "Fast", "--pos", "adj", "--head", "CAR"]) == 0
     out = capsys.readouterr().out
     assert "object: fast (pos=ADJ)\n" in out and "count: 1\n" in out
+    # the library lowercases the head as it does the object, so both calls find the entry
+    assert main([*query, "--object", "fast", "--pos", "adj", "--head", "Car"]) == 0
+    assert "count: 1\n" in capsys.readouterr().out
+    found = query_distribution(read_table(table), "fast", Dimension.SPEED, Pos.ADJ, "Car")
+    assert found is not None and found.count == 1
     assert main([*query, "--object", "fast", "--pos", "adj"]) == 0
     assert "count: 2\n" in capsys.readouterr().out
     assert main([*query, "--object", "fast", "--pos", "adj", "--head", "bus"]) == 2

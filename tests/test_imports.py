@@ -135,13 +135,19 @@ _CHILD = "import sys\nfrom quantdist.cli import main\nprint(main(sys.argv[1:]), 
 _EXTRACTION = {"quantdist.parser", "quantdist.pipeline", "quantdist.units"}
 
 
-def _loaded(*argv, child=_CHILD) -> set:
+def _run(*argv, child=_CHILD) -> tuple[str, set]:
+    """What a command printed before that last line, and the modules it loaded."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
                           encoding="utf-8", env=env, check=True)
-    code, *modules = proc.stdout.splitlines()[-1].split()
+    *printed, last = proc.stdout.splitlines()
+    code, *modules = last.split()
     assert code == "0", (argv, proc.stderr)
-    return set(modules)
+    return "\n".join(printed), set(modules)
+
+
+def _loaded(*argv, child=_CHILD) -> set:
+    return _run(*argv, child=child)[1]
 
 
 def test_a_command_loads_only_the_layers_it_runs(tmp_path):
@@ -166,6 +172,11 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path):
         ["compare", "--table", table, "--adj", "fast", "slow", "--dim", "speed"],
     ):
         assert not _loaded(*argv) & (_EXTRACTION | {"quantdist.evaluation"}), argv[0]
+    # the --tau default is read from kinds, so help prints it without the query layer
+    for command in ("compare", "eval"):
+        printed, loaded = _run(command, "--help")
+        assert "1.1" in printed.partition("--tau TAU")[2], command
+        assert "quantdist.inference" not in loaded, command
     # a build step loads neither the query layer nor evaluation
     queries = {"quantdist.inference", "quantdist.evaluation"}
     for argv in (

@@ -260,6 +260,15 @@ def test_sentence_columns_must_align():
         AnnotatedSentence(("car", "weighs"), (Pos.NOUN,), (None, None))
 
 
+def test_a_sentence_rejects_a_head_outside_it_or_on_its_own_token():
+    """The reader's head rule holds for a sentence built by hand, with the reader's message."""
+    surfaces, tags = ("car", "weighs", "5", "kg"), (Pos.NOUN, Pos.VERB, Pos.OTHER, Pos.OTHER)
+    for bad in (-1, 9, 0):  # before the first token, past the last, the token itself
+        with pytest.raises(ValueError, match=rf"^head index {bad} invalid for a 4-token sentence$"):
+            AnnotatedSentence(surfaces, tags, (bad, 0, None, None))
+    assert AnnotatedSentence(surfaces, tags, (1, None, 3, 1)).heads == (1, None, 3, 1)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(max_distance=0)
@@ -501,8 +510,11 @@ def test_candidates_are_the_nested_window_candidates(data):
     tags = tuple(tag for tag, length in runs for _ in range(length))
     n = len(tags)
     words = data.draw(st.lists(st.sampled_from(_CANDIDATE_WORDS), min_size=n, max_size=n))
-    heads = data.draw(st.lists(st.none() | st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
-    sentence = AnnotatedSentence(tuple(words), tags, tuple(heads))
+    # a head is another token: draw from the n - 1 others, skipping the token's own index
+    others = st.none() | st.integers(0, n - 2) if n > 1 else st.none()
+    heads = data.draw(st.lists(others, min_size=n, max_size=n))
+    heads = tuple(h if h is None or h < i else h + 1 for i, h in enumerate(heads))
+    sentence = AnnotatedSentence(tuple(words), tags, heads)
     low = [word.lower() for word in words]
     assert _candidate_objects(sentence, low) == _nested_window_candidates(sentence, low)
 
